@@ -24,7 +24,6 @@ from .latency import (
     cr_bounds,
     expected_order_stat,
     mc_expected_latency,
-    sample_comp_time,
     simulate_iteration,
 )
 from .ml import Dataset, GDConfig, gd_run, generate_synthetic, linear_grad, logistic_grad

@@ -17,7 +17,7 @@ import configparser
 from dataclasses import dataclass
 from pathlib import Path
 
-from .allocation import granularity, r_cr, r_gc
+from .allocation import granularity, r_cr
 from .latency import LatencyConfig, SCHEMES
 from .ml import GDConfig
 
@@ -150,10 +150,6 @@ def validate_config(cfg: ExperimentConfig) -> list[str]:
             problems.append(f"group needs 0 <= S < N, got N={cfg.N}, S={cfg.S}")
         elif cfg.d % cfg.N != 0:
             problems.append(f"d={cfg.d} is not divisible by the {cfg.N} workers")
-        elif "gc" in cfg.schemes and (r_gc(cfg.N, cfg.S) * cfg.d).denominator != 1:
-            problems.append(
-                f"coded load {r_gc(cfg.N, cfg.S)} * {cfg.d} is not an integer"
-            )
     if cfg.trials < 1:
         problems.append(f"trials must be >= 1, got {cfg.trials}")
     try:

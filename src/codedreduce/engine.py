@@ -4,6 +4,7 @@ Stragglers here are simply excluded from each parent's combination; timing
 lives in the latency module.  All schemes that claim the full gradient must
 agree with each other to floating-point accuracy, whatever the admissible
 straggler pattern; that equivalence is the core correctness property.
+GC and UMW are CR on the depth-1 tree (N, 1), with s = S and s = 0.
 """
 
 from __future__ import annotations
@@ -12,8 +13,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .allocation import Assignment, WeightedSlice, comp_alloc, uniform_partition
-from .codes import EncodingMatrix, decode_row
+from .allocation import Assignment, WeightedSlice, cr_allocate, uniform_partition
+from .codes import EncodingMatrix, build_encoding, decode_row
 from .topology import MASTER, NodeId, RegularTree, StragglerPattern
 
 __all__ = [
@@ -40,24 +41,36 @@ class UnrecoverableError(RuntimeError):
 
 
 def _combine(
-    tree: RegularTree,
-    B: EncodingMatrix,
     parent: NodeId,
+    tree: RegularTree,
+    assignment: Assignment,
+    B: EncodingMatrix,
     pattern: StragglerPattern,
-    messages: dict[NodeId, np.ndarray],
-    s: int,
+    oracle: GradientOracle,
+    theta: np.ndarray,
 ) -> np.ndarray:
+    """Decode over the first n-s surviving children of `parent`, in
+    child-index order.  A child's message is its local coded gradient plus,
+    for an internal node, its own decode; no other message is computed."""
+    s = assignment.s
+    need = tree.n - s
     kids = tree.children(parent)
     straggling = pattern.per_parent(parent)
     survivors = [pos for pos, c in enumerate(kids) if c not in straggling]
-    need = tree.n - s
     if len(survivors) < need:
         raise UnrecoverableError(parent, tree.n - len(survivors), s)
     survivors = survivors[:need]  # surplus survivors: keep lowest child indices
-    row = decode_row(B, survivors)
-    out = np.zeros_like(messages[kids[survivors[0]]])
+    messages = []
     for pos in survivors:
-        out += row.coefficients[pos] * messages[kids[pos]]
+        child = kids[pos]
+        m = oracle(theta, assignment.local[child])
+        if not tree.is_leaf(child):
+            m = m + _combine(child, tree, assignment, B, pattern, oracle, theta)
+        messages.append(m)
+    row = decode_row(B, survivors)
+    out = np.zeros_like(messages[0])
+    for pos, m in zip(survivors, messages):
+        out += row.coefficients[pos] * m
     return out
 
 
@@ -71,26 +84,38 @@ def cr_execute(
 ) -> np.ndarray:
     """One coded aggregation round over the tree; returns the recovered gradient.
 
-    Leaves emit their local coded gradient; each internal node decodes the
-    surviving children's messages (first n-s in child-index order when more
-    survive) and adds its own local coded gradient; the master only decodes.
+    Every parent decodes on its surviving children's messages (first n-s in
+    child-index order when more survive); the master only decodes.  Only the
+    messages some parent decodes on are computed.
     """
     pattern.validate(tree, assignment.s)
-    s = assignment.s
-    messages: dict[NodeId, np.ndarray] = {}
-    for layer in range(tree.L, 0, -1):
-        for node in tree.layer_nodes(layer):
-            m = oracle(theta, assignment.local[node])
-            if not tree.is_leaf(node):
-                m = m + _combine(tree, B, node, pattern, messages, s)
-            messages[node] = m
-    return _combine(tree, B, MASTER, pattern, messages, s)
+    return _combine(MASTER, tree, assignment, B, pattern, oracle, theta)
+
+
+def _check_even(N: int, d: int) -> None:
+    if d % N != 0:
+        raise ValueError(f"{d} points do not split evenly over {N} workers")
 
 
 def _unit_partition(N: int, d: int) -> list[tuple[WeightedSlice, ...]]:
-    if d % N != 0:
-        raise ValueError(f"{d} points do not split evenly over {N} workers")
+    _check_even(N, d)
     return uniform_partition([WeightedSlice(0, d, 1.0)], N)
+
+
+def _flat_execute(
+    B: EncodingMatrix,
+    straggling: frozenset[int],
+    oracle: GradientOracle,
+    theta: np.ndarray,
+    d: int,
+) -> np.ndarray:
+    """CR on the depth-1 tree (N, 1): worker i is node 1.(i+1)."""
+    tree = RegularTree(B.n, 1)
+    pattern = StragglerPattern(
+        {MASTER: frozenset(NodeId(1, i + 1) for i in straggling)} if straggling else {}
+    )
+    assignment = cr_allocate(tree, B.s, d, B=B)
+    return cr_execute(tree, assignment, B, pattern, oracle, theta)
 
 
 def gc_execute(
@@ -105,25 +130,16 @@ def gc_execute(
     """Single-group coded round: master combines any N-S workers' messages."""
     if B.n != N or B.s != S:
         raise ValueError(f"encoding matrix is for (n={B.n}, s={B.s}), not (N={N}, S={S})")
-    straggling = set(int(i) for i in stragglers)
+    straggling = frozenset(int(i) for i in stragglers)
     if len(straggling) > S:
         raise UnrecoverableError(MASTER, len(straggling), S)
-    datasets = comp_alloc([WeightedSlice(0, d, 1.0)], B)
-    survivors = [i for i in range(N) if i not in straggling][: N - S]
-    row = decode_row(B, survivors)
-    out = row.coefficients[survivors[0]] * oracle(theta, datasets[survivors[0]])
-    for i in survivors[1:]:
-        out += row.coefficients[i] * oracle(theta, datasets[i])
-    return out
+    return _flat_execute(B, straggling, oracle, theta, d)
 
 
 def umw_execute(N: int, oracle: GradientOracle, theta: np.ndarray, d: int) -> np.ndarray:
     """Uncoded master-worker: plain sum of all N partial gradients."""
-    parts = _unit_partition(N, d)
-    out = oracle(theta, parts[0])
-    for part in parts[1:]:
-        out += oracle(theta, part)
-    return out
+    _check_even(N, d)
+    return _flat_execute(build_encoding(N, 0, 0), frozenset(), oracle, theta, d)
 
 
 def rar_execute(

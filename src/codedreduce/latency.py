@@ -19,20 +19,20 @@ from __future__ import annotations
 import csv
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache
 from math import log
 from typing import NamedTuple
 
 import numpy as np
 
-from .allocation import r_cr, r_gc
-from .topology import MASTER, NodeId, RegularTree
+from .allocation import r_cr
+from .topology import RegularTree
 
 __all__ = [
     "LatencyConfig",
     "SimEvent",
     "SimOutcome",
     "harmonic",
-    "sample_comp_time",
     "expected_order_stat",
     "simulate_iteration",
     "cr_bounds",
@@ -85,14 +85,6 @@ def harmonic(k: int) -> float:
     return float(sum(Fraction(1, i) for i in range(1, k + 1)))
 
 
-def sample_comp_time(cfg: LatencyConfig, d_i: float, rng: np.random.Generator) -> float:
-    """One compute-time draw for a worker holding d_i points:
-    shift a*d_i plus an exponential with rate mu/d_i (mean a*d_i + d_i/mu)."""
-    if d_i <= 0:
-        raise ValueError(f"load must be positive, got {d_i}")
-    return cfg.a * d_i + rng.exponential(d_i / cfg.mu)
-
-
 def expected_order_stat(cfg: LatencyConfig, n: int, s: int, r) -> float:
     """Mean time until n-s of n equally loaded workers finish:
     (r*d/mu) * (H_n - H_s) + a*r*d."""
@@ -117,19 +109,43 @@ def _draw_times(cfg: LatencyConfig, loads: np.ndarray, trial: int) -> np.ndarray
     return cfg.a * loads + rng.exponential(loads / cfg.mu)
 
 
-def _scheme_loads(scheme: str, topo, resilience: int, cfg: LatencyConfig) -> np.ndarray:
+def _as_tree(scheme: str, topo, resilience: int) -> tuple[RegularTree, int, int]:
+    """(tree, quorum tolerance, coded tolerance) of a scheme.
+
+    Every flat scheme runs on the depth-1 tree (N, 1): GC(N, S) is CR there
+    with s = S, UMW is s = 0, SGD waits for N - S workers of uncoded load,
+    and RAR takes the uncoded load but completes by its own ring.
+    """
+    if scheme not in SCHEMES:
+        raise ValueError(f"unknown scheme {scheme!r}, expected one of {SCHEMES}")
     if scheme == "cr":
-        tree: RegularTree = topo
-        load = float(r_cr(tree.n, tree.L, resilience)) * cfg.d
-        return np.full(tree.num_workers, load)
+        return topo, resilience, resilience
     N = int(topo)
-    if scheme in ("gc", "sgd") and not 0 <= resilience < N:
-        raise ValueError(f"need 0 <= S < N, got N={N}, S={resilience}")
-    if scheme == "gc":
-        load = float(r_gc(N, resilience)) * cfg.d
-    else:  # umw, sgd, rar share the uncoded uniform split
-        load = cfg.d / N
-    return np.full(N, load)
+    if scheme in ("gc", "sgd"):
+        if not 0 <= resilience < N:
+            raise ValueError(f"need 0 <= S < N, got N={N}, S={resilience}")
+        return RegularTree(N, 1), resilience, resilience if scheme == "gc" else 0
+    return RegularTree(N, 1), 0, 0
+
+
+def _loads(tree: RegularTree, coded_s: int, cfg: LatencyConfig) -> np.ndarray:
+    return np.full(tree.num_workers, float(r_cr(tree.n, tree.L, coded_s)) * cfg.d)
+
+
+def _ring_time(N: int, t_c: float) -> float:
+    """Reduce-scatter plus allgather: 2(N-1) hops of a 1/N segment."""
+    return 2 * (N - 1) * (t_c / N)
+
+
+@lru_cache(maxsize=16)
+def _layout(n: int, L: int) -> tuple[tuple[int, ...], tuple[tuple[str, ...], ...]]:
+    """Start of each worker layer in layer-major order (plus the end), and
+    the node names of layers 0..L."""
+    offsets = tuple(int(x) for x in np.cumsum([0] + [n**l for l in range(1, L + 1)]))
+    names = tuple(
+        tuple(f"{layer}.{i}" for i in range(1, n**layer + 1)) for layer in range(L + 1)
+    )
+    return offsets, names
 
 
 def _cr_completions(tree: RegularTree, s: int, t_c: float, T: np.ndarray) -> np.ndarray:
@@ -138,7 +154,7 @@ def _cr_completions(tree: RegularTree, s: int, t_c: float, T: np.ndarray) -> np.
     n, L = tree.n, tree.L
     need = n - s
     trials = T.shape[0]
-    offsets = np.concatenate([[0], np.cumsum([n**l for l in range(1, L + 1)])])
+    offsets, _ = _layout(n, L)
     ready = T[:, offsets[L - 1] : offsets[L]]  # leaves
     for layer in range(L, 0, -1):
         groups = ready.reshape(trials, n ** (layer - 1), n)
@@ -154,38 +170,41 @@ def _cr_completions(tree: RegularTree, s: int, t_c: float, T: np.ndarray) -> np.
 def _batch_completions(
     scheme: str, topo, cfg: LatencyConfig, resilience: int, trials: range
 ) -> np.ndarray:
-    loads = _scheme_loads(scheme, topo, resilience, cfg)
+    tree, quorum_s, coded_s = _as_tree(scheme, topo, resilience)
+    loads = _loads(tree, coded_s, cfg)
     T = np.stack([_draw_times(cfg, loads, t) for t in trials])
-    if scheme == "cr":
-        return _cr_completions(topo, resilience, cfg.t_c, T)
-    N = int(topo)
     if scheme == "rar":
-        return T.max(axis=1) + 2 * (N - 1) * (cfg.t_c / N)
-    need = {"gc": N - resilience, "sgd": N - resilience, "umw": N}[scheme]
-    finish = _port_finish_times(np.sort(T, axis=-1), cfg.t_c)
-    return finish[:, need - 1]
+        return T.max(axis=1) + _ring_time(tree.n, cfg.t_c)
+    return _cr_completions(tree, quorum_s, cfg.t_c, T)
 
 
-def _serve_port(
-    parent: str,
-    arrivals: list[tuple[float, int, str]],
-    need: int,
-    t_c: float,
-    events: list[SimEvent],
+def _replay_ports(
+    tree: RegularTree, need: int, t_c: float, times: list[float], events: list[SimEvent]
 ) -> float:
-    """Event replay of one FCFS port; logs recv/send pairs, returns the time
-    the `need`-th message finishes."""
-    port_free = 0.0
-    done = 0.0
-    for count, (ready, _pos, child) in enumerate(sorted(arrivals)):
-        if count >= need:
-            break  # port closed, message never sent
-        start = max(port_free, ready)
-        port_free = start + t_c
-        events.append(SimEvent(child, "send", start, port_free))
-        events.append(SimEvent(parent, "recv", start, port_free))
-        done = port_free
-    return done
+    """Event replay of every FCFS port, deepest layer first, over layer-major
+    worker indices; logs send/recv pairs and returns the time the master's
+    `need`-th message finishes."""
+    n, L = tree.n, tree.L
+    offsets, names = _layout(n, L)
+    ready = times[offsets[L - 1] :]  # leaves
+    for layer in range(L, 0, -1):
+        kids = names[layer]
+        recv_done = []
+        for g, parent in enumerate(names[layer - 1]):
+            port_free = 0.0
+            # stable sort: ties are served in child-index order; the port
+            # closes after the quorum, so later messages are never sent
+            for c in sorted(range(g * n, g * n + n), key=ready.__getitem__)[:need]:
+                start = max(port_free, ready[c])
+                port_free = start + t_c
+                events.append(SimEvent(kids[c], "send", start, port_free))
+                events.append(SimEvent(parent, "recv", start, port_free))
+            recv_done.append(port_free)
+        if layer == 1:
+            return recv_done[0]
+        own = times[offsets[layer - 2] : offsets[layer - 1]]
+        ready = [max(o, r) for o, r in zip(own, recv_done)]
+    raise AssertionError("unreachable")
 
 
 def simulate_iteration(
@@ -193,70 +212,30 @@ def simulate_iteration(
     topo,
     cfg: LatencyConfig,
     resilience: int = 0,
-    assignment=None,
     trial: int = 0,
 ) -> SimOutcome:
     """Event-driven simulation of one aggregation round.
 
     `topo` is a RegularTree for the tree-coded scheme and a worker count for
-    the flat ones; `resilience` is the per-parent (or total) straggler
-    tolerance where the scheme has one.  Stragglers are slow, never absent:
-    parents simply stop listening once their quorum is in.  Trial `t` draws
-    from a generator seeded with ``cfg.seed + t``, so outcomes are
-    reproducible and trials are independent.
+    the flat ones, which run as the depth-1 tree (N, 1): their workers are
+    named ``1.i`` and the master ``0.1``.  `resilience` is the per-parent (or
+    total) straggler tolerance where the scheme has one.  Stragglers are
+    slow, never absent: parents simply stop listening once their quorum is
+    in.  Trial `t` draws from a generator seeded with ``cfg.seed + t``, so
+    outcomes are reproducible and trials are independent.
     """
-    if scheme not in SCHEMES:
-        raise ValueError(f"unknown scheme {scheme!r}, expected one of {SCHEMES}")
-    loads = _scheme_loads(scheme, topo, resilience, cfg)
-    if scheme == "cr" and assignment is not None:
-        loads = np.asarray(_assignment_loads(topo, assignment), dtype=float)
-    T = _draw_times(cfg, loads, trial)
-    events: list[SimEvent] = []
-
+    tree, quorum_s, coded_s = _as_tree(scheme, topo, resilience)
+    times = _draw_times(cfg, _loads(tree, coded_s, cfg), trial).tolist()
+    _, names = _layout(tree.n, tree.L)
+    workers = (name for layer in names[1:] for name in layer)
+    events = [SimEvent(name, "compute", 0.0, t) for name, t in zip(workers, times)]
     if scheme == "rar":
-        N = int(topo)
-        for i in range(N):
-            events.append(SimEvent(str(i), "compute", 0.0, float(T[i])))
-        barrier = float(T.max())
-        completion = barrier + 2 * (N - 1) * (cfg.t_c / N)
+        barrier = max(times)
+        completion = barrier + _ring_time(tree.n, cfg.t_c)
         events.append(SimEvent("ring", "allreduce", barrier, completion))
-        return SimOutcome(completion, tuple(events))
-
-    if scheme in ("gc", "umw", "sgd"):
-        N = int(topo)
-        need = N if scheme == "umw" else N - resilience
-        for i in range(N):
-            events.append(SimEvent(str(i), "compute", 0.0, float(T[i])))
-        arrivals = [(float(T[i]), i, str(i)) for i in range(N)]
-        completion = _serve_port("master", arrivals, need, cfg.t_c, events)
-        return SimOutcome(completion, tuple(events))
-
-    tree: RegularTree = topo
-    need = tree.n - resilience
-    idx = {node: i for i, node in enumerate(tree.workers())}
-    for node, i in idx.items():
-        events.append(SimEvent(str(node), "compute", 0.0, float(T[i])))
-    ready: dict[NodeId, float] = {}
-    for layer in range(tree.L, 0, -1):
-        for node in tree.layer_nodes(layer):
-            own = float(T[idx[node]])
-            if tree.is_leaf(node):
-                ready[node] = own
-            else:
-                arrivals = [
-                    (ready[c], pos, str(c)) for pos, c in enumerate(tree.children(node))
-                ]
-                recv_done = _serve_port(str(node), arrivals, need, cfg.t_c, events)
-                ready[node] = max(own, recv_done)
-    arrivals = [(ready[c], pos, str(c)) for pos, c in enumerate(tree.children(MASTER))]
-    completion = _serve_port(str(MASTER), arrivals, need, cfg.t_c, events)
+    else:
+        completion = _replay_ports(tree, tree.n - quorum_s, cfg.t_c, times, events)
     return SimOutcome(completion, tuple(events))
-
-
-def _assignment_loads(tree: RegularTree, assignment):
-    from .allocation import slice_count
-
-    return [slice_count(assignment.local[node]) for node in tree.workers()]
 
 
 def cr_bounds(cfg: LatencyConfig, n: int, L: int, s: int) -> tuple[float, float]:
@@ -290,8 +269,6 @@ def mc_expected_latency(
     over `trials` independent rounds (trial t seeded with cfg.seed + t)."""
     if trials < 1:
         raise ValueError("need at least one trial")
-    if scheme not in SCHEMES:
-        raise ValueError(f"unknown scheme {scheme!r}, expected one of {SCHEMES}")
     samples = np.concatenate(
         [
             _batch_completions(scheme, topo, cfg, resilience, range(lo, min(lo + chunk, trials)))

@@ -17,7 +17,7 @@ import numpy as np
 from . import engine
 from .allocation import WeightedSlice, cr_allocate
 from .codes import build_encoding
-from .latency import LatencyConfig, simulate_iteration
+from .latency import SCHEMES, LatencyConfig, simulate_iteration
 from .topology import RegularTree, StragglerPattern, build_tree
 
 __all__ = [
@@ -154,6 +154,12 @@ class GDConfig:
     latency: LatencyConfig | None = None
 
     def __post_init__(self) -> None:
+        if self.scheme not in SCHEMES:
+            raise ValueError(f"unknown scheme {self.scheme!r}, expected one of {SCHEMES}")
+        required = ("n", "L") if self.scheme == "cr" else ("N",)
+        missing = [name for name in required if getattr(self, name) is None]
+        if missing:
+            raise ValueError(f"scheme {self.scheme!r} needs {' and '.join(missing)}")
         if self.iterations < 1:
             raise ValueError("need at least one iteration")
         if self.step_size is None and (self.c1 is None or self.c2 is None):
@@ -184,12 +190,14 @@ def _squared_ratio(num: np.ndarray, den: np.ndarray) -> float:
 
 
 def _draw_tree_pattern(tree: RegularTree, s: int, rng: np.random.Generator) -> StragglerPattern:
+    """s stragglers under every parent; draws nothing when s = 0."""
+    if not s:
+        return StragglerPattern({})
     mapping = {}
     for parent in tree.parents():
         kids = tree.children(parent)
         picks = rng.choice(tree.n, size=s, replace=False)
-        if s:
-            mapping[parent] = frozenset(kids[int(j)] for j in picks)
+        mapping[parent] = frozenset(kids[int(j)] for j in picks)
     return StragglerPattern(mapping)
 
 
@@ -210,37 +218,27 @@ def gd_run(
     d = dataset.d
     oracle = make_oracle(config.loss, dataset)
     rng = np.random.default_rng(config.seed)
+    sim_topo, resilience = config.N, config.S
 
-    if scheme == "cr":
-        tree = build_tree(config.n, config.L)
-        B = build_encoding(config.n, config.s, config.seed)
-        assignment = cr_allocate(tree, config.s, d, B=B)
+    if scheme in ("cr", "gc", "umw"):  # gc and umw are CR on the depth-1 tree (N, 1)
+        if scheme == "cr":
+            tree, s = build_tree(config.n, config.L), config.s
+            sim_topo, resilience = tree, s
+        else:
+            tree, s = build_tree(config.N, 1), (config.S if scheme == "gc" else 0)
+        B = build_encoding(tree.n, s, config.seed)
+        assignment = cr_allocate(tree, s, d, B=B)
         def aggregate(theta):
-            pattern = _draw_tree_pattern(tree, config.s, rng)
+            pattern = _draw_tree_pattern(tree, s, rng)
             return engine.cr_execute(tree, assignment, B, pattern, oracle, theta)
-        sim_args = ("cr", tree, config.s)
-    elif scheme == "gc":
-        B = build_encoding(config.N, config.S, config.seed)
-        def aggregate(theta):
-            stragglers = rng.choice(config.N, size=config.S, replace=False)
-            return engine.gc_execute(config.N, config.S, B, stragglers, oracle, theta, d)
-        sim_args = ("gc", config.N, config.S)
-    elif scheme == "umw":
-        def aggregate(theta):
-            return engine.umw_execute(config.N, oracle, theta, d)
-        sim_args = ("umw", config.N, 0)
     elif scheme == "rar":
         def aggregate(theta):
             copies = engine.rar_execute(config.N, oracle, theta, d)
             return copies[0]
-        sim_args = ("rar", config.N, 0)
-    elif scheme == "sgd":
+    else:  # sgd
         def aggregate(theta):
             stragglers = rng.choice(config.N, size=config.S, replace=False)
             return engine.sgd_execute(config.N, config.S, stragglers, oracle, theta, d)
-        sim_args = ("sgd", config.N, config.S)
-    else:
-        raise ValueError(f"unknown scheme {scheme!r}")
 
     theta = np.zeros(dataset.p)
     clock = 0.0
@@ -249,8 +247,7 @@ def gd_run(
         g = aggregate(theta)
         new_theta = theta - config.step(t) * (g + config.lam * theta)
         if config.latency is not None:
-            sim_scheme, topo, resilience = sim_args
-            outcome = simulate_iteration(sim_scheme, topo, config.latency, resilience, trial=t)
+            outcome = simulate_iteration(scheme, sim_topo, config.latency, resilience, trial=t)
             clock += outcome.completion_time
         rer = _squared_ratio(new_theta - theta, theta)
         ner = (

@@ -86,6 +86,27 @@ def test_unrecoverable_pattern_names_parent(reference_b):
         )
 
 
+def test_only_decoded_messages_are_computed(reference_b):
+    """A straggler's subtree and any surplus survivor cost no oracle call."""
+    calls = []
+    ident = identity_oracle_for(15)
+
+    def oracle(theta, slices):
+        calls.append(slices)
+        return ident(theta, slices)
+
+    tree = build_tree(3, 2)
+    assignment = cr_allocate(tree, 1, 15, B=reference_b)
+    pattern = StragglerPattern({MASTER: frozenset({NodeId(1, 2)})})
+    got = engine.cr_execute(tree, assignment, reference_b, pattern, oracle, np.zeros(1))
+    np.testing.assert_allclose(got, np.ones(15), atol=1e-9)
+    # 1.1 and 1.3, each with its first two children
+    assert len(calls) == 6
+    calls.clear()
+    engine.gc_execute(3, 1, reference_b, set(), oracle, np.zeros(1), 15)
+    assert len(calls) == 2
+
+
 def test_gc_reference_combination(reference_b):
     """Survivors {W1, W2}: the aggregate equals 2(g1/2 + g2) - (g2 - g3)."""
     d, p = 15, 3

@@ -5,12 +5,12 @@ from codedreduce.allocation import r_cr
 from codedreduce.latency import (
     LatencyConfig,
     _batch_completions,
+    _draw_times,
     cr_bounds,
     events_to_csv,
     expected_order_stat,
     harmonic,
     mc_expected_latency,
-    sample_comp_time,
     simulate_iteration,
 )
 from codedreduce.topology import build_tree
@@ -26,23 +26,20 @@ def test_config_validation():
 
 
 def test_sample_mean_unit_exponential():
-    cfg = LatencyConfig(a=0.0, mu=1.0, t_c=0.0, d=1.0)
-    rng = np.random.default_rng(0)
-    draws = [sample_comp_time(cfg, 1, rng) for _ in range(200_000)]
+    cfg = LatencyConfig(a=0.0, mu=1.0, t_c=0.0, d=1.0, seed=0)
+    draws = _draw_times(cfg, np.full(200_000, 1.0), trial=0)
     assert np.mean(draws) == pytest.approx(1.0, rel=0.01)
 
 
 def test_sample_support_includes_shift():
-    cfg = LatencyConfig(a=2.0, mu=1.0, t_c=0.0, d=5.0)
-    rng = np.random.default_rng(1)
-    draws = [sample_comp_time(cfg, 5, rng) for _ in range(2_000)]
+    cfg = LatencyConfig(a=2.0, mu=1.0, t_c=0.0, d=5.0, seed=1)
+    draws = _draw_times(cfg, np.full(2_000, 5.0), trial=0)
     assert min(draws) >= 10.0
 
 
 def test_sample_mean_formula():
-    cfg = LatencyConfig(a=0.5, mu=2.0, t_c=0.0, d=100.0)
-    rng = np.random.default_rng(2)
-    draws = [sample_comp_time(cfg, 100, rng) for _ in range(200_000)]
+    cfg = LatencyConfig(a=0.5, mu=2.0, t_c=0.0, d=100.0, seed=2)
+    draws = _draw_times(cfg, np.full(200_000, 100.0), trial=0)
     assert np.mean(draws) == pytest.approx(100 * 0.5 + 100 / 2, rel=0.01)
 
 
@@ -95,35 +92,46 @@ def test_single_trial_matches_batch_path():
 
 def test_event_log_causality_and_port_exclusivity():
     cfg = LatencyConfig(a=0.2, mu=1.0, t_c=0.7, d=30.0, seed=5)
-    tree = build_tree(3, 2)
-    outcome = simulate_iteration("cr", tree, cfg, 1, trial=9)
-    compute_end = {}
-    recv_by_parent = {}
-    send_by_child = {}
-    for ev in outcome.events:
-        assert ev.t_end >= ev.t_start
-        if ev.event_type == "compute":
-            compute_end[ev.node] = ev.t_end
-        elif ev.event_type == "recv":
-            recv_by_parent.setdefault(ev.node, []).append((ev.t_start, ev.t_end))
-        elif ev.event_type == "send":
-            send_by_child[ev.node] = (ev.t_start, ev.t_end)
-    # single-port exclusivity: no overlapping receive intervals at a parent
-    for intervals in recv_by_parent.values():
-        intervals.sort()
-        for (s0, e0), (s1, _e1) in zip(intervals, intervals[1:]):
-            assert s1 >= e0 - 1e-12
-    # causality: a node sends only after its own compute is done, and an
-    # internal node only after its quorum of receives
-    need = tree.n - 1
-    for node, (send_start, _) in send_by_child.items():
-        assert send_start >= compute_end[node] - 1e-12
-        if node in recv_by_parent:
-            quorum_done = sorted(e for _s, e in recv_by_parent[node])[need - 1]
-            assert send_start >= quorum_done - 1e-12
-    # each coded parent accepted exactly its quorum
-    for intervals in recv_by_parent.values():
-        assert len(intervals) == need
+    # (scheme, topology, resilience, quorum per parent)
+    cases = [
+        ("cr", build_tree(3, 2), 1, 2),
+        ("gc", 12, 3, 9),
+        ("sgd", 12, 3, 9),
+        ("umw", 12, 0, 12),
+    ]
+    for scheme, topo, resilience, need in cases:
+        outcome = simulate_iteration(scheme, topo, cfg, resilience, trial=9)
+        compute_end = {}
+        recv_by_parent = {}
+        send_by_child = {}
+        for ev in outcome.events:
+            assert ev.t_end >= ev.t_start
+            if ev.event_type == "compute":
+                compute_end[ev.node] = ev.t_end
+            elif ev.event_type == "recv":
+                recv_by_parent.setdefault(ev.node, []).append((ev.t_start, ev.t_end))
+            elif ev.event_type == "send":
+                send_by_child[ev.node] = (ev.t_start, ev.t_end)
+        if scheme != "cr":
+            # flat schemes run as the depth-1 tree: workers 1.i, master 0.1
+            assert set(compute_end) == {f"1.{i}" for i in range(1, 13)}
+            assert set(recv_by_parent) == {"0.1"}
+            assert set(send_by_child) <= set(compute_end)
+        # single-port exclusivity: no overlapping receive intervals at a parent
+        for intervals in recv_by_parent.values():
+            intervals.sort()
+            for (s0, e0), (s1, _e1) in zip(intervals, intervals[1:]):
+                assert s1 >= e0 - 1e-12
+        # causality: a node sends only after its own compute is done, and an
+        # internal node only after its quorum of receives
+        for node, (send_start, _) in send_by_child.items():
+            assert send_start >= compute_end[node] - 1e-12
+            if node in recv_by_parent:
+                quorum_done = sorted(e for _s, e in recv_by_parent[node])[need - 1]
+                assert send_start >= quorum_done - 1e-12
+        # each parent accepted exactly its quorum
+        for intervals in recv_by_parent.values():
+            assert len(intervals) == need
 
 
 def test_reproducibility_same_seed_same_outcome():

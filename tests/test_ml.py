@@ -183,3 +183,18 @@ def test_dataset_validation():
         Dataset(points=np.ones(5))
     with pytest.raises(ValueError):
         Dataset(points=np.array([[1.0, np.inf]]))
+
+
+@pytest.mark.parametrize(
+    "kwargs, missing",
+    [
+        (dict(scheme="cr", L=2), "n"),
+        (dict(scheme="cr", n=3), "L"),
+        (dict(scheme="gc", S=3), "N"),
+        (dict(scheme="umw"), "N"),
+        (dict(scheme="ps", N=12), "unknown scheme"),
+    ],
+)
+def test_gd_config_rejects_missing_topology(kwargs, missing):
+    with pytest.raises(ValueError, match=missing):
+        GDConfig(iterations=1, step_size=1e-3, **kwargs)
