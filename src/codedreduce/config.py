@@ -55,7 +55,7 @@ class ExperimentConfig:
     def latency_config(self) -> LatencyConfig:
         return LatencyConfig(a=self.a, mu=self.mu, t_c=self.t_c, d=float(self.d), seed=self.seed)
 
-    def gd_config(self, scheme: str, with_latency: bool = True) -> GDConfig:
+    def gd_config(self, scheme: str) -> GDConfig:
         return GDConfig(
             scheme=scheme,
             iterations=self.iterations,
@@ -70,7 +70,7 @@ class ExperimentConfig:
             N=self.N,
             S=self.S,
             seed=self.seed,
-            latency=self.latency_config() if with_latency else None,
+            latency=self.latency_config(),
         )
 
 

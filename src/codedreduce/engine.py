@@ -4,7 +4,8 @@ Stragglers here are simply excluded from each parent's combination; timing
 lives in the latency module.  All schemes that claim the full gradient must
 agree with each other to floating-point accuracy, whatever the admissible
 straggler pattern; that equivalence is the core correctness property.
-GC and UMW are CR on the depth-1 tree (N, 1), with s = S and s = 0.
+GC, UMW and SGD are rounds on the depth-1 tree (N, 1): GC with the code of
+s = S, UMW uncoded, SGD uncoded with a quorum of N - S.
 """
 
 from __future__ import annotations
@@ -40,6 +41,22 @@ class UnrecoverableError(RuntimeError):
         )
 
 
+def _decode(
+    B: EncodingMatrix, survivors: Sequence[int], messages: Sequence[np.ndarray]
+) -> np.ndarray:
+    """A parent's combine: the `survivors` (child positions, ascending) sent
+    `messages`.  A coded B applies its decode row; an uncoded (diagonal) B
+    weights child i by 1/B_ii, which sums what the parent hears."""
+    if B.s:
+        coefficients = decode_row(B, survivors).coefficients
+    else:
+        coefficients = 1.0 / np.diag(B.entries)
+    out = np.zeros_like(messages[0])
+    for pos, m in zip(survivors, messages):
+        out += coefficients[pos] * m
+    return out
+
+
 def _combine(
     parent: NodeId,
     tree: RegularTree,
@@ -48,30 +65,26 @@ def _combine(
     pattern: StragglerPattern,
     oracle: GradientOracle,
     theta: np.ndarray,
+    resilience: int,
 ) -> np.ndarray:
-    """Decode over the first n-s surviving children of `parent`, in
-    child-index order.  A child's message is its local coded gradient plus,
-    for an internal node, its own decode; no other message is computed."""
-    s = assignment.s
-    need = tree.n - s
+    """Decode over the first n - resilience surviving children of `parent`,
+    in child-index order.  A child's message is its local coded gradient
+    plus, for an internal node, its own decode; no other message is computed."""
+    need = tree.n - resilience
     kids = tree.children(parent)
     straggling = pattern.per_parent(parent)
     survivors = [pos for pos, c in enumerate(kids) if c not in straggling]
     if len(survivors) < need:
-        raise UnrecoverableError(parent, tree.n - len(survivors), s)
+        raise UnrecoverableError(parent, tree.n - len(survivors), resilience)
     survivors = survivors[:need]  # surplus survivors: keep lowest child indices
     messages = []
     for pos in survivors:
         child = kids[pos]
         m = oracle(theta, assignment.local[child])
         if not tree.is_leaf(child):
-            m = m + _combine(child, tree, assignment, B, pattern, oracle, theta)
+            m = m + _combine(child, tree, assignment, B, pattern, oracle, theta, resilience)
         messages.append(m)
-    row = decode_row(B, survivors)
-    out = np.zeros_like(messages[0])
-    for pos, m in zip(survivors, messages):
-        out += row.coefficients[pos] * m
-    return out
+    return _decode(B, survivors, messages)
 
 
 def cr_execute(
@@ -81,15 +94,22 @@ def cr_execute(
     pattern: StragglerPattern,
     oracle: GradientOracle,
     theta: np.ndarray,
+    resilience: int | None = None,
 ) -> np.ndarray:
-    """One coded aggregation round over the tree; returns the recovered gradient.
+    """One aggregation round over the tree; returns the aggregated gradient.
 
-    Every parent decodes on its surviving children's messages (first n-s in
-    child-index order when more survive); the master only decodes.  Only the
-    messages some parent decodes on are computed.
+    Every parent waits for n - `resilience` children (default: the code's s)
+    and combines the first that survive in child-index order; the master
+    only combines.  Only the messages some parent combines are computed.
+    With an uncoded B and resilience S > 0 the round returns the partial
+    sum over the survivors, which is SGD.
     """
-    pattern.validate(tree, assignment.s)
-    return _combine(MASTER, tree, assignment, B, pattern, oracle, theta)
+    if resilience is None:
+        resilience = assignment.s
+    if not 0 <= resilience < tree.n:
+        raise ValueError(f"need 0 <= resilience < n, got n={tree.n}, resilience={resilience}")
+    pattern.validate(tree, resilience)
+    return _combine(MASTER, tree, assignment, B, pattern, oracle, theta, resilience)
 
 
 def _check_even(N: int, d: int) -> None:
@@ -97,25 +117,25 @@ def _check_even(N: int, d: int) -> None:
         raise ValueError(f"{d} points do not split evenly over {N} workers")
 
 
-def _unit_partition(N: int, d: int) -> list[tuple[WeightedSlice, ...]]:
-    _check_even(N, d)
-    return uniform_partition([WeightedSlice(0, d, 1.0)], N)
-
-
 def _flat_execute(
     B: EncodingMatrix,
-    straggling: frozenset[int],
+    resilience: int,
+    stragglers,
     oracle: GradientOracle,
     theta: np.ndarray,
     d: int,
 ) -> np.ndarray:
-    """CR on the depth-1 tree (N, 1): worker i is node 1.(i+1)."""
+    """CR on the depth-1 tree (N, 1) with quorum N - resilience: worker i is
+    node 1.(i+1)."""
+    straggling = frozenset(int(i) for i in stragglers)
+    if len(straggling) > resilience:
+        raise UnrecoverableError(MASTER, len(straggling), resilience)
     tree = RegularTree(B.n, 1)
     pattern = StragglerPattern(
         {MASTER: frozenset(NodeId(1, i + 1) for i in straggling)} if straggling else {}
     )
     assignment = cr_allocate(tree, B.s, d, B=B)
-    return cr_execute(tree, assignment, B, pattern, oracle, theta)
+    return cr_execute(tree, assignment, B, pattern, oracle, theta, resilience)
 
 
 def gc_execute(
@@ -130,16 +150,13 @@ def gc_execute(
     """Single-group coded round: master combines any N-S workers' messages."""
     if B.n != N or B.s != S:
         raise ValueError(f"encoding matrix is for (n={B.n}, s={B.s}), not (N={N}, S={S})")
-    straggling = frozenset(int(i) for i in stragglers)
-    if len(straggling) > S:
-        raise UnrecoverableError(MASTER, len(straggling), S)
-    return _flat_execute(B, straggling, oracle, theta, d)
+    return _flat_execute(B, S, stragglers, oracle, theta, d)
 
 
 def umw_execute(N: int, oracle: GradientOracle, theta: np.ndarray, d: int) -> np.ndarray:
     """Uncoded master-worker: plain sum of all N partial gradients."""
     _check_even(N, d)
-    return _flat_execute(build_encoding(N, 0, 0), frozenset(), oracle, theta, d)
+    return _flat_execute(build_encoding(N, 0, 0), 0, (), oracle, theta, d)
 
 
 def rar_execute(
@@ -150,7 +167,8 @@ def rar_execute(
     Returns all N workers' copies of the aggregated gradient, each built by
     circulating vector segments around the ring for N-1 rounds per phase.
     """
-    parts = _unit_partition(N, d)
+    _check_even(N, d)
+    parts = uniform_partition([WeightedSlice(0, d, 1.0)], N)
     buffers = [oracle(theta, part) for part in parts]
     p = buffers[0].shape[0]
     bounds = [len(seg) for seg in np.array_split(np.arange(p), N)]
@@ -182,17 +200,11 @@ def sgd_execute(
     theta: np.ndarray,
     d: int,
 ) -> np.ndarray:
-    """Partial aggregation: sum over the first N-S non-straggling workers only.
+    """Partial aggregation: the uncoded round on (N, 1) with quorum N - S,
+    which sums the first N-S non-straggling workers only.
 
     Intentionally returns a partial gradient; the model update absorbs the
     missing terms as stochastic error.
     """
-    straggling = set(int(i) for i in stragglers)
-    if len(straggling) > S:
-        raise UnrecoverableError(MASTER, len(straggling), S)
-    parts = _unit_partition(N, d)
-    survivors = [i for i in range(N) if i not in straggling][: N - S]
-    out = oracle(theta, parts[survivors[0]])
-    for i in survivors[1:]:
-        out += oracle(theta, parts[i])
-    return out
+    _check_even(N, d)
+    return _flat_execute(build_encoding(N, 0, 0), S, stragglers, oracle, theta, d)

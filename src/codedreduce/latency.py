@@ -34,6 +34,7 @@ __all__ = [
     "SimOutcome",
     "harmonic",
     "expected_order_stat",
+    "scheme_tree",
     "simulate_iteration",
     "cr_bounds",
     "mc_expected_latency",
@@ -109,12 +110,15 @@ def _draw_times(cfg: LatencyConfig, loads: np.ndarray, trial: int) -> np.ndarray
     return cfg.a * loads + rng.exponential(loads / cfg.mu)
 
 
-def _as_tree(scheme: str, topo, resilience: int) -> tuple[RegularTree, int, int]:
-    """(tree, quorum tolerance, coded tolerance) of a scheme.
+def scheme_tree(scheme: str, topo, resilience: int) -> tuple[RegularTree, int, int]:
+    """(tree, quorum tolerance, coded tolerance) of a scheme: the one place
+    that decides what a scheme is.
 
-    Every flat scheme runs on the depth-1 tree (N, 1): GC(N, S) is CR there
-    with s = S, UMW is s = 0, SGD waits for N - S workers of uncoded load,
-    and RAR takes the uncoded load but completes by its own ring.
+    `topo` is the tree for CR and the worker count N for every flat scheme,
+    and `resilience` is s for CR and S for the flat ones.  Every flat scheme
+    runs on the depth-1 tree (N, 1): GC(N, S) is CR there with s = S, UMW is
+    s = 0, SGD waits for N - S workers of uncoded load, and RAR takes the
+    uncoded load but completes by its own ring.
     """
     if scheme not in SCHEMES:
         raise ValueError(f"unknown scheme {scheme!r}, expected one of {SCHEMES}")
@@ -170,7 +174,7 @@ def _cr_completions(tree: RegularTree, s: int, t_c: float, T: np.ndarray) -> np.
 def _batch_completions(
     scheme: str, topo, cfg: LatencyConfig, resilience: int, trials: range
 ) -> np.ndarray:
-    tree, quorum_s, coded_s = _as_tree(scheme, topo, resilience)
+    tree, quorum_s, coded_s = scheme_tree(scheme, topo, resilience)
     loads = _loads(tree, coded_s, cfg)
     T = np.stack([_draw_times(cfg, loads, t) for t in trials])
     if scheme == "rar":
@@ -224,7 +228,7 @@ def simulate_iteration(
     in.  Trial `t` draws from a generator seeded with ``cfg.seed + t``, so
     outcomes are reproducible and trials are independent.
     """
-    tree, quorum_s, coded_s = _as_tree(scheme, topo, resilience)
+    tree, quorum_s, coded_s = scheme_tree(scheme, topo, resilience)
     times = _draw_times(cfg, _loads(tree, coded_s, cfg), trial).tolist()
     _, names = _layout(tree.n, tree.L)
     workers = (name for layer in names[1:] for name in layer)

@@ -17,7 +17,7 @@ import numpy as np
 from . import engine
 from .allocation import WeightedSlice, cr_allocate
 from .codes import build_encoding
-from .latency import SCHEMES, LatencyConfig, simulate_iteration
+from .latency import SCHEMES, LatencyConfig, scheme_tree, simulate_iteration
 from .topology import RegularTree, StragglerPattern, build_tree
 
 __all__ = [
@@ -218,27 +218,21 @@ def gd_run(
     d = dataset.d
     oracle = make_oracle(config.loss, dataset)
     rng = np.random.default_rng(config.seed)
-    sim_topo, resilience = config.N, config.S
+    if scheme == "cr":
+        topo, resilience = build_tree(config.n, config.L), config.s
+    else:
+        topo, resilience = config.N, config.S
+    tree, quorum_s, coded_s = scheme_tree(scheme, topo, resilience)
 
-    if scheme in ("cr", "gc", "umw"):  # gc and umw are CR on the depth-1 tree (N, 1)
-        if scheme == "cr":
-            tree, s = build_tree(config.n, config.L), config.s
-            sim_topo, resilience = tree, s
-        else:
-            tree, s = build_tree(config.N, 1), (config.S if scheme == "gc" else 0)
-        B = build_encoding(tree.n, s, config.seed)
-        assignment = cr_allocate(tree, s, d, B=B)
+    if scheme == "rar":
         def aggregate(theta):
-            pattern = _draw_tree_pattern(tree, s, rng)
-            return engine.cr_execute(tree, assignment, B, pattern, oracle, theta)
-    elif scheme == "rar":
+            return engine.rar_execute(tree.n, oracle, theta, d)[0]
+    else:  # one tree round: CR, and GC, UMW and SGD on the depth-1 tree (N, 1)
+        B = build_encoding(tree.n, coded_s, config.seed)
+        assignment = cr_allocate(tree, coded_s, d, B=B)
         def aggregate(theta):
-            copies = engine.rar_execute(config.N, oracle, theta, d)
-            return copies[0]
-    else:  # sgd
-        def aggregate(theta):
-            stragglers = rng.choice(config.N, size=config.S, replace=False)
-            return engine.sgd_execute(config.N, config.S, stragglers, oracle, theta, d)
+            pattern = _draw_tree_pattern(tree, quorum_s, rng)
+            return engine.cr_execute(tree, assignment, B, pattern, oracle, theta, quorum_s)
 
     theta = np.zeros(dataset.p)
     clock = 0.0
@@ -247,7 +241,7 @@ def gd_run(
         g = aggregate(theta)
         new_theta = theta - config.step(t) * (g + config.lam * theta)
         if config.latency is not None:
-            outcome = simulate_iteration(scheme, sim_topo, config.latency, resilience, trial=t)
+            outcome = simulate_iteration(scheme, topo, config.latency, resilience, trial=t)
             clock += outcome.completion_time
         rer = _squared_ratio(new_theta - theta, theta)
         ner = (

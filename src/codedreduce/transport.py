@@ -12,9 +12,9 @@ Wire format (all integers little-endian):
 Each parent listens on a local port; children connect upward.  A parent
 sends the current model down each accepted connection, computes its own
 coded gradient, collects the first n-s gradient messages (later arrivals
-are drained and discarded), decodes on the realized survivor set, adds its
-local term, and sends the result to its own parent.  The master writes the
-recovered gradient to a CSV file.
+are drained and discarded), decodes on the realized survivor set with the
+engine's combine step, adds its local term, and sends the result to its
+own parent.  The master writes the recovered gradient to a CSV file.
 """
 
 from __future__ import annotations
@@ -34,7 +34,8 @@ from typing import Mapping
 import numpy as np
 
 from .allocation import cr_allocate
-from .codes import EncodingMatrix, build_encoding, decode_row
+from .codes import EncodingMatrix, build_encoding
+from .engine import _decode
 from .ml import generate_synthetic, make_oracle
 from .topology import MASTER, NodeId, RegularTree
 
@@ -298,11 +299,9 @@ def run_node(
                 )
                 _write_report(run_path, report)
                 os._exit(4)
-            positions = sorted(tree.child_position(NodeId(node.layer + 1, i)) for i in got)
-            row = decode_row(B, positions)
-            combined = np.zeros_like(next(iter(got.values())))
-            for idx, payload in got.items():
-                combined += row.coefficients[tree.child_position(NodeId(node.layer + 1, idx))] * payload
+            order = sorted(got)  # child-position order, as in the engine
+            positions = [tree.child_position(NodeId(node.layer + 1, idx)) for idx in order]
+            combined = _decode(B, positions, [got[idx] for idx in order])
             if is_master:
                 Path(out_path).write_text(",".join(repr(float(v)) for v in combined) + "\n")
                 report.status = "ok"

@@ -3,7 +3,9 @@ import io
 
 import pytest
 
+from codedreduce import cli
 from codedreduce.cli import cmd_latency, cmd_train, cmd_validate, cmd_verify, main
+from codedreduce.codes import CodeConstructionError
 from codedreduce.config import load_config, validate_config
 
 BASE_INI = """
@@ -107,6 +109,19 @@ def test_verify_exhaustive_recovery(tmp_path):
     text = buf.getvalue()
     assert "256/256" in text
     assert text.count("PASS") == 3
+
+
+def test_verify_reports_failed_code_construction(tmp_path, monkeypatch):
+    def no_code(n, s, seed):
+        raise CodeConstructionError(f"no valid encoding matrix for (n={n}, s={s})")
+
+    monkeypatch.setattr(cli, "build_encoding", no_code)
+    cfg = load_config(write_config(tmp_path))
+    buf = io.StringIO()
+    assert cmd_verify(cfg, out=buf) == 1
+    text = buf.getvalue()
+    assert text.startswith("FAIL: code validity for (n=3, s=1)")
+    assert "no valid encoding matrix" in text and "PASS" not in text
 
 
 def test_main_entry_point(tmp_path, capsys):

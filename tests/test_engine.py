@@ -3,7 +3,7 @@ import pytest
 
 from codedreduce import engine
 from codedreduce.allocation import WeightedSlice, cr_allocate
-from codedreduce.codes import build_encoding
+from codedreduce.codes import EncodingMatrix, build_encoding
 from codedreduce.ml import generate_synthetic, linear_grad, make_oracle
 from codedreduce.topology import (
     MASTER,
@@ -198,6 +198,30 @@ def test_sgd_drops_exactly_the_stragglers():
     got = engine.sgd_execute(N, S, {1}, oracle, theta, d)
     missing = linear_grad(theta, [WeightedSlice(10, 20, 1.0)], dataset)
     np.testing.assert_allclose(got, full_gradient(dataset, theta) - missing, rtol=1e-9)
+
+
+def test_sgd_rejects_out_of_range_straggler():
+    with pytest.raises(ValueError, match="not children"):
+        engine.sgd_execute(4, 1, {7}, identity_oracle_for(12), np.zeros(1), 12)
+
+
+def test_uncoded_parent_divides_out_its_weights():
+    """An uncoded but non-identity code: child i holds its third weighted by
+    B_ii, so only weights 1/B_ii give the sum, or with one child let go by the
+    quorum, the survivors' partial sum."""
+    d = 12
+    B = EncodingMatrix(n=3, s=0, entries=np.diag([2.0, 0.5, 4.0]))
+    tree = build_tree(3, 1)
+    assignment = cr_allocate(tree, 0, d, B=B)
+    oracle = identity_oracle_for(d)
+    got = engine.cr_execute(tree, assignment, B, StragglerPattern({}), oracle, np.zeros(1))
+    np.testing.assert_allclose(got, np.ones(d), atol=1e-12)
+
+    pattern = StragglerPattern({MASTER: frozenset({NodeId(1, 2)})})
+    got = engine.cr_execute(tree, assignment, B, pattern, oracle, np.zeros(1), resilience=1)
+    expected = np.ones(d)
+    expected[4:8] = 0.0  # the straggler's third
+    np.testing.assert_allclose(got, expected, atol=1e-12)
 
 
 def test_sgd_zero_tolerance_equals_uncoded():
