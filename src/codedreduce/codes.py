@@ -41,6 +41,9 @@ DECODE_TOL = 1e-8
 # solve; warn rather than fail.
 _WARN_RESIDUAL = 1e-10
 _MAX_ATTEMPTS = 8
+# Survivor sets per batched solve in find_decode_failure; a chunk's transient
+# arrays stay near 1 MB up to n = 24.
+_SWEEP_CHUNK = 256
 
 
 class CodeConstructionError(RuntimeError):
@@ -170,12 +173,55 @@ def decode_row(B: EncodingMatrix, survivors) -> DecodeRow:
 
 
 def find_decode_failure(B: EncodingMatrix):
-    """First survivor set of size n-s that cannot decode, or None if all can."""
-    for F in itertools.combinations(range(B.n), B.n - B.s):
+    """First survivor set of size n-s that cannot decode, or None if all can.
+
+    Screens the sets in scan order, ``_SWEEP_CHUNK`` at a time.  With V an
+    orthonormal basis of B's top n-s right singular vectors, one stacked
+    solve of ``a @ (B_F V) = 1 @ V`` gives every set of a chunk a candidate
+    row, whose residual is measured against the full ``B_F``.  A max-norm
+    residual of at most ``DECODE_TOL / sqrt(n)`` bounds the 2-norm residual
+    by ``DECODE_TOL``, and ``decode_row`` minimises the 2-norm, so such a set
+    also passes ``decode_row``.  Every other set, and every set of a chunk
+    whose solve is singular, is re-decided by ``decode_row`` in scan order,
+    so the verdict and the first failure are those of a per-set sweep.
+
+    A sweep that passes sends at most one UserWarning: when its worst
+    residual is above the ill-conditioning threshold, naming the residual
+    and its survivor set.
+    """
+    n, k = B.n, B.n - B.s
+    V = np.linalg.svd(B.entries)[2][:k].T
+    BV, target = B.entries @ V, V.sum(axis=0)[:, None]
+    screen = DECODE_TOL / np.sqrt(n)
+    worst, worst_set = 0.0, None
+    sets = itertools.combinations(range(n), k)
+    while chunk := list(itertools.islice(sets, _SWEEP_CHUNK)):
+        F = np.array(chunk)
+        rows = np.zeros((len(F), n))
         try:
-            decode_row(B, F)
-        except DecodeError as err:
-            return err.survivors, err.residual
+            rows[np.arange(len(F))[:, None], F] = np.linalg.solve(
+                np.swapaxes(BV[F], 1, 2), target
+            )[..., 0]
+            residual = np.abs(rows @ B.entries - 1.0).max(axis=1)
+        except np.linalg.LinAlgError:
+            residual = np.full(len(F), np.inf)
+        for i in np.flatnonzero(~(residual <= screen)):  # NaN is flagged too
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")
+                try:
+                    row = decode_row(B, chunk[i])
+                except DecodeError as err:
+                    return err.survivors, err.residual
+            residual[i] = np.max(np.abs(row.coefficients @ B.entries - 1.0))
+        i = int(np.argmax(residual))
+        if residual[i] > worst:
+            worst, worst_set = float(residual[i]), chunk[i]
+    if worst > _WARN_RESIDUAL:
+        warnings.warn(
+            f"worst decode residual {worst:.3e}, for survivors {list(worst_set)}, "
+            "passes tolerance but indicates ill-conditioning",
+            stacklevel=2,
+        )
     return None
 
 

@@ -1,7 +1,11 @@
 import itertools
+import re
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 import codedreduce.codes as codes
 from codedreduce.codes import (
@@ -142,3 +146,124 @@ def test_csv_round_trip(tmp_path, reference_b):
     loaded = load_matrix_csv(path)
     assert (loaded.n, loaded.s) == (3, 1)
     np.testing.assert_array_equal(loaded.entries, reference_b.entries)
+
+
+def _reference_failure(B):
+    """The per-set sweep: decode_row on every survivor set in scan order."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        for F in itertools.combinations(range(B.n), B.n - B.s):
+            try:
+                decode_row(B, F)
+            except DecodeError as err:
+                return err.survivors, err.residual
+    return None
+
+
+def _sweep_case(kind, n, s, seed):
+    """A code the sweeps must agree on; only "built" comes from construction."""
+    rng = np.random.default_rng(seed)
+    if kind == "identity":
+        return EncodingMatrix(n=n, s=1, entries=np.eye(n))
+    if kind == "random":
+        support = np.zeros((n, n), dtype=bool)
+        for i in range(n):
+            support[i, list(codes._support(i, s, n))] = True
+        entries = np.where(support, rng.standard_normal((n, n)), 0.0)
+        return EncodingMatrix(n=n, s=s, entries=entries)
+    entries = codes._try_build(n, s, seed).entries.copy()
+    r = int(rng.integers(n))
+    if kind == "perturbed":
+        # Nudges of 1e-10 to 1e-6 put some sets holding row r near DECODE_TOL:
+        # some pass the screen, some are flagged and pass decode_row, some fail.
+        window = list(codes._support(r, s, n))
+        entries[r, window] += 10 ** rng.uniform(-10, -6) * rng.standard_normal(len(window))
+    elif kind == "equal_rows":
+        # Rows r and r+1 share the s columns of their overlapping windows.
+        shared = [(r + 1 + t) % n for t in range(s)]
+        entries[[r, (r + 1) % n]] = 0.0
+        entries[np.ix_([r, (r + 1) % n], shared)] = rng.standard_normal(s)
+    return EncodingMatrix(n=n, s=s, entries=entries)
+
+
+@st.composite
+def _sweep_cases(draw):
+    kind = draw(st.sampled_from(["built", "random", "perturbed", "identity", "equal_rows"]))
+    n = draw(st.integers(2, 12))
+    s = draw(st.integers(0, n - 1))
+    return kind, n, s, draw(st.integers(0, 2**16))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(case=_sweep_cases())
+@example(case=("identity", 3, 1, 0))
+@example(case=("equal_rows", 8, 2, 0))
+@example(case=("perturbed", 12, 5, 1))
+@example(case=("built", 12, 6, 2))
+def test_batched_sweep_matches_per_set_sweep(case):
+    try:
+        B = _sweep_case(*case)
+    except np.linalg.LinAlgError:
+        assume(False)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        assert find_decode_failure(B) == _reference_failure(B)
+
+
+def _counting_decode_row(monkeypatch):
+    calls = []
+    real = codes.decode_row
+
+    def counting(B, survivors):
+        calls.append(tuple(survivors))
+        return real(B, survivors)
+
+    monkeypatch.setattr(codes, "decode_row", counting)
+    return calls
+
+
+def test_singular_chunk_is_redecided_set_by_set(monkeypatch):
+    entries = codes._try_build(8, 2, 0).entries.copy()
+    entries[[6, 7]] = 0.0
+    entries[np.ix_([6, 7], [7, 0])] = [1.5, -0.5]  # rows 6 and 7 equal
+    B = EncodingMatrix(n=8, s=2, entries=entries)
+    calls = _counting_decode_row(monkeypatch)
+    failure = find_decode_failure(B)
+    assert failure == _reference_failure(B)
+    # The first chunk holds a set with both rows, so its stacked solve is
+    # singular and every set up to the failure goes through decode_row.
+    sets = list(itertools.combinations(range(8), 6))
+    assert calls == sets[: sets.index(tuple(sorted(failure[0]))) + 1]
+
+
+@pytest.mark.filterwarnings("ignore::UserWarning")
+def test_validation_screens_survivor_sets_in_batches(monkeypatch):
+    calls = _counting_decode_row(monkeypatch)
+    build_encoding(20, 5, seed=0)
+    assert len(calls) < 100  # a per-set sweep makes C(20, 15) = 15,504
+
+
+def test_build_encoding_matches_reference_sweep():
+    for attempt in range(codes._MAX_ATTEMPTS):
+        try:
+            B = codes._try_build(20, 5, attempt)
+        except np.linalg.LinAlgError:
+            continue
+        if _reference_failure(B) is None:
+            break
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        np.testing.assert_array_equal(build_encoding(20, 5, seed=0).entries, B.entries)
+
+
+def test_validation_sends_one_conditioning_warning():
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        B = build_encoding(20, 5, seed=0)
+    assert len(caught) == 1
+    message = str(caught[0].message)
+    match = re.search(r"residual (\S+), for survivors \[([\d, ]+)\]", message)
+    assert match, message
+    assert codes._WARN_RESIDUAL < float(match.group(1)) <= codes.DECODE_TOL
+    survivors = [int(i) for i in match.group(2).split(",")]
+    assert len(survivors) == B.n - B.s

@@ -21,6 +21,8 @@ from codedreduce.transport import (
 
 from conftest import identity_oracle_for
 
+pytestmark = pytest.mark.transport
+
 
 def test_wire_round_trip_random_payloads():
     rng = np.random.default_rng(0)
