@@ -17,7 +17,10 @@ import numpy as np
 from . import engine
 from .allocation import WeightedSlice, cr_allocate
 from .codes import build_encoding
-from .latency import SCHEMES, LatencyConfig, scheme_tree, simulate_iteration
+from .latency import SCHEMES, LatencyConfig, _batch_completions, scheme_tree
+# Not called here since gd_run batches its clock, but perfbench's tracer wraps
+# ml.simulate_iteration by name.
+from .latency import simulate_iteration  # noqa: F401
 from .topology import RegularTree, StragglerPattern, build_tree
 
 __all__ = [
@@ -234,15 +237,16 @@ def gd_run(
             pattern = _draw_tree_pattern(tree, quorum_s, rng)
             return engine.cr_execute(tree, assignment, B, pattern, oracle, theta, quorum_s)
 
+    T = config.iterations
+    clock = [0.0] * T
+    if config.latency is not None:  # iteration t takes trial t's round time
+        times = _batch_completions(scheme, topo, config.latency, resilience, range(1, T + 1))
+        clock = np.cumsum(times).tolist()
     theta = np.zeros(dataset.p)
-    clock = 0.0
     trace: list[TraceRow] = []
-    for t in range(1, config.iterations + 1):
+    for t in range(1, T + 1):
         g = aggregate(theta)
         new_theta = theta - config.step(t) * (g + config.lam * theta)
-        if config.latency is not None:
-            outcome = simulate_iteration(scheme, topo, config.latency, resilience, trial=t)
-            clock += outcome.completion_time
         rer = _squared_ratio(new_theta - theta, theta)
         ner = (
             _squared_ratio(new_theta - theta_star, theta_star)
@@ -250,7 +254,9 @@ def gd_run(
             else float("nan")
         )
         theta = new_theta
-        trace.append(TraceRow(iteration=t, theta=theta.copy(), rer=rer, ner=ner, sim_time=clock))
+        trace.append(
+            TraceRow(iteration=t, theta=theta.copy(), rer=rer, ner=ner, sim_time=clock[t - 1])
+        )
     return trace
 
 

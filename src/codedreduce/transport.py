@@ -9,10 +9,12 @@ Wire format (all integers little-endian):
     payload_len  u32      (number of doubles)
     payload      payload_len * 8 bytes, IEEE-754 doubles
 
-Each parent listens on a local port; children connect upward.  A parent
-sends the current model down each accepted connection, computes its own
-coded gradient, collects the first n-s gradient messages (later arrivals
-are drained and discarded), decodes on the realized survivor set with the
+The orchestrator opens every parent's listener on a local port before any
+node starts and hands it to its owner; a child connects upward once, so a
+refused or reset connection means its parent is gone.  A parent sends the
+current model down each accepted connection, computes its own coded
+gradient, collects the first n-s gradient messages (later arrivals are
+drained and discarded), decodes on the realized survivor set with the
 engine's combine step, adds its local term, and sends the result to its
 own parent.  The master writes the recovered gradient to a CSV file.
 """
@@ -101,12 +103,8 @@ def _recv_exact(sock: socket.socket, count: int) -> bytes:
 
 def read_message(sock: socket.socket) -> WireMessage:
     header = _recv_exact(sock, _HEADER.size)
-    magic, msg_type, layer, index, count = _HEADER.unpack(header)
-    if magic != MAGIC:
-        raise ValueError(f"bad magic {magic!r}")
-    body = _recv_exact(sock, count * 8)
-    payload = np.frombuffer(body, dtype="<f8").copy()
-    return WireMessage(msg_type, layer, index, payload)
+    count = _HEADER.unpack(header)[-1]
+    return decode_message(header + _recv_exact(sock, count * 8))
 
 
 @dataclass(frozen=True)
@@ -178,18 +176,6 @@ def _write_report(run_dir: Path, report: NodeReport) -> None:
     path.write_text(json.dumps(report.__dict__))
 
 
-def _connect_with_retry(addr, deadline_at: float) -> socket.socket:
-    while True:
-        try:
-            sock = socket.create_connection(addr, timeout=1.0)
-            sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-            return sock
-        except OSError:
-            if time.monotonic() >= deadline_at:
-                raise
-            time.sleep(0.05)
-
-
 def _collect_gradients(
     listener: socket.socket,
     model_bytes: bytes,
@@ -240,16 +226,19 @@ def run_node(
     cfg: TransportConfig,
     shard: tuple,
     B: EncodingMatrix,
-    ports: dict,
+    listener: socket.socket | None,
+    parent_port: int | None,
     run_dir: str,
     out_path: str,
     die_before_send: bool = False,
 ) -> None:
     """Body of one node process; writes a JSON report before exiting.
 
-    The master (layer 0) only aggregates and writes the recovered gradient
-    to `out_path` as a one-line CSV vector.  Exit codes: 0 ok/discarded,
-    3 planned death, 4 timeout, 5 connectivity failure.
+    A parent gets its already-open `listener`; every node but the master
+    connects once to `parent_port`.  The master (layer 0) only aggregates
+    and writes the recovered gradient to `out_path` as a one-line CSV
+    vector.  Exit codes: 0 ok/discarded, 3 planned death, 4 timeout,
+    5 connectivity failure.
     """
     run_path = Path(run_dir)
     tree, s = cfg.tree, cfg.s
@@ -257,18 +246,19 @@ def run_node(
     is_master = node == MASTER
     is_leaf = not is_master and tree.is_leaf(node)
     report = NodeReport(node=str(node), status="error", received_from=[], missing=[])
-    listener = None
     parent_sock = None
     try:
-        if not is_leaf:
-            listener = socket.create_server(("127.0.0.1", ports[node]), backlog=tree.n + 2)
         deadline_at = time.monotonic() + cfg.deadline
 
         if is_master:
             theta = np.asarray(cfg.theta, dtype=float)
         else:
-            parent_addr = ("127.0.0.1", ports[tree.parent(node)])
-            parent_sock = _connect_with_retry(parent_addr, deadline_at)
+            # The parent's listener may exist before its owner has started,
+            # so the model read may wait out the whole deadline.
+            parent_sock = socket.create_connection(
+                ("127.0.0.1", parent_port), timeout=deadline_at - time.monotonic()
+            )
+            parent_sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
             model_msg = read_message(parent_sock)
             if model_msg.msg_type != MSG_MODEL:
                 raise ValueError(f"expected model broadcast, got type {model_msg.msg_type}")
@@ -329,54 +319,53 @@ def run_node(
             listener.close()
 
 
-def _free_ports(count: int) -> list[int]:
-    socks, ports = [], []
-    for _ in range(count):
-        sock = socket.socket()
-        sock.bind(("127.0.0.1", 0))
-        socks.append(sock)
-        ports.append(sock.getsockname()[1])
-    for sock in socks:
-        sock.close()
-    return ports
+def orchestrate(cfg: TransportConfig, run_dir, plan: FailurePlan = FailurePlan()):
+    """Open every parent's listener, spawn one process per node, apply the
+    failure plan, and collect the master's output plus every node's report.
 
-
-def orchestrate(
-    cfg: TransportConfig,
-    run_dir,
-    plan: FailurePlan = FailurePlan(),
-    B: EncodingMatrix | None = None,
-):
-    """Spawn one process per node, apply the failure plan, and collect the
-    master's output plus every node's report."""
+    A parent's listener goes to its own process only; the listener of a
+    parent that never starts is closed before the join, so its children
+    are refused at once instead of waiting out the deadline."""
     run_path = Path(run_dir)
     run_path.mkdir(parents=True, exist_ok=True)
     for stale in run_path.glob("node_*.json"):
         stale.unlink()
     tree = cfg.tree
-    if B is None:
-        B = build_encoding(tree.n, cfg.s, cfg.alloc_seed)
+    B = build_encoding(tree.n, cfg.s, cfg.alloc_seed)
     assignment = cr_allocate(tree, cfg.s, cfg.oracle.d, B=B)
-    parents = [MASTER] + [v for v in tree.workers() if not tree.is_leaf(v)]
-    ports = dict(zip(parents, _free_ports(len(parents))))
+    listeners = {
+        v: socket.create_server(("127.0.0.1", 0), backlog=tree.n + 2)
+        for v in tree.parents()
+    }
+    ports = {v: sock.getsockname()[1] for v, sock in listeners.items()}
     out_path = run_path / "master_gradient.csv"
     if out_path.exists():
         out_path.unlink()
 
     ctx = mp.get_context("spawn")
     procs = {}
-    for node in [MASTER] + list(tree.workers()):
-        if node in plan.never_start:
-            continue
-        shard = () if node == MASTER else assignment.local[node]
-        proc = ctx.Process(
-            target=run_node,
-            args=(node, cfg, shard, B, ports, str(run_path), str(out_path)),
-            kwargs={"die_before_send": node in plan.die_before_send},
-            name=f"node-{node}",
-        )
-        proc.start()
-        procs[node] = proc
+    try:
+        for node in [MASTER] + list(tree.workers()):
+            if node in plan.never_start:
+                continue
+            if node == MASTER:
+                shard, parent_port = (), None
+            else:
+                shard, parent_port = assignment.local[node], ports[tree.parent(node)]
+            listener = listeners.get(node)
+            proc = ctx.Process(
+                target=run_node,
+                args=(node, cfg, shard, B, listener, parent_port, str(run_path), str(out_path)),
+                kwargs={"die_before_send": node in plan.die_before_send},
+                name=f"node-{node}",
+            )
+            proc.start()
+            procs[node] = proc
+            if listener is not None:
+                listener.close()  # the spawned owner holds its own descriptor
+    finally:
+        for listener in listeners.values():  # and those of parents that never start
+            listener.close()
 
     timers = []
     for node, delay in plan.kill_after.items():

@@ -203,6 +203,7 @@ def test_criterion_08_trajectory_equivalence():
     )
 
 
+@pytest.mark.transport
 def test_criterion_09_transport_parity(tmp_path):
     start = time.perf_counter()
     tree = build_tree(3, 2)

@@ -136,6 +136,7 @@ def test_main_rejects_missing_config(tmp_path):
         main(["--config", str(tmp_path / "nope.ini"), "validate"])
 
 
+@pytest.mark.transport
 def test_transport_demo_round_trip(tmp_path):
     path = write_config(tmp_path, schemes="cr", d=15)
     buf = io.StringIO()

@@ -1,3 +1,5 @@
+import time
+
 import numpy as np
 import pytest
 
@@ -124,3 +126,19 @@ def test_subtree_loss_times_out_locally_but_run_succeeds(tmp_path):
     np.testing.assert_allclose(report.gradient, np.ones(15), atol=1e-9)
     assert report.timed_out_parents == ["1.1"]
     assert report.node_reports["1.1"].status == "timeout"
+
+
+def test_orphaned_subtree_does_not_hold_the_round(tmp_path):
+    tree = build_tree(3, 2)
+    spec = OracleSpec(kind="identity", d=15, p=15)
+    cfg = TransportConfig(tree=tree, s=1, oracle=spec, theta=np.zeros(15), deadline=20.0)
+    plan = FailurePlan(never_start=frozenset({NodeId(1, 1)}))
+    start = time.monotonic()
+    report = orchestrate(cfg, tmp_path / "run", plan)
+    elapsed = time.monotonic() - start
+    assert report.ok, report.error
+    np.testing.assert_allclose(report.gradient, np.ones(15), atol=1e-9)
+    for orphan in ("2.1", "2.2", "2.3"):
+        assert report.node_reports[orphan].status == "connect_failed"
+    # the orphans learn at once that 1.1 is gone, so the round ends at quorum
+    assert elapsed < cfg.deadline / 2
