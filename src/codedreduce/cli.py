@@ -38,13 +38,19 @@ def _load_data(cfg: ExperimentConfig):
     return dataset, theta_star
 
 
-def cmd_validate(cfg: ExperimentConfig, out=None) -> int:
-    out = out if out is not None else sys.stdout
+def _report_problems(cfg: ExperimentConfig, out) -> int:
+    """Print the config's problems, headline first; 1 if there are any."""
     problems = validate_config(cfg)
     if problems:
         print(f"INVALID: {problems[0]}", file=out)
         for extra in problems[1:]:
             print(f"  also: {extra}", file=out)
+    return 1 if problems else 0
+
+
+def cmd_validate(cfg: ExperimentConfig, out=None) -> int:
+    out = out if out is not None else sys.stdout
+    if _report_problems(cfg, out):
         return 1
     print(
         f"OK: schemes={','.join(cfg.schemes)} d={cfg.d} "
@@ -115,6 +121,8 @@ def cmd_verify(cfg: ExperimentConfig, out=None) -> int:
     load.  `build_encoding` returns only a code whose every survivor set
     decodes, so code validity is reported from its construction."""
     out = out if out is not None else sys.stdout
+    if _report_problems(cfg, out):
+        return 1
     validity = f"code validity for (n={cfg.n}, s={cfg.s}), all survivor sets"
     try:
         B = build_encoding(cfg.n, cfg.s, cfg.seed)
@@ -155,6 +163,8 @@ def cmd_transport_demo(cfg: ExperimentConfig, out=None) -> int:
     """One real-process round killing one child per live parent, checked
     against the exact aggregate."""
     out = out if out is not None else sys.stdout
+    if _report_problems(cfg, out):
+        return 1
     if cfg.s < 1:
         print("transport demo needs s >= 1 to have something to kill", file=out)
         return 1

@@ -32,8 +32,6 @@ __all__ = [
     "decode_row",
     "validate_code",
     "find_decode_failure",
-    "save_matrix_csv",
-    "load_matrix_csv",
 ]
 
 DECODE_TOL = 1e-8
@@ -229,17 +227,3 @@ def validate_code(B: EncodingMatrix) -> bool:
     """True iff every survivor set of size exactly n-s can recover the sum."""
     return find_decode_failure(B) is None
 
-
-def save_matrix_csv(B: EncodingMatrix, path) -> None:
-    """Dump as CSV: first line `n,s`, then n rows in full-precision decimal."""
-    with open(path, "w") as fh:
-        fh.write(f"{B.n},{B.s}\n")
-        for row in B.entries:
-            fh.write(",".join(repr(float(v)) for v in row) + "\n")
-
-
-def load_matrix_csv(path) -> EncodingMatrix:
-    with open(path) as fh:
-        n, s = (int(tok) for tok in fh.readline().split(","))
-        rows = [[float(tok) for tok in line.split(",")] for line in fh if line.strip()]
-    return EncodingMatrix(n=n, s=s, entries=np.array(rows))

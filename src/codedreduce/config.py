@@ -130,6 +130,8 @@ def validate_config(cfg: ExperimentConfig) -> list[str]:
         problems.append(f"data kind must be synthetic or csv, got {cfg.data_kind!r}")
     if cfg.data_kind == "csv" and not cfg.csv_path:
         problems.append("data kind csv requires data.path")
+    if cfg.data_kind == "synthetic" and cfg.p < 1:
+        problems.append(f"synthetic data needs p >= 1 features, got {cfg.p}")
     if cfg.d < 1:
         problems.append(f"dataset size must be >= 1, got {cfg.d}")
     if "cr" in cfg.schemes:

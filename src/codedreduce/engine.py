@@ -4,6 +4,10 @@ Stragglers here are simply excluded from each parent's combination; timing
 lives in the latency module.  All schemes that claim the full gradient must
 agree with each other to floating-point accuracy, whatever the admissible
 straggler pattern; that equivalence is the core correctness property.
+A round is one coefficient pass: each parent combines its surviving children
+with a fixed row (a coded parent's row a solves a @ B_F = 1), so the master's
+output is a fixed linear combination of the workers' local gradients, each
+weighted by the product of the rows on its path to the master.
 GC, UMW and SGD are rounds on the depth-1 tree (N, 1): GC with the code of
 s = S, UMW uncoded, SGD uncoded with a quorum of N - S.
 """
@@ -41,50 +45,13 @@ class UnrecoverableError(RuntimeError):
         )
 
 
-def _decode(
-    B: EncodingMatrix, survivors: Sequence[int], messages: Sequence[np.ndarray]
-) -> np.ndarray:
-    """A parent's combine: the `survivors` (child positions, ascending) sent
-    `messages`.  A coded B applies its decode row; an uncoded (diagonal) B
-    weights child i by 1/B_ii, which sums what the parent hears."""
+def _combining_row(B: EncodingMatrix, survivors: Sequence[int]) -> np.ndarray:
+    """A parent's weights for its n children, given the child positions it
+    combines (ascending): a coded B's decode row, or 1/B_ii for an uncoded
+    (diagonal) B, which sums what the parent hears."""
     if B.s:
-        coefficients = decode_row(B, survivors).coefficients
-    else:
-        coefficients = 1.0 / np.diag(B.entries)
-    out = np.zeros_like(messages[0])
-    for pos, m in zip(survivors, messages):
-        out += coefficients[pos] * m
-    return out
-
-
-def _combine(
-    parent: NodeId,
-    tree: RegularTree,
-    assignment: Assignment,
-    B: EncodingMatrix,
-    pattern: StragglerPattern,
-    oracle: GradientOracle,
-    theta: np.ndarray,
-    resilience: int,
-) -> np.ndarray:
-    """Decode over the first n - resilience surviving children of `parent`,
-    in child-index order.  A child's message is its local coded gradient
-    plus, for an internal node, its own decode; no other message is computed."""
-    need = tree.n - resilience
-    kids = tree.children(parent)
-    straggling = pattern.per_parent(parent)
-    survivors = [pos for pos, c in enumerate(kids) if c not in straggling]
-    if len(survivors) < need:
-        raise UnrecoverableError(parent, tree.n - len(survivors), resilience)
-    survivors = survivors[:need]  # surplus survivors: keep lowest child indices
-    messages = []
-    for pos in survivors:
-        child = kids[pos]
-        m = oracle(theta, assignment.local[child])
-        if not tree.is_leaf(child):
-            m = m + _combine(child, tree, assignment, B, pattern, oracle, theta, resilience)
-        messages.append(m)
-    return _decode(B, survivors, messages)
+        return decode_row(B, survivors).coefficients
+    return 1.0 / np.diag(B.entries)
 
 
 def cr_execute(
@@ -100,16 +67,36 @@ def cr_execute(
 
     Every parent waits for n - `resilience` children (default: the code's s)
     and combines the first that survive in child-index order; the master
-    only combines.  Only the messages some parent combines are computed.
-    With an uncoded B and resilience S > 0 the round returns the partial
-    sum over the survivors, which is SGD.
+    only combines.  The round is linear, so it returns sum_v c_v * g_v over
+    the workers v some parent combines, with g_v the oracle on v's local
+    slices, c_master = 1 and c_child = c_parent * row_parent[position].  One
+    pass over the parents, top down, sets the weights, decoding each distinct
+    survivor set once.  Only the messages some parent combines are computed.
+    With an uncoded B and resilience S > 0 the round returns the partial sum
+    over the survivors, which is SGD.
     """
     if resilience is None:
         resilience = assignment.s
     if not 0 <= resilience < tree.n:
         raise ValueError(f"need 0 <= resilience < n, got n={tree.n}, resilience={resilience}")
     pattern.validate(tree, resilience)
-    return _combine(MASTER, tree, assignment, B, pattern, oracle, theta, resilience)
+    need = tree.n - resilience
+    weight = {MASTER: 1.0}
+    rows: dict[tuple[int, ...], np.ndarray] = {}
+    for parent in tree.parents():  # layer order: a parent's weight is final
+        if parent not in weight:
+            continue
+        kids = tree.children(parent)
+        straggling = pattern.per_parent(parent)
+        # surplus survivors: keep the lowest child indices
+        survivors = tuple(pos for pos, c in enumerate(kids) if c not in straggling)[:need]
+        row = rows.get(survivors)
+        if row is None:
+            row = rows[survivors] = _combining_row(B, survivors)
+        for pos in survivors:
+            weight[kids[pos]] = weight[parent] * row[pos]
+    del weight[MASTER]
+    return sum(c * oracle(theta, assignment.local[v]) for v, c in weight.items())
 
 
 def _check_even(N: int, d: int) -> None:

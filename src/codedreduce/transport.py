@@ -37,7 +37,7 @@ import numpy as np
 
 from .allocation import cr_allocate
 from .codes import EncodingMatrix, build_encoding
-from .engine import _decode
+from .engine import _combining_row
 from .ml import generate_synthetic, make_oracle
 from .topology import MASTER, NodeId, RegularTree
 
@@ -291,7 +291,8 @@ def run_node(
                 os._exit(4)
             order = sorted(got)  # child-position order, as in the engine
             positions = [tree.child_position(NodeId(node.layer + 1, idx)) for idx in order]
-            combined = _decode(B, positions, [got[idx] for idx in order])
+            row = _combining_row(B, positions)
+            combined = sum(row[pos] * got[idx] for pos, idx in zip(positions, order))
             if is_master:
                 Path(out_path).write_text(",".join(repr(float(v)) for v in combined) + "\n")
                 report.status = "ok"

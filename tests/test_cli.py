@@ -1,5 +1,6 @@
 import csv
 import io
+from dataclasses import replace
 
 import pytest
 
@@ -65,6 +66,22 @@ def test_validate_reports_first_violation(tmp_path):
     buf = io.StringIO()
     assert cmd_validate(cfg, out=buf) == 1
     assert "INVALID" in buf.getvalue() and "granularity" in buf.getvalue()
+
+
+@pytest.mark.parametrize(
+    "command, field, value, headline",
+    [
+        ("verify", "d", 16, "granularity"),
+        ("transport-demo", "d", 16, "granularity"),
+        ("train", "p", 0, "p >= 1"),
+    ],
+)
+def test_commands_refuse_invalid_config(tmp_path, command, field, value, headline):
+    cfg = replace(load_config(write_config(tmp_path, schemes="cr")), **{field: value})
+    handler = {"verify": cmd_verify, "transport-demo": cli.cmd_transport_demo, "train": cmd_train}
+    buf = io.StringIO()
+    assert handler[command](cfg, out=buf) == 1
+    assert buf.getvalue().startswith("INVALID:") and headline in buf.getvalue()
 
 
 def test_overrides_take_precedence(tmp_path):

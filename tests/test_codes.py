@@ -15,8 +15,6 @@ from codedreduce.codes import (
     build_encoding,
     decode_row,
     find_decode_failure,
-    load_matrix_csv,
-    save_matrix_csv,
     validate_code,
 )
 
@@ -138,14 +136,6 @@ def test_gives_up_after_eight_attempts(monkeypatch):
     with pytest.raises(CodeConstructionError):
         build_encoding(5, 2, seed=100)
     assert calls == [100 + k for k in range(8)]
-
-
-def test_csv_round_trip(tmp_path, reference_b):
-    path = tmp_path / "code.csv"
-    save_matrix_csv(reference_b, path)
-    loaded = load_matrix_csv(path)
-    assert (loaded.n, loaded.s) == (3, 1)
-    np.testing.assert_array_equal(loaded.entries, reference_b.entries)
 
 
 def _reference_failure(B):

@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from codedreduce import engine
-from codedreduce.allocation import WeightedSlice, cr_allocate
+from codedreduce.allocation import WeightedSlice, cr_allocate, granularity
 from codedreduce.codes import EncodingMatrix, build_encoding
 from codedreduce.ml import generate_synthetic, linear_grad, make_oracle
 from codedreduce.topology import (
@@ -105,6 +107,99 @@ def test_only_decoded_messages_are_computed(reference_b):
     calls.clear()
     engine.gc_execute(3, 1, reference_b, set(), oracle, np.zeros(1), 15)
     assert len(calls) == 2
+
+
+def _nested_round(parent, tree, assignment, B, pattern, oracle, theta, resilience):
+    """Reference round: each parent decodes its first n - resilience
+    surviving children's messages, a child's message being its local
+    gradient plus, for an internal child, its own nested decode."""
+    need = tree.n - resilience
+    kids = tree.children(parent)
+    straggling = pattern.per_parent(parent)
+    survivors = [pos for pos, c in enumerate(kids) if c not in straggling][:need]
+    if B.s:
+        coefficients = engine.decode_row(B, survivors).coefficients
+    else:
+        coefficients = 1.0 / np.diag(B.entries)
+    out = np.zeros_like(theta)
+    for pos in survivors:
+        child = kids[pos]
+        m = oracle(theta, assignment.local[child])
+        if not tree.is_leaf(child):
+            m = m + _nested_round(child, tree, assignment, B, pattern, oracle, theta, resilience)
+        out += coefficients[pos] * m
+    return out
+
+
+@st.composite
+def _round_cases(draw):
+    n = draw(st.integers(1, 5))
+    L = draw(st.integers(1, 3))
+    s = draw(st.integers(0, n - 1))
+    coded = draw(st.booleans())
+    # a coded parent tolerates up to the code's s; an uncoded one (SGD's
+    # partial sums) takes any quorum
+    resilience = draw(st.integers(0, s if coded else n - 1))
+    return n, L, s, coded, resilience, draw(st.integers(0, 2**16))
+
+
+@settings(max_examples=120, deadline=None, derandomize=True)
+@given(case=_round_cases())
+def test_coefficient_pass_matches_nested_round(case):
+    n, L, s, coded, resilience, seed = case
+    rng = np.random.default_rng(seed)
+    tree = build_tree(n, L)
+    B = build_encoding(n, s if coded else 0, seed)
+    d, p = granularity(n, L, B.s), 3
+    assignment = cr_allocate(tree, B.s, d, B=B)
+    points = rng.standard_normal((d, p))
+
+    def oracle(_theta, slices):
+        out = np.zeros(p)
+        for sl in slices:
+            out += sl.weight * points[sl.start : sl.stop].sum(axis=0)
+        return out
+
+    pattern = StragglerPattern(
+        {
+            parent: frozenset(
+                tree.children(parent)[int(j)]
+                for j in rng.choice(n, size=rng.integers(0, resilience + 1), replace=False)
+            )
+            for parent in tree.parents()
+        }
+    )
+    theta = np.zeros(p)
+    got = engine.cr_execute(tree, assignment, B, pattern, oracle, theta, resilience)
+    ref = _nested_round(MASTER, tree, assignment, B, pattern, oracle, theta, resilience)
+    assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+def test_each_survivor_set_is_decoded_once_per_round(monkeypatch):
+    """Seven parents combine over three distinct survivor sets."""
+    calls = []
+    real = engine.decode_row
+
+    def counting(B, survivors):
+        calls.append(tuple(survivors))
+        return real(B, survivors)
+
+    monkeypatch.setattr(engine, "decode_row", counting)
+    tree = build_tree(3, 3)
+    B = build_encoding(3, 1, seed=0)
+    assignment = cr_allocate(tree, 1, granularity(3, 3, 1), B=B)
+    straggle = {
+        MASTER: NodeId(1, 3),
+        NodeId(1, 1): NodeId(2, 1),
+        NodeId(2, 2): NodeId(3, 5),
+        NodeId(2, 4): NodeId(3, 10),
+    }
+    pattern = StragglerPattern({p: frozenset({c}) for p, c in straggle.items()})
+    d = assignment.d
+    got = engine.cr_execute(tree, assignment, B, pattern, identity_oracle_for(d), np.zeros(1))
+    np.testing.assert_allclose(got, np.ones(d), atol=1e-9)
+    # combining: 0.1, 1.1, 1.2, 2.2, 2.3, 2.4, 2.5
+    assert sorted(calls) == [(0, 1), (0, 2), (1, 2)]
 
 
 def test_gc_reference_combination(reference_b):
