@@ -5,7 +5,9 @@ spread over the layer-1 subtrees by the per-group coded placement, each
 worker keeps the first ``r * d`` points of its subtree's share (in global
 index order) and passes the remainder down, and at the bottom layer the
 share is exactly the local set.  All set sizes are tracked as exact
-rationals times ``d``; floats appear only in combining weights.
+rationals times ``d``; floats appear only in combining weights.  A run's
+point-weight map turns the round's per-worker weights into one weight per
+data point.
 """
 
 from __future__ import annotations
@@ -15,6 +17,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from math import lcm
 from typing import Iterable, Mapping, Sequence
+
+import numpy as np
 
 from .codes import EncodingMatrix, build_encoding
 from .topology import MASTER, NodeId, RegularTree
@@ -32,6 +36,8 @@ __all__ = [
     "slice_count",
     "take_points",
     "assignment_to_csv",
+    "PointWeightMap",
+    "point_weight_map",
 ]
 
 
@@ -241,6 +247,52 @@ def cr_allocate(
             )
     return Assignment(
         tree=tree, s=s, d=d, B=B, local=local, subtree=subtree, passdown=passdown
+    )
+
+
+@dataclass(frozen=True)
+class PointWeightMap:
+    """Turns per-worker weights c (layer-major) into the per-point weights
+    w = sum_v c_v * W_v of the workers' local sets W_v.
+
+    [0, d) is cut at every slice boundary into elementary segments, on which
+    every W_v is constant; an entry says that worker `worker[e]` holds all of
+    segment `segment[e]` with weight `weight[e]`.
+    """
+
+    worker: np.ndarray = field(repr=False)
+    segment: np.ndarray = field(repr=False)
+    weight: np.ndarray = field(repr=False)
+    lengths: np.ndarray = field(repr=False)  # points per segment
+
+    def point_weights(self, c: np.ndarray) -> np.ndarray:
+        """w for the worker weights c: one bincount over the entries, then
+        each segment's weight repeated over its points."""
+        per_segment = np.bincount(
+            self.segment, weights=c[self.worker] * self.weight, minlength=len(self.lengths)
+        )
+        return np.repeat(per_segment, self.lengths)
+
+
+def point_weight_map(assignment: Assignment) -> PointWeightMap:
+    """The point-weight map of an assignment's local sets."""
+    owner, start, stop, weight = [], [], [], []
+    for v, node in enumerate(assignment.tree.workers()):
+        for s in assignment.local[node]:
+            owner.append(v)
+            start.append(s.start)
+            stop.append(s.stop)
+            weight.append(s.weight)
+    edges = np.unique(np.concatenate([[0, assignment.d], start, stop]))
+    first = np.searchsorted(edges, start)
+    spans = np.searchsorted(edges, stop) - first  # segments per slice
+    entry = np.repeat(np.arange(len(owner)), spans)
+    offset = np.arange(len(entry)) - np.repeat(np.cumsum(spans) - spans, spans)
+    return PointWeightMap(
+        worker=np.asarray(owner)[entry],
+        segment=first[entry] + offset,
+        weight=np.asarray(weight)[entry],
+        lengths=np.diff(edges),
     )
 
 

@@ -19,7 +19,7 @@ import sys
 import numpy as np
 
 from . import engine
-from .allocation import cr_allocate, r_cr
+from .allocation import cr_allocate, point_weight_map, r_cr
 from .codes import CodeConstructionError, build_encoding
 from .config import ExperimentConfig, load_config, validate_config
 from .latency import cr_bounds, mc_expected_latency
@@ -38,9 +38,9 @@ def _load_data(cfg: ExperimentConfig):
     return dataset, theta_star
 
 
-def _report_problems(cfg: ExperimentConfig, out) -> int:
+def _report_problems(cfg: ExperimentConfig, out, builds_tree: bool = False) -> int:
     """Print the config's problems, headline first; 1 if there are any."""
-    problems = validate_config(cfg)
+    problems = validate_config(cfg, builds_tree)
     if problems:
         print(f"INVALID: {problems[0]}", file=out)
         for extra in problems[1:]:
@@ -118,10 +118,13 @@ def cmd_latency(cfg: ExperimentConfig, out=None) -> int:
 
 def cmd_verify(cfg: ExperimentConfig, out=None) -> int:
     """Exhaustive recovery over straggler patterns, code validity and equal
-    load.  `build_encoding` returns only a code whose every survivor set
-    decodes, so code validity is reported from its construction."""
+    load.  A pattern recovers exactly when every point weighs 1 (to 1e-9) in
+    the round's output, read from the coefficient pass and the point-weight
+    map with no gradient computed.  `build_encoding` returns only a code
+    whose every survivor set decodes, so code validity is reported from its
+    construction."""
     out = out if out is not None else sys.stdout
-    if _report_problems(cfg, out):
+    if _report_problems(cfg, out, builds_tree=True):
         return 1
     validity = f"code validity for (n={cfg.n}, s={cfg.s}), all survivor sets"
     try:
@@ -133,14 +136,12 @@ def cmd_verify(cfg: ExperimentConfig, out=None) -> int:
     tree = build_tree(cfg.n, cfg.L)
     d = cfg.d
     assignment = cr_allocate(tree, cfg.s, d, B=B)
+    weights = point_weight_map(assignment)
     patterns = enumerate_patterns(tree, cfg.s, cap=10_000, seed=cfg.seed)
-    oracle = OracleSpec(kind="identity", d=d, p=d).build()
-    ones = np.ones(d)
-    theta = np.zeros(1)
     bad = 0
-    for pattern in patterns:
-        got = engine.cr_execute(tree, assignment, B, pattern, oracle, theta)
-        if np.max(np.abs(got - ones)) > 1e-9:
+    for pattern in patterns:  # exact recovery: every point weighs 1
+        c = engine.worker_weights(tree, B, pattern.positions(tree, cfg.s), cfg.s)
+        if np.max(np.abs(weights.point_weights(c) - 1.0)) > 1e-9:
             bad += 1
     status = "PASS" if bad == 0 else "FAIL"
     print(
@@ -163,7 +164,7 @@ def cmd_transport_demo(cfg: ExperimentConfig, out=None) -> int:
     """One real-process round killing one child per live parent, checked
     against the exact aggregate."""
     out = out if out is not None else sys.stdout
-    if _report_problems(cfg, out):
+    if _report_problems(cfg, out, builds_tree=True):
         return 1
     if cfg.s < 1:
         print("transport demo needs s >= 1 to have something to kill", file=out)

@@ -120,8 +120,12 @@ def load_config(path, seed=None, trials=None, out=None) -> ExperimentConfig:
     )
 
 
-def validate_config(cfg: ExperimentConfig) -> list[str]:
-    """All constraint violations, first one being the reporting headline."""
+def validate_config(cfg: ExperimentConfig, builds_tree: bool = False) -> list[str]:
+    """All constraint violations, first one being the reporting headline.
+
+    The (n, L, s) tree is checked when `cr` is scheduled, or when the
+    caller builds the tree whatever the schemes (`builds_tree`), as
+    `verify` and `transport-demo` do."""
     problems: list[str] = []
     for scheme in cfg.schemes:
         if scheme not in SCHEMES:
@@ -134,7 +138,7 @@ def validate_config(cfg: ExperimentConfig) -> list[str]:
         problems.append(f"synthetic data needs p >= 1 features, got {cfg.p}")
     if cfg.d < 1:
         problems.append(f"dataset size must be >= 1, got {cfg.d}")
-    if "cr" in cfg.schemes:
+    if builds_tree or "cr" in cfg.schemes:
         if not 0 <= cfg.s < cfg.n:
             problems.append(f"tree needs 0 <= s < n, got n={cfg.n}, s={cfg.s}")
         elif cfg.L < 1:

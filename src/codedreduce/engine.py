@@ -4,10 +4,14 @@ Stragglers here are simply excluded from each parent's combination; timing
 lives in the latency module.  All schemes that claim the full gradient must
 agree with each other to floating-point accuracy, whatever the admissible
 straggler pattern; that equivalence is the core correctness property.
-A round is one coefficient pass: each parent combines its surviving children
-with a fixed row (a coded parent's row a solves a @ B_F = 1), so the master's
-output is a fixed linear combination of the workers' local gradients, each
-weighted by the product of the rows on its path to the master.
+A round is linear: each parent combines its surviving children with a fixed
+row (a coded parent's row a solves a @ B_F = 1), so the master's output is
+sum_v c_v * g_v over the workers' local gradients g_v, each c_v the product
+of the rows on v's path to the master.  `worker_weights` is the coefficient
+pass that gives c from integer straggler positions; `cr_execute` evaluates
+the sum through a gradient oracle, and `ml.gd_run` turns c into per-point
+weights (`allocation.point_weight_map`) and takes the whole round as one
+reweighted full gradient.
 GC, UMW and SGD are rounds on the depth-1 tree (N, 1): GC with the code of
 s = S, UMW uncoded, SGD uncoded with a quorum of N - S.
 """
@@ -26,6 +30,7 @@ __all__ = [
     "GradientOracle",
     "UnrecoverableError",
     "cr_execute",
+    "worker_weights",
     "gc_execute",
     "umw_execute",
     "rar_execute",
@@ -54,6 +59,38 @@ def _combining_row(B: EncodingMatrix, survivors: Sequence[int]) -> np.ndarray:
     return 1.0 / np.diag(B.entries)
 
 
+def worker_weights(
+    tree: RegularTree, B: EncodingMatrix, straggling: np.ndarray, resilience: int
+) -> np.ndarray:
+    """The round's coefficient pass: every worker's weight c_v in the
+    master's output sum_v c_v * g_v, in layer-major order.
+
+    `straggling` is a (tree.num_parents, n) boolean array, row k marking the
+    straggling child positions of the layer-major parent k (see
+    `StragglerPattern.positions`), with at most `resilience` per row.  Each
+    parent combines its first n - resilience surviving children with its
+    combining row, so c_master = 1 and c_child = c_parent * row[position].
+    A worker no parent combines, or one below it, weighs 0.  Each distinct
+    survivor set is decoded once.
+    """
+    n, need = tree.n, tree.n - resilience
+    weight = [0.0] * (tree.num_parents + tree.num_workers)  # layer-major, master at 0
+    weight[0] = 1.0
+    rows: dict[tuple[int, ...], list[float]] = {}
+    for k, lagging in enumerate(straggling.tolist()):  # a parent's weight is final
+        c = weight[k]
+        if not c:
+            continue
+        # surplus survivors: keep the lowest child indices
+        survivors = tuple(j for j, lag in enumerate(lagging) if not lag)[:need]
+        row = rows.get(survivors)
+        if row is None:
+            row = rows[survivors] = _combining_row(B, survivors).tolist()
+        for j in survivors:
+            weight[k * n + 1 + j] = c * row[j]
+    return np.array(weight[1:])
+
+
 def cr_execute(
     tree: RegularTree,
     assignment: Assignment,
@@ -68,35 +105,21 @@ def cr_execute(
     Every parent waits for n - `resilience` children (default: the code's s)
     and combines the first that survive in child-index order; the master
     only combines.  The round is linear, so it returns sum_v c_v * g_v over
-    the workers v some parent combines, with g_v the oracle on v's local
-    slices, c_master = 1 and c_child = c_parent * row_parent[position].  One
-    pass over the parents, top down, sets the weights, decoding each distinct
-    survivor set once.  Only the messages some parent combines are computed.
-    With an uncoded B and resilience S > 0 the round returns the partial sum
-    over the survivors, which is SGD.
+    the workers v with a nonzero weight from `worker_weights`, in layer-major
+    order, with g_v the oracle on v's local slices: only the messages some
+    parent combines are computed.  With an uncoded B and resilience S > 0
+    the round returns the partial sum over the survivors, which is SGD.
     """
     if resilience is None:
         resilience = assignment.s
     if not 0 <= resilience < tree.n:
         raise ValueError(f"need 0 <= resilience < n, got n={tree.n}, resilience={resilience}")
-    pattern.validate(tree, resilience)
-    need = tree.n - resilience
-    weight = {MASTER: 1.0}
-    rows: dict[tuple[int, ...], np.ndarray] = {}
-    for parent in tree.parents():  # layer order: a parent's weight is final
-        if parent not in weight:
-            continue
-        kids = tree.children(parent)
-        straggling = pattern.per_parent(parent)
-        # surplus survivors: keep the lowest child indices
-        survivors = tuple(pos for pos, c in enumerate(kids) if c not in straggling)[:need]
-        row = rows.get(survivors)
-        if row is None:
-            row = rows[survivors] = _combining_row(B, survivors)
-        for pos in survivors:
-            weight[kids[pos]] = weight[parent] * row[pos]
-    del weight[MASTER]
-    return sum(c * oracle(theta, assignment.local[v]) for v, c in weight.items())
+    straggling = pattern.positions(tree, resilience)
+    weight = worker_weights(tree, B, straggling, resilience)
+    return sum(
+        weight[v] * oracle(theta, assignment.local[tree.node_at(v + 1)])
+        for v in np.flatnonzero(weight).tolist()
+    )
 
 
 def _check_even(N: int, d: int) -> None:

@@ -1,27 +1,33 @@
 """Regression oracles, synthetic data, and the gradient-descent driver.
 
 Samples follow the convention that the label is the (p+1)-th coordinate of
-each row.  The gradient oracles take weighted index slices so they can serve
-directly as the engine's coded-gradient evaluator: they are additive over
-disjoint slices and homogeneous in the weights.
+each row.  Both losses have a per-point residual r(theta), X theta - y for
+linear and sigmoid(X theta) - y for logistic loss, so the gradient over
+points weighted by w is X'(w * r(theta)).  `gd_run` takes the round of
+every tree scheme (CR, GC, UMW, SGD) in that form: the engine's coefficient
+pass gives each worker's weight, the assignment's point-weight map turns
+those into w, and the round is one pass over the data whatever the tree.
+The per-slice oracles `linear_grad` and `logistic_grad` serve RAR, the
+transport and `engine.cr_execute`: they take weighted index slices, are
+additive over disjoint slices and homogeneous in the weights.
 """
 
 from __future__ import annotations
 
 import csv
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
 from . import engine
-from .allocation import WeightedSlice, cr_allocate
+from .allocation import WeightedSlice, cr_allocate, point_weight_map
 from .codes import build_encoding
 from .latency import SCHEMES, LatencyConfig, _batch_completions, scheme_tree
 # Not called here since gd_run batches its clock, but perfbench's tracer wraps
 # ml.simulate_iteration by name.
 from .latency import simulate_iteration  # noqa: F401
-from .topology import RegularTree, StragglerPattern, build_tree
+from .topology import build_tree
 
 __all__ = [
     "Dataset",
@@ -103,29 +109,45 @@ def load_dataset_csv(path) -> Dataset:
     return Dataset(points=np.array(rows), origin="ingested")
 
 
+def _linear_residual(X: np.ndarray, y: np.ndarray, theta: np.ndarray) -> np.ndarray:
+    return X @ theta - y
+
+
+def _logistic_residual(X: np.ndarray, y: np.ndarray, theta: np.ndarray) -> np.ndarray:
+    z = X @ theta
+    return 1.0 / (1.0 + np.exp(-z)) - y
+
+
+# Per-point loss residuals r(theta): a loss's gradient over points with
+# weights w is X'(w * r(theta)).
+_RESIDUALS = {"linear": _linear_residual, "logistic": _logistic_residual}
+
+
+def _slice_grad(
+    residual: Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray],
+    theta: np.ndarray,
+    slices: Sequence[WeightedSlice],
+    dataset: Dataset,
+) -> np.ndarray:
+    out = np.zeros(dataset.p)
+    for s in slices:
+        X = dataset.features[s.start : s.stop]
+        out += s.weight * (X.T @ residual(X, dataset.labels[s.start : s.stop], theta))
+    return out
+
+
 def linear_grad(
     theta: np.ndarray, slices: Sequence[WeightedSlice], dataset: Dataset
 ) -> np.ndarray:
     """Squared-loss gradient, weighted per slice: sum_w w * X'(X theta - y)."""
-    out = np.zeros(dataset.p)
-    for s in slices:
-        X = dataset.features[s.start : s.stop]
-        resid = X @ theta - dataset.labels[s.start : s.stop]
-        out += s.weight * (X.T @ resid)
-    return out
+    return _slice_grad(_linear_residual, theta, slices, dataset)
 
 
 def logistic_grad(
     theta: np.ndarray, slices: Sequence[WeightedSlice], dataset: Dataset
 ) -> np.ndarray:
     """Logistic-loss gradient for 0/1 labels: sum_w w * X'(sigmoid(X theta) - y)."""
-    out = np.zeros(dataset.p)
-    for s in slices:
-        X = dataset.features[s.start : s.stop]
-        z = X @ theta
-        resid = 1.0 / (1.0 + np.exp(-z)) - dataset.labels[s.start : s.stop]
-        out += s.weight * (X.T @ resid)
-    return out
+    return _slice_grad(_logistic_residual, theta, slices, dataset)
 
 
 def make_oracle(loss: str, dataset: Dataset) -> engine.GradientOracle:
@@ -192,18 +214,6 @@ def _squared_ratio(num: np.ndarray, den: np.ndarray) -> float:
     return float(num @ num) / d
 
 
-def _draw_tree_pattern(tree: RegularTree, s: int, rng: np.random.Generator) -> StragglerPattern:
-    """s stragglers under every parent; draws nothing when s = 0."""
-    if not s:
-        return StragglerPattern({})
-    mapping = {}
-    for parent in tree.parents():
-        kids = tree.children(parent)
-        picks = rng.choice(tree.n, size=s, replace=False)
-        mapping[parent] = frozenset(kids[int(j)] for j in picks)
-    return StragglerPattern(mapping)
-
-
 def gd_run(
     dataset: Dataset,
     config: GDConfig,
@@ -213,9 +223,11 @@ def gd_run(
     aggregation scheme under a freshly drawn straggler pattern.
 
     Full-gradient schemes give identical trajectories regardless of the
-    pattern; the partial-aggregation scheme intentionally diverges.  When a
-    timing model is configured, per-iteration completion times accumulate
-    into the trace's simulated clock.
+    pattern; the partial-aggregation scheme intentionally diverges.  A tree
+    scheme's round is one reweighted full gradient X'(w * r(theta)), its
+    point weights w read from the coefficient pass; RAR runs its ring over
+    the per-slice oracle.  When a timing model is configured, per-iteration
+    completion times accumulate into the trace's simulated clock.
     """
     scheme = config.scheme
     d = dataset.d
@@ -232,10 +244,16 @@ def gd_run(
             return engine.rar_execute(tree.n, oracle, theta, d)[0]
     else:  # one tree round: CR, and GC, UMW and SGD on the depth-1 tree (N, 1)
         B = build_encoding(tree.n, coded_s, config.seed)
-        assignment = cr_allocate(tree, coded_s, d, B=B)
+        weights = point_weight_map(cr_allocate(tree, coded_s, d, B=B))
+        X, y, residual = dataset.features, dataset.labels, _RESIDUALS[config.loss]
         def aggregate(theta):
-            pattern = _draw_tree_pattern(tree, quorum_s, rng)
-            return engine.cr_execute(tree, assignment, B, pattern, oracle, theta, quorum_s)
+            # quorum_s stragglers under every parent, drawn in layer order
+            straggling = np.zeros((tree.num_parents, tree.n), dtype=bool)
+            if quorum_s:
+                for lagging in straggling:
+                    lagging[rng.choice(tree.n, size=quorum_s, replace=False)] = True
+            c = engine.worker_weights(tree, B, straggling, quorum_s)
+            return X.T @ (weights.point_weights(c) * residual(X, y, theta))
 
     T = config.iterations
     clock = [0.0] * T

@@ -94,6 +94,25 @@ class RegularTree:
             raise ValueError("master has no siblings")
         return (node.index - 1) % self.n
 
+    def layer_offset(self, layer: int) -> int:
+        """Number of nodes above `layer`.  In layer-major order, with the
+        master at 0, node (layer, i) sits at layer_offset(layer) + i - 1 and
+        child j (0-based) of the node at k sits at k * n + 1 + j."""
+        return sum(self.n**l for l in range(layer))
+
+    @property
+    def num_parents(self) -> int:
+        """Nodes with children: the master plus layers 1..L-1."""
+        return self.layer_offset(self.L)
+
+    def node_at(self, position: int) -> NodeId:
+        """The node at a layer-major position (the master is 0)."""
+        layer = 0
+        while position >= self.n**layer:
+            position -= self.n**layer
+            layer += 1
+        return NodeId(layer, position + 1)
+
     def layer_nodes(self, layer: int) -> tuple[NodeId, ...]:
         return tuple(NodeId(layer, i) for i in range(1, self.layer_size(layer) + 1))
 
@@ -119,15 +138,34 @@ class StragglerPattern:
         return self.stragglers.get(parent, frozenset())
 
     def validate(self, tree: RegularTree, s: int) -> None:
+        """Raise ValueError where `positions` would."""
+        self.positions(tree, s)
+
+    def positions(self, tree: RegularTree, s: int) -> np.ndarray:
+        """The pattern as a (tree.num_parents, n) boolean array whose row k
+        marks the straggling child positions of the layer-major parent k.
+        Raises ValueError for a node outside the tree, a straggler that is
+        not its parent's child, or more than `s` stragglers under a parent."""
+        n = tree.n
+        out = np.zeros((tree.num_parents, n), dtype=bool)
         for parent, kids in self.stragglers.items():
-            allowed = set(tree.children(parent))
-            bad = set(kids) - allowed
+            tree._check(parent)
+            first = n * (parent.index - 1) + 1  # index of the parent's first child
+            bad = [
+                k for k in kids
+                if parent.layer == tree.L
+                or k.layer != parent.layer + 1
+                or not 0 <= k.index - first < n
+            ]
             if bad:
                 raise ValueError(f"{sorted(bad, key=str)} are not children of {parent}")
             if len(kids) > s:
                 raise ValueError(
                     f"parent {parent} has {len(kids)} stragglers, tolerance is {s}"
                 )
+            row = tree.layer_offset(parent.layer) + parent.index - 1
+            out[row, [k.index - first for k in kids]] = True
+        return out
 
 
 def build_tree(n: int, L: int) -> RegularTree:

@@ -69,19 +69,31 @@ def test_validate_reports_first_violation(tmp_path):
 
 
 @pytest.mark.parametrize(
-    "command, field, value, headline",
+    "command, field, value, headline, schemes",
     [
-        ("verify", "d", 16, "granularity"),
-        ("transport-demo", "d", 16, "granularity"),
-        ("train", "p", 0, "p >= 1"),
+        pytest.param("verify", "d", 16, "granularity", "cr", id="verify-d-16-granularity"),
+        pytest.param(
+            "transport-demo", "d", 16, "granularity", "cr", id="transport-demo-d-16-granularity"
+        ),
+        pytest.param("train", "p", 0, "p >= 1", "cr", id="train-p-0-p >= 1"),
+        # both commands build the tree even when cr is not scheduled
+        ("verify", "d", 24, "granularity", "umw"),
+        ("transport-demo", "d", 24, "granularity", "umw"),
     ],
 )
-def test_commands_refuse_invalid_config(tmp_path, command, field, value, headline):
-    cfg = replace(load_config(write_config(tmp_path, schemes="cr")), **{field: value})
+def test_commands_refuse_invalid_config(tmp_path, command, field, value, headline, schemes):
+    cfg = replace(load_config(write_config(tmp_path, schemes=schemes)), **{field: value})
     handler = {"verify": cmd_verify, "transport-demo": cli.cmd_transport_demo, "train": cmd_train}
     buf = io.StringIO()
     assert handler[command](cfg, out=buf) == 1
     assert buf.getvalue().startswith("INVALID:") and headline in buf.getvalue()
+
+
+def test_validate_checks_the_tree_only_for_cr(tmp_path):
+    cfg = replace(load_config(write_config(tmp_path, schemes="umw")), d=24)
+    buf = io.StringIO()
+    assert cmd_validate(cfg, out=buf) == 0
+    assert buf.getvalue().startswith("OK:")
 
 
 def test_overrides_take_precedence(tmp_path):

@@ -4,8 +4,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from codedreduce import engine
-from codedreduce.allocation import WeightedSlice, cr_allocate, granularity
+from codedreduce.allocation import WeightedSlice, cr_allocate, granularity, point_weight_map
 from codedreduce.codes import EncodingMatrix, build_encoding
+from codedreduce.latency import scheme_tree
 from codedreduce.ml import generate_synthetic, linear_grad, make_oracle
 from codedreduce.topology import (
     MASTER,
@@ -173,6 +174,64 @@ def test_coefficient_pass_matches_nested_round(case):
     got = engine.cr_execute(tree, assignment, B, pattern, oracle, theta, resilience)
     ref = _nested_round(MASTER, tree, assignment, B, pattern, oracle, theta, resilience)
     assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+def _random_pattern(tree, most, rng):
+    """Up to `most` stragglers under every parent."""
+    return StragglerPattern(
+        {
+            parent: frozenset(
+                tree.children(parent)[int(j)]
+                for j in rng.choice(tree.n, size=rng.integers(0, most + 1), replace=False)
+            )
+            for parent in tree.parents()
+        }
+    )
+
+
+@settings(max_examples=120, deadline=None, derandomize=True)
+@given(case=_round_cases())
+def test_point_weights_match_the_identity_round(case):
+    """w = sum_v c_v W_v is what the round returns when each point's
+    gradient is its indicator vector."""
+    n, L, s, coded, resilience, seed = case
+    rng = np.random.default_rng(seed)
+    tree = build_tree(n, L)
+    B = build_encoding(n, s if coded else 0, seed)
+    assignment = cr_allocate(tree, B.s, granularity(n, L, B.s), B=B)
+    pattern = _random_pattern(tree, resilience, rng)
+    c = engine.worker_weights(tree, B, pattern.positions(tree, resilience), resilience)
+    w = point_weight_map(assignment).point_weights(c)
+    oracle = identity_oracle_for(assignment.d)
+    ref = engine.cr_execute(tree, assignment, B, pattern, oracle, np.zeros(1), resilience)
+    assert np.max(np.abs(w - ref)) <= 1e-12 * max(1.0, np.max(np.abs(ref)))
+
+
+@pytest.mark.parametrize(
+    "scheme, topo, resilience, d",
+    [("cr", build_tree(3, 2), 1, 30), ("cr", build_tree(4, 3), 1, 56),
+     ("gc", 12, 3, 24), ("umw", 12, 0, 24)],
+    ids=["cr-3-2-1", "cr-4-3-1", "gc-12-3", "umw-12"],
+)
+def test_full_gradient_schemes_weigh_every_point_once(scheme, topo, resilience, d):
+    tree, quorum_s, coded_s = scheme_tree(scheme, topo, resilience)
+    B = build_encoding(tree.n, coded_s, 0)
+    weights = point_weight_map(cr_allocate(tree, coded_s, d, B=B))
+    for pattern in enumerate_patterns(tree, quorum_s, cap=200, seed=1):
+        c = engine.worker_weights(tree, B, pattern.positions(tree, quorum_s), quorum_s)
+        assert np.max(np.abs(weights.point_weights(c) - 1.0)) <= 1e-9
+
+
+def test_sgd_point_weights_are_the_survivors_indicator():
+    N, S, d = 6, 2, 18
+    tree, quorum_s, coded_s = scheme_tree("sgd", N, S)
+    B = build_encoding(N, coded_s, 0)
+    weights = point_weight_map(cr_allocate(tree, coded_s, d, B=B))
+    pattern = StragglerPattern({MASTER: frozenset({NodeId(1, 2), NodeId(1, 5)})})
+    c = engine.worker_weights(tree, B, pattern.positions(tree, quorum_s), quorum_s)
+    expected = np.ones(d)
+    expected[3:6] = expected[12:15] = 0.0  # workers 1.2 and 1.5 hold 3 points each
+    assert np.array_equal(weights.point_weights(c), expected)
 
 
 def test_each_survivor_set_is_decoded_once_per_round(monkeypatch):

@@ -1,8 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from codedreduce.allocation import WeightedSlice
-from codedreduce.latency import LatencyConfig
+from codedreduce import engine, ml
+from codedreduce.allocation import WeightedSlice, cr_allocate, granularity
+from codedreduce.codes import build_encoding
+from codedreduce.latency import LatencyConfig, _batch_completions, scheme_tree
 from codedreduce.ml import (
     Dataset,
     GDConfig,
@@ -11,8 +15,10 @@ from codedreduce.ml import (
     linear_grad,
     load_dataset_csv,
     logistic_grad,
+    make_oracle,
     trace_to_csv,
 )
+from codedreduce.topology import StragglerPattern, build_tree
 
 
 def full_slice(dataset):
@@ -198,3 +204,99 @@ def test_dataset_validation():
 def test_gd_config_rejects_missing_topology(kwargs, missing):
     with pytest.raises(ValueError, match=missing):
         GDConfig(iterations=1, step_size=1e-3, **kwargs)
+
+
+def _draw_tree_pattern(tree, s, rng):
+    """s stragglers under every parent, drawn in layer order; nothing when s = 0."""
+    if not s:
+        return StragglerPattern({})
+    mapping = {}
+    for parent in tree.parents():
+        kids = tree.children(parent)
+        picks = rng.choice(tree.n, size=s, replace=False)
+        mapping[parent] = frozenset(kids[int(j)] for j in picks)
+    return StragglerPattern(mapping)
+
+
+def _reference_gd(dataset, config):
+    """gd_run as a loop of cr_execute rounds with the per-slice oracle, under
+    the same straggler draws, and its clock summed trial by trial: a list
+    of (theta, sim_time) per iteration."""
+    if config.scheme == "cr":
+        topo, resilience = build_tree(config.n, config.L), config.s
+    else:
+        topo, resilience = config.N, config.S
+    tree, quorum_s, coded_s = scheme_tree(config.scheme, topo, resilience)
+    B = build_encoding(tree.n, coded_s, config.seed)
+    assignment = cr_allocate(tree, coded_s, dataset.d, B=B)
+    oracle = make_oracle(config.loss, dataset)
+    rng = np.random.default_rng(config.seed)
+    theta, clock, out = np.zeros(dataset.p), 0.0, []
+    for t in range(1, config.iterations + 1):
+        pattern = _draw_tree_pattern(tree, quorum_s, rng)
+        g = engine.cr_execute(tree, assignment, B, pattern, oracle, theta, quorum_s)
+        theta = theta - config.step(t) * (g + config.lam * theta)
+        clock += _batch_completions(config.scheme, topo, config.latency, resilience, [t])[0]
+        out.append((theta, clock))
+    return out
+
+
+@st.composite
+def _gd_cases(draw):
+    scheme = draw(st.sampled_from(["cr", "gc", "umw", "sgd"]))
+    if scheme == "cr":
+        n = draw(st.integers(1, 4))
+        L = draw(st.integers(1, 3))
+        s = draw(st.integers(0, n - 1))
+        topo = dict(n=n, L=L, s=s)
+        d = granularity(n, L, s)
+    else:
+        N = draw(st.integers(1, 8))
+        topo = dict(N=N, S=draw(st.integers(0, N - 1)))
+        d = N * draw(st.integers(1, 3))
+    d *= -(-4 // d)  # at least 4 points
+    return scheme, topo, d, draw(st.sampled_from(["linear", "logistic"])), draw(st.integers(0, 999))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(case=_gd_cases())
+def test_gd_run_matches_the_per_slice_round(case):
+    """The point-weight round against a loop of cr_execute rounds over the
+    per-slice oracle: theta within 1e-12 relative at every iteration, the
+    simulated clock to the bit."""
+    scheme, topo, d, loss, seed = case
+    dataset, _ = generate_synthetic(d, 3, seed=seed)
+    if loss == "logistic":
+        pts = dataset.points.copy()
+        pts[:, -1] = pts[:, -1] > 0
+        dataset = Dataset(points=pts)
+    lam_max = float(np.linalg.eigvalsh(dataset.features.T @ dataset.features).max())
+    lat = LatencyConfig(a=0.05, mu=20.0, t_c=1.0, d=float(dataset.d), seed=seed)
+    config = GDConfig(
+        scheme=scheme, iterations=6, step_size=1.0 / lam_max, lam=0.01, loss=loss,
+        seed=seed, latency=lat, **topo,
+    )
+    trace = gd_run(dataset, config)
+    reference = _reference_gd(dataset, config)
+    for row, (theta, clock) in zip(trace, reference, strict=True):
+        assert np.max(np.abs(row.theta - theta)) <= 1e-12 * np.max(np.abs(theta))
+        assert row.sim_time == clock
+
+
+@pytest.mark.parametrize("loss", ["linear", "logistic"])
+def test_tree_schemes_make_no_per_slice_oracle_call(monkeypatch, loss):
+    """A tree scheme's round is one reweighted full gradient; only RAR still
+    calls the per-slice oracle."""
+    calls = []
+    for name in ("linear_grad", "logistic_grad"):
+        real = getattr(ml, name)
+        monkeypatch.setattr(
+            ml, name, lambda *args, real=real: calls.append(args) or real(*args)
+        )
+    dataset, _ = generate_synthetic(60, 4, seed=3)
+    topologies = {"cr": dict(n=3, L=2, s=1), "gc": dict(N=12, S=3), "umw": dict(N=12),
+                  "sgd": dict(N=12, S=3), "rar": dict(N=12)}
+    for scheme, topo in topologies.items():
+        calls.clear()
+        gd_run(dataset, GDConfig(scheme=scheme, iterations=3, step_size=1e-3, loss=loss, **topo))
+        assert (len(calls) > 0) == (scheme == "rar"), scheme

@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 from codedreduce.topology import (
@@ -97,3 +98,40 @@ def test_pattern_validation_rejects_foreign_children():
     too_many = StragglerPattern({MASTER: frozenset({NodeId(1, 1), NodeId(1, 2)})})
     with pytest.raises(ValueError, match="tolerance"):
         too_many.validate(tree, s=1)
+
+
+def test_layer_major_positions_round_trip():
+    tree = build_tree(3, 3)
+    nodes = [MASTER, *tree.workers()]
+    for k, node in enumerate(nodes):
+        assert tree.node_at(k) == node
+        assert tree.layer_offset(node.layer) + node.index - 1 == k
+        for j, child in enumerate(tree.children(node)):
+            assert nodes[k * tree.n + 1 + j] == child
+    assert tree.num_parents == 1 + 3 + 9
+
+
+def test_pattern_positions_by_parent_row():
+    tree = build_tree(3, 2)
+    pattern = StragglerPattern(
+        {MASTER: frozenset({NodeId(1, 2)}), NodeId(1, 3): frozenset({NodeId(2, 9)})}
+    )
+    expected = np.zeros((4, 3), dtype=bool)
+    expected[0, 1] = expected[3, 2] = True
+    assert np.array_equal(pattern.positions(tree, 1), expected)
+
+
+@pytest.mark.parametrize(
+    "parent, kids, message",
+    [
+        (NodeId(1, 2), [NodeId(2, 1)], "[NodeId(layer=2, index=1)] are not children of 1.2"),
+        (NodeId(2, 1), [NodeId(3, 1)], "[NodeId(layer=3, index=1)] are not children of 2.1"),
+        (NodeId(3, 1), [], "node 3.1 not in (3,2)-regular tree"),
+        (MASTER, [NodeId(1, 1), NodeId(1, 3)], "parent 0.1 has 2 stragglers, tolerance is 1"),
+    ],
+)
+def test_pattern_positions_reject_like_validate(parent, kids, message):
+    pattern = StragglerPattern({parent: frozenset(kids)})
+    with pytest.raises(ValueError) as err:
+        pattern.positions(build_tree(3, 2), 1)
+    assert str(err.value) == message
