@@ -4,7 +4,6 @@ baselines, an iteration-latency simulator, and a gradient-descent harness."""
 from .allocation import (
     Assignment,
     WeightedSlice,
-    comp_alloc,
     cr_allocate,
     granularity,
     r_cr,

@@ -4,10 +4,13 @@ The recursion mirrors the two-phase allocation: the root's data set is
 spread over the layer-1 subtrees by the per-group coded placement, each
 worker keeps the first ``r * d`` points of its subtree's share (in global
 index order) and passes the remainder down, and at the bottom layer the
-share is exactly the local set.  All set sizes are tracked as exact
-rationals times ``d``; floats appear only in combining weights.  A run's
-point-weight map turns the round's per-worker weights into one weight per
-data point.
+share is exactly the local set.  Every cut in it (the n-way partition of
+a pass-down set, the local pick) sits at a fixed rational multiple c * d,
+and d0 = `granularity(n, L, s)` is the lcm of the denominators of every
+such c.  So with k = d / d0 each cut c * d = (c * d0) * k is a multiple of
+k, and the placement is built on d0 blocks of k points, one array pass per
+tree layer.  Sizes are exact integers; floats appear only in combining
+weights.
 """
 
 from __future__ import annotations
@@ -15,8 +18,9 @@ from __future__ import annotations
 import csv
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from math import lcm
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping
 
 import numpy as np
 
@@ -30,14 +34,9 @@ __all__ = [
     "r_cr",
     "r_gc",
     "granularity",
-    "comp_alloc",
     "cr_allocate",
-    "uniform_partition",
     "slice_count",
-    "take_points",
     "assignment_to_csv",
-    "PointWeightMap",
-    "point_weight_map",
 ]
 
 
@@ -69,51 +68,6 @@ Slices = tuple[WeightedSlice, ...]
 
 def slice_count(slices: Iterable[WeightedSlice]) -> int:
     return sum(s.count for s in slices)
-
-
-def _normalize(slices: Iterable[WeightedSlice]) -> Slices:
-    """Sort by start and merge adjacent ranges that share a weight."""
-    out: list[WeightedSlice] = []
-    for s in sorted(slices, key=lambda w: w.start):
-        if out and out[-1].stop == s.start and out[-1].weight == s.weight:
-            out[-1] = WeightedSlice(out[-1].start, s.stop, s.weight)
-        else:
-            out.append(s)
-    return tuple(out)
-
-
-def take_points(slices: Sequence[WeightedSlice], count: int) -> tuple[Slices, Slices]:
-    """Split a slice list after `count` points (in index order), cutting slices
-    at the boundary and preserving weights."""
-    if count < 0 or count > slice_count(slices):
-        raise ValueError(f"cannot take {count} of {slice_count(slices)} points")
-    head: list[WeightedSlice] = []
-    tail: list[WeightedSlice] = []
-    remaining = count
-    for s in sorted(slices, key=lambda w: w.start):
-        if remaining >= s.count:
-            head.append(s)
-            remaining -= s.count
-        elif remaining > 0:
-            head.append(WeightedSlice(s.start, s.start + remaining, s.weight))
-            tail.append(WeightedSlice(s.start + remaining, s.stop, s.weight))
-            remaining = 0
-        else:
-            tail.append(s)
-    return _normalize(head), _normalize(tail)
-
-
-def uniform_partition(slices: Sequence[WeightedSlice], parts: int) -> list[Slices]:
-    """Split into `parts` index-contiguous pieces of equal point count."""
-    total = slice_count(slices)
-    if total % parts != 0:
-        raise AllocationError(f"{total} points do not split into {parts} equal parts")
-    out = []
-    rest: Slices = _normalize(slices)
-    for _ in range(parts):
-        piece, rest = take_points(rest, total // parts)
-        out.append(piece)
-    return out
 
 
 def r_cr(n: int, L: int, s: int) -> Fraction:
@@ -153,43 +107,86 @@ def granularity(n: int, L: int, s: int) -> int:
     return lcm(*(c.denominator for c in coeffs))
 
 
-def comp_alloc(
-    data: Sequence[WeightedSlice], B: EncodingMatrix
-) -> list[Slices]:
-    """Coded placement of one group: partition `data` into n index-contiguous
-    parts and hand worker i the parts in its row's support, each part's
-    weights multiplied by the row entry."""
-    parts = uniform_partition(data, B.k)
-    out = []
-    for i in range(B.n):
-        coded: list[WeightedSlice] = []
-        for kappa in B.row_support(i):
-            b = float(B.entries[i, kappa])
-            if b == 0.0:
-                continue
-            coded.extend(
-                WeightedSlice(s.start, s.stop, s.weight * b) for s in parts[kappa]
-            )
-        out.append(_normalize(coded))
-    return out
+def _runs(blocks: np.ndarray, weights: np.ndarray, k: int) -> list[Slices]:
+    """Each row of a block array (ascending blocks of k points) and its
+    weight array as merged slices: a run of consecutive blocks with one
+    weight is one slice."""
+    rows, cols = blocks.shape
+    if not cols:
+        return [()] * rows
+    first = np.ones((rows, cols), dtype=bool)  # a block that starts a run
+    first[:, 1:] = (np.diff(blocks) != 1) | (weights[:, 1:] != weights[:, :-1])
+    start = np.flatnonzero(first)
+    stop = np.append(start[1:], first.size)  # every row starts a run
+    lo = blocks.ravel()[start] * k
+    hi = lo + (stop - start) * k
+    slices = list(map(WeightedSlice, lo.tolist(), hi.tolist(), weights.ravel()[start].tolist()))
+    ends = np.cumsum(np.bincount(start // cols, minlength=rows)).tolist()
+    return [tuple(slices[a:b]) for a, b in zip([0, *ends], ends)]
 
 
 @dataclass(frozen=True)
 class Assignment:
     """Every worker's local coded data set plus the per-subtree bookkeeping
-    (subtree share and pass-down remainder) produced while building it."""
+    (subtree share and pass-down remainder) produced while building it.
+
+    [0, d) is held as d0 = `granularity` blocks of k points, block b being
+    [b*k, (b+1)*k); every cut of the recursion falls on this k-grid (see the
+    module docstring).  `_shares[l-1]` holds layer l's subtree shares as a
+    block array and a weight array in layer-major order, one row per node
+    with its blocks ascending; a node keeps the first q0 = r*d0 of them as
+    its local set and passes the rest down.  The slice mappings `local`,
+    `subtree` and `passdown` are views of these arrays, built on first
+    access: a run of consecutive blocks with one weight is one slice.
+    """
 
     tree: RegularTree
     s: int
     d: int
     B: EncodingMatrix
-    local: Mapping[NodeId, Slices]
-    subtree: Mapping[NodeId, Slices] = field(repr=False)
-    passdown: Mapping[NodeId, Slices] = field(repr=False)
+    _k: int = field(repr=False)
+    _shares: tuple[tuple[np.ndarray, np.ndarray], ...] = field(repr=False)
 
     @property
     def points_per_node(self) -> int:
         return int(r_cr(self.tree.n, self.tree.L, self.s) * self.d)
+
+    def _view(self, columns: slice) -> dict[NodeId, Slices]:
+        shares = [
+            share
+            for blocks, weights in self._shares
+            for share in _runs(blocks[:, columns], weights[:, columns], self._k)
+        ]
+        return dict(zip(self.tree.workers(), shares))
+
+    @property
+    def _q0(self) -> int:
+        return self._shares[-1][0].shape[1]  # a leaf's share is its local set
+
+    @cached_property
+    def local(self) -> Mapping[NodeId, Slices]:
+        return self._view(slice(None, self._q0))
+
+    @cached_property
+    def subtree(self) -> Mapping[NodeId, Slices]:
+        return self._view(slice(None))
+
+    @cached_property
+    def passdown(self) -> Mapping[NodeId, Slices]:
+        below = self._view(slice(self._q0, None))
+        return {MASTER: (WeightedSlice(0, self.d, 1.0),), **below}
+
+    def point_weights(self, c: np.ndarray) -> np.ndarray:
+        """The per-point weights w = sum_v c_v * W_v of the workers' local
+        sets W_v, for worker weights c in layer-major order: one bincount
+        over the (N, q0) block matrix, each block's weight repeated over its
+        k points."""
+        blocks = np.concatenate([b[:, : self._q0] for b, _ in self._shares])
+        weights = np.concatenate([w[:, : self._q0] for _, w in self._shares])
+        per_block = np.bincount(
+            blocks.ravel(), weights=(c[:, None] * weights).ravel(), minlength=self.d // self._k
+        )
+        return np.repeat(per_block, self._k)
 
 
 def cr_allocate(
@@ -203,7 +200,10 @@ def cr_allocate(
 
     One encoding matrix (from `seed`, or the supplied `B`) is reused at every
     parent.  Which points a node keeps is pinned to "first in global index
-    order" so the construction is deterministic.
+    order" so the construction is deterministic.  Each layer is one array
+    pass: every parent's pass-down set is reshaped into n equal parts, and
+    child i gathers the parts of its row support in ascending part index
+    (so its share stays in index order), times the row's entries.
     """
     n, L = tree.n, tree.L
     if not 0 <= s < n:
@@ -220,80 +220,25 @@ def cr_allocate(
         raise AllocationError(
             f"encoding matrix is for (n={B.n}, s={B.s}), tree needs (n={n}, s={s})"
         )
-    per_node = r_cr(n, L, s) * d
-    assert per_node.denominator == 1
-    q = int(per_node)
-
-    local: dict[NodeId, Slices] = {}
-    subtree: dict[NodeId, Slices] = {}
-    passdown: dict[NodeId, Slices] = {MASTER: (WeightedSlice(0, d, 1.0),)}
-    for layer in range(1, L + 1):
-        for parent in tree.layer_nodes(layer - 1):
-            shares = comp_alloc(passdown[parent], B)
-            for child, share in zip(tree.children(parent), shares):
-                subtree[child] = share
-        for node in tree.layer_nodes(layer):
-            kept, rest = take_points(subtree[node], q)
-            local[node] = kept
-            passdown[node] = rest
-            if layer == L and rest:
-                raise AllocationError(
-                    f"leaf {node} left with a {slice_count(rest)}-point remainder"
-                )
-    for node, slices in local.items():
-        if slice_count(slices) != q:
-            raise AllocationError(
-                f"node {node} holds {slice_count(slices)} points, expected {q}"
-            )
-    return Assignment(
-        tree=tree, s=s, d=d, B=B, local=local, subtree=subtree, passdown=passdown
-    )
-
-
-@dataclass(frozen=True)
-class PointWeightMap:
-    """Turns per-worker weights c (layer-major) into the per-point weights
-    w = sum_v c_v * W_v of the workers' local sets W_v.
-
-    [0, d) is cut at every slice boundary into elementary segments, on which
-    every W_v is constant; an entry says that worker `worker[e]` holds all of
-    segment `segment[e]` with weight `weight[e]`.
-    """
-
-    worker: np.ndarray = field(repr=False)
-    segment: np.ndarray = field(repr=False)
-    weight: np.ndarray = field(repr=False)
-    lengths: np.ndarray = field(repr=False)  # points per segment
-
-    def point_weights(self, c: np.ndarray) -> np.ndarray:
-        """w for the worker weights c: one bincount over the entries, then
-        each segment's weight repeated over its points."""
-        per_segment = np.bincount(
-            self.segment, weights=c[self.worker] * self.weight, minlength=len(self.lengths)
+    support = np.sort([B.row_support(i) for i in range(n)], axis=1)
+    entries = np.take_along_axis(B.entries, support, axis=1)
+    zero = np.flatnonzero(~entries.all(axis=1))
+    if zero.size:
+        raise AllocationError(
+            f"encoding matrix row {zero[0]} has a zero on its cyclic support "
+            f"{B.row_support(int(zero[0]))}"
         )
-        return np.repeat(per_segment, self.lengths)
-
-
-def point_weight_map(assignment: Assignment) -> PointWeightMap:
-    """The point-weight map of an assignment's local sets."""
-    owner, start, stop, weight = [], [], [], []
-    for v, node in enumerate(assignment.tree.workers()):
-        for s in assignment.local[node]:
-            owner.append(v)
-            start.append(s.start)
-            stop.append(s.stop)
-            weight.append(s.weight)
-    edges = np.unique(np.concatenate([[0, assignment.d], start, stop]))
-    first = np.searchsorted(edges, start)
-    spans = np.searchsorted(edges, stop) - first  # segments per slice
-    entry = np.repeat(np.arange(len(owner)), spans)
-    offset = np.arange(len(entry)) - np.repeat(np.cumsum(spans) - spans, spans)
-    return PointWeightMap(
-        worker=np.asarray(owner)[entry],
-        segment=first[entry] + offset,
-        weight=np.asarray(weight)[entry],
-        lengths=np.diff(edges),
-    )
+    q0 = int(r_cr(n, L, s) * d0)
+    shares = []
+    down = np.arange(d0)[None], np.ones((1, d0))  # the master's pass-down set
+    for _ in range(L):
+        parents, size = down[0].shape
+        blocks, weights = (a.reshape(parents, n, size // n)[:, support] for a in down)
+        weights = weights * entries[:, :, None]
+        shares.append((blocks.reshape(parents * n, -1), weights.reshape(parents * n, -1)))
+        down = tuple(a[:, q0:] for a in shares[-1])
+    assert not down[0].size, "the leaves must pass nothing down"
+    return Assignment(tree=tree, s=s, d=d, B=B, _k=d // d0, _shares=tuple(shares))
 
 
 def assignment_to_csv(assignment: Assignment, path) -> None:

@@ -19,7 +19,7 @@ import sys
 import numpy as np
 
 from . import engine
-from .allocation import cr_allocate, point_weight_map, r_cr
+from .allocation import cr_allocate, r_cr
 from .codes import CodeConstructionError, build_encoding
 from .config import ExperimentConfig, load_config, validate_config
 from .latency import cr_bounds, mc_expected_latency
@@ -136,12 +136,11 @@ def cmd_verify(cfg: ExperimentConfig, out=None) -> int:
     tree = build_tree(cfg.n, cfg.L)
     d = cfg.d
     assignment = cr_allocate(tree, cfg.s, d, B=B)
-    weights = point_weight_map(assignment)
     patterns = enumerate_patterns(tree, cfg.s, cap=10_000, seed=cfg.seed)
     bad = 0
     for pattern in patterns:  # exact recovery: every point weighs 1
         c = engine.worker_weights(tree, B, pattern.positions(tree, cfg.s), cfg.s)
-        if np.max(np.abs(weights.point_weights(c) - 1.0)) > 1e-9:
+        if np.max(np.abs(assignment.point_weights(c) - 1.0)) > 1e-9:
             bad += 1
     status = "PASS" if bad == 0 else "FAIL"
     print(

@@ -10,7 +10,7 @@ sum_v c_v * g_v over the workers' local gradients g_v, each c_v the product
 of the rows on v's path to the master.  `worker_weights` is the coefficient
 pass that gives c from integer straggler positions; `cr_execute` evaluates
 the sum through a gradient oracle, and `ml.gd_run` turns c into per-point
-weights (`allocation.point_weight_map`) and takes the whole round as one
+weights (`Assignment.point_weights`) and takes the whole round as one
 reweighted full gradient.
 GC, UMW and SGD are rounds on the depth-1 tree (N, 1): GC with the code of
 s = S, UMW uncoded, SGD uncoded with a quorum of N - S.
@@ -22,7 +22,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .allocation import Assignment, WeightedSlice, cr_allocate, uniform_partition
+from .allocation import Assignment, WeightedSlice, cr_allocate
 from .codes import EncodingMatrix, build_encoding, decode_row
 from .topology import MASTER, NodeId, RegularTree, StragglerPattern
 
@@ -63,7 +63,8 @@ def worker_weights(
     tree: RegularTree, B: EncodingMatrix, straggling: np.ndarray, resilience: int
 ) -> np.ndarray:
     """The round's coefficient pass: every worker's weight c_v in the
-    master's output sum_v c_v * g_v, in layer-major order.
+    master's output sum_v c_v * g_v, one entry per worker in layer-major
+    order.
 
     `straggling` is a (tree.num_parents, n) boolean array, row k marking the
     straggling child positions of the layer-major parent k (see
@@ -74,7 +75,7 @@ def worker_weights(
     survivor set is decoded once.
     """
     n, need = tree.n, tree.n - resilience
-    weight = [0.0] * (tree.num_parents + tree.num_workers)  # layer-major, master at 0
+    weight = [0.0] * (1 + tree.num_workers)  # layer-major, master at 0
     weight[0] = 1.0
     rows: dict[tuple[int, ...], list[float]] = {}
     for k, lagging in enumerate(straggling.tolist()):  # a parent's weight is final
@@ -178,7 +179,8 @@ def rar_execute(
     circulating vector segments around the ring for N-1 rounds per phase.
     """
     _check_even(N, d)
-    parts = uniform_partition([WeightedSlice(0, d, 1.0)], N)
+    size = d // N
+    parts = [(WeightedSlice(i * size, (i + 1) * size, 1.0),) for i in range(N)]
     buffers = [oracle(theta, part) for part in parts]
     p = buffers[0].shape[0]
     bounds = [len(seg) for seg in np.array_split(np.arange(p), N)]

@@ -5,8 +5,8 @@ each row.  Both losses have a per-point residual r(theta), X theta - y for
 linear and sigmoid(X theta) - y for logistic loss, so the gradient over
 points weighted by w is X'(w * r(theta)).  `gd_run` takes the round of
 every tree scheme (CR, GC, UMW, SGD) in that form: the engine's coefficient
-pass gives each worker's weight, the assignment's point-weight map turns
-those into w, and the round is one pass over the data whatever the tree.
+pass gives each worker's weight, `Assignment.point_weights` turns those
+into w, and the round is one pass over the data whatever the tree.
 The per-slice oracles `linear_grad` and `logistic_grad` serve RAR, the
 transport and `engine.cr_execute`: they take weighted index slices, are
 additive over disjoint slices and homogeneous in the weights.
@@ -21,7 +21,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import engine
-from .allocation import WeightedSlice, cr_allocate, point_weight_map
+from .allocation import WeightedSlice, cr_allocate
 from .codes import build_encoding
 from .latency import SCHEMES, LatencyConfig, _batch_completions, scheme_tree
 # Not called here since gd_run batches its clock, but perfbench's tracer wraps
@@ -244,7 +244,7 @@ def gd_run(
             return engine.rar_execute(tree.n, oracle, theta, d)[0]
     else:  # one tree round: CR, and GC, UMW and SGD on the depth-1 tree (N, 1)
         B = build_encoding(tree.n, coded_s, config.seed)
-        weights = point_weight_map(cr_allocate(tree, coded_s, d, B=B))
+        assignment = cr_allocate(tree, coded_s, d, B=B)
         X, y, residual = dataset.features, dataset.labels, _RESIDUALS[config.loss]
         def aggregate(theta):
             # quorum_s stragglers under every parent, drawn in layer order
@@ -253,7 +253,7 @@ def gd_run(
                 for lagging in straggling:
                     lagging[rng.choice(tree.n, size=quorum_s, replace=False)] = True
             c = engine.worker_weights(tree, B, straggling, quorum_s)
-            return X.T @ (weights.point_weights(c) * residual(X, y, theta))
+            return X.T @ (assignment.point_weights(c) * residual(X, y, theta))
 
     T = config.iterations
     clock = [0.0] * T

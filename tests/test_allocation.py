@@ -3,22 +3,21 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from codedreduce.allocation import (
     AllocationError,
     WeightedSlice,
     assignment_to_csv,
-    comp_alloc,
     cr_allocate,
     granularity,
     r_cr,
     r_gc,
     slice_count,
-    take_points,
-    uniform_partition,
 )
-from codedreduce.codes import build_encoding
-from codedreduce.topology import NodeId, build_tree
+from codedreduce.codes import EncodingMatrix, build_encoding
+from codedreduce.topology import MASTER, NodeId, build_tree
 
 
 def brute_force_granularity(n, L, s, limit=2000):
@@ -71,50 +70,11 @@ def test_granularity_matches_brute_force(n, L, s):
     cr_allocate(tree, s, 2 * d0, seed=1)
 
 
-def test_take_points_cuts_at_boundary():
-    slices = (WeightedSlice(0, 5, 0.5), WeightedSlice(5, 10, 1.0))
-    head, tail = take_points(slices, 4)
-    assert head == (WeightedSlice(0, 4, 0.5),)
-    assert tail == (WeightedSlice(4, 5, 0.5), WeightedSlice(5, 10, 1.0))
-    assert slice_count(head) + slice_count(tail) == 10
-
-
-def test_comp_alloc_reference_example(reference_b):
-    data = [WeightedSlice(0, 15, 1.0)]
-    shares = comp_alloc(data, reference_b)
-    assert shares[0] == (WeightedSlice(0, 5, 0.5), WeightedSlice(5, 10, 1.0))
-    assert shares[1] == (WeightedSlice(5, 10, 1.0), WeightedSlice(10, 15, -1.0))
-    assert shares[2] == (WeightedSlice(0, 5, 0.5), WeightedSlice(10, 15, 1.0))
-
-
-def test_comp_alloc_identity_makes_disjoint_thirds():
-    B = build_encoding(3, 0, seed=0)
-    shares = comp_alloc([WeightedSlice(0, 9, 1.0)], B)
-    assert shares == [
-        (WeightedSlice(0, 3, 1.0),),
-        (WeightedSlice(3, 6, 1.0),),
-        (WeightedSlice(6, 9, 1.0),),
-    ]
-
-
-def test_comp_alloc_composes_weights(reference_b):
-    # incoming weight 1/2 meeting the row entry -1 must produce -1/2
-    data = [WeightedSlice(0, 15, 0.5)]
-    shares = comp_alloc(data, reference_b)
-    assert WeightedSlice(10, 15, -0.5) in shares[1]
-
-
-def test_comp_alloc_divisibility_error(reference_b):
-    with pytest.raises(AllocationError, match="split"):
-        comp_alloc([WeightedSlice(0, 14, 1.0)], reference_b)
-
-
-def test_uniform_partition_spans_weight_boundaries():
-    slices = (WeightedSlice(4, 5, 0.5), WeightedSlice(5, 10, 1.0))
-    parts = uniform_partition(slices, 3)
-    assert parts[0] == (WeightedSlice(4, 5, 0.5), WeightedSlice(5, 6, 1.0))
-    assert parts[1] == (WeightedSlice(6, 8, 1.0),)
-    assert parts[2] == (WeightedSlice(8, 10, 1.0),)
+def test_layer1_subtree_shares_reference_example(reference_b):
+    subtree = cr_allocate(build_tree(3, 2), 1, 15, B=reference_b).subtree
+    assert subtree[NodeId(1, 1)] == (WeightedSlice(0, 5, 0.5), WeightedSlice(5, 10, 1.0))
+    assert subtree[NodeId(1, 2)] == (WeightedSlice(5, 10, 1.0), WeightedSlice(10, 15, -1.0))
+    assert subtree[NodeId(1, 3)] == (WeightedSlice(0, 5, 0.5), WeightedSlice(10, 15, 1.0))
 
 
 def test_allocation_reference_walkthrough(reference_b):
@@ -215,3 +175,89 @@ def test_csv_dump_is_parseable(tmp_path, reference_b):
         per_node[key] += int(row["range_end"]) - int(row["range_start"])
     assert set(per_node.values()) == {4}
     assert len(per_node) == 12
+
+
+def test_zero_on_a_row_support_is_rejected(reference_b):
+    entries = reference_b.entries.copy()
+    entries[0, 1] = 0.0
+    B = EncodingMatrix(n=3, s=1, entries=entries)
+    for L, d in ((1, 3), (2, 15)):
+        with pytest.raises(AllocationError, match="row 0 has a zero on its cyclic support"):
+            cr_allocate(build_tree(3, L), 1, d, B=B)
+
+
+def reference_allocation(tree, B, d):
+    """Per-point reference for cr_allocate: each set is a (point index, weight)
+    array pair.  A parent's pass-down set is reshaped into n equal parts, child
+    i gathers the parts of its row support times the row entries, stable-sorts
+    by index and keeps the first r*d points."""
+    q = int(r_cr(tree.n, tree.L, B.s) * d)
+    local, subtree, passdown = {}, {}, {MASTER: (np.arange(d), np.ones(d))}
+    for parent in tree.parents():  # every parent comes after its own parent
+        points, weights = (a.reshape(tree.n, -1) for a in passdown[parent])
+        for i, child in enumerate(tree.children(parent)):
+            support = list(B.row_support(i))
+            share = np.concatenate(points[support])
+            weight = np.concatenate([weights[j] * B.entries[i, j] for j in support])
+            order = np.argsort(share, kind="stable")
+            share, weight = share[order], weight[order]
+            subtree[child] = share, weight
+            local[child] = share[:q], weight[:q]
+            passdown[child] = share[q:], weight[q:]
+    return local, subtree, passdown
+
+
+def _points(slices):
+    """A slice tuple as (point index, weight) arrays, after checking that it
+    is ascending and merged: no two touching slices share a weight."""
+    for a, b in zip(slices, slices[1:]):
+        assert a.stop < b.start or (a.stop == b.start and a.weight != b.weight)
+    if not slices:
+        return np.arange(0), np.ones(0)
+    return (
+        np.concatenate([np.arange(sl.start, sl.stop) for sl in slices]),
+        np.concatenate([np.full(sl.count, sl.weight) for sl in slices]),
+    )
+
+
+@st.composite
+def _allocation_cases(draw):
+    """(n, L, s, k, seed), seed None meaning the reference (3, 1) code."""
+    if draw(st.booleans()):
+        return 3, draw(st.integers(1, 3)), 1, draw(st.integers(1, 3)), None
+    n = draw(st.integers(1, 5))
+    return (
+        n,
+        draw(st.integers(1, 3)),
+        draw(st.integers(0, n - 1)),
+        draw(st.integers(1, 3)),
+        draw(st.integers(0, 10_000)),
+    )
+
+
+@settings(
+    max_examples=150,
+    deadline=None,
+    derandomize=True,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(case=_allocation_cases())
+def test_allocation_matches_the_per_point_reference(case, reference_b):
+    n, L, s, k, seed = case
+    tree = build_tree(n, L)
+    B = reference_b if seed is None else build_encoding(n, s, seed)
+    d = k * granularity(n, L, s)
+    got = cr_allocate(tree, s, d, B=B)
+    for ref, mapping in zip(
+        reference_allocation(tree, B, d), (got.local, got.subtree, got.passdown)
+    ):
+        assert ref.keys() == mapping.keys()
+        for node, (points, weights) in ref.items():
+            # every cut lies on the k-grid: whole blocks of k points, one weight each
+            blocks, block_weights = points.reshape(-1, k), weights.reshape(-1, k)
+            assert np.array_equal(blocks, blocks[:, :1] + np.arange(k))
+            assert not np.any(blocks[:, 0] % k)
+            assert np.all(block_weights == block_weights[:, :1])
+            got_points, got_weights = _points(mapping[node])
+            assert np.array_equal(got_points, points)
+            assert got_weights.tobytes() == weights.tobytes()

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from codedreduce import engine
-from codedreduce.allocation import WeightedSlice, cr_allocate, granularity, point_weight_map
+from codedreduce.allocation import WeightedSlice, cr_allocate, granularity
 from codedreduce.codes import EncodingMatrix, build_encoding
 from codedreduce.latency import scheme_tree
 from codedreduce.ml import generate_synthetic, linear_grad, make_oracle
@@ -201,7 +201,7 @@ def test_point_weights_match_the_identity_round(case):
     assignment = cr_allocate(tree, B.s, granularity(n, L, B.s), B=B)
     pattern = _random_pattern(tree, resilience, rng)
     c = engine.worker_weights(tree, B, pattern.positions(tree, resilience), resilience)
-    w = point_weight_map(assignment).point_weights(c)
+    w = assignment.point_weights(c)
     oracle = identity_oracle_for(assignment.d)
     ref = engine.cr_execute(tree, assignment, B, pattern, oracle, np.zeros(1), resilience)
     assert np.max(np.abs(w - ref)) <= 1e-12 * max(1.0, np.max(np.abs(ref)))
@@ -216,7 +216,7 @@ def test_point_weights_match_the_identity_round(case):
 def test_full_gradient_schemes_weigh_every_point_once(scheme, topo, resilience, d):
     tree, quorum_s, coded_s = scheme_tree(scheme, topo, resilience)
     B = build_encoding(tree.n, coded_s, 0)
-    weights = point_weight_map(cr_allocate(tree, coded_s, d, B=B))
+    weights = cr_allocate(tree, coded_s, d, B=B)
     for pattern in enumerate_patterns(tree, quorum_s, cap=200, seed=1):
         c = engine.worker_weights(tree, B, pattern.positions(tree, quorum_s), quorum_s)
         assert np.max(np.abs(weights.point_weights(c) - 1.0)) <= 1e-9
@@ -226,12 +226,21 @@ def test_sgd_point_weights_are_the_survivors_indicator():
     N, S, d = 6, 2, 18
     tree, quorum_s, coded_s = scheme_tree("sgd", N, S)
     B = build_encoding(N, coded_s, 0)
-    weights = point_weight_map(cr_allocate(tree, coded_s, d, B=B))
+    weights = cr_allocate(tree, coded_s, d, B=B)
     pattern = StragglerPattern({MASTER: frozenset({NodeId(1, 2), NodeId(1, 5)})})
     c = engine.worker_weights(tree, B, pattern.positions(tree, quorum_s), quorum_s)
     expected = np.ones(d)
     expected[3:6] = expected[12:15] = 0.0  # workers 1.2 and 1.5 hold 3 points each
     assert np.array_equal(weights.point_weights(c), expected)
+
+
+@pytest.mark.parametrize("n, L, s", [(3, 2, 1), (2, 3, 0), (4, 5, 1)])
+def test_worker_weights_has_one_entry_per_worker(n, L, s):
+    tree = build_tree(n, L)
+    B = build_encoding(n, s, 0)
+    straggling = np.zeros((tree.num_parents, n), dtype=bool)
+    c = engine.worker_weights(tree, B, straggling, s)
+    assert len(c) == tree.num_workers
 
 
 def test_each_survivor_set_is_decoded_once_per_round(monkeypatch):
