@@ -12,6 +12,12 @@ The FCFS port admits a closed form used by the vectorized Monte Carlo path:
 with sorted ready times r_(0) <= r_(1) <= ..., the k-th service (0-based)
 ends at ``max_{j<=k}(r_(j) - j*t_c) + (k+1)*t_c``.  The event-driven path
 replays the same queue explicitly and doubles as a cross-check.
+
+All trials of a seed come from one ``PCG64(cfg.seed)`` stream: trial t is
+row t of a (trials x N) block of uniform doubles, inverted to the shifted
+exponential.  Each double takes exactly one 64-bit word, so any run of
+consecutive trials is reached with one ``advance`` and drawn with one call,
+and both paths see the same draws whatever the batch.
 """
 
 from __future__ import annotations
@@ -21,7 +27,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from math import log
-from typing import NamedTuple
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -105,9 +111,24 @@ def _port_finish_times(ready: np.ndarray, t_c: float) -> np.ndarray:
     return np.maximum.accumulate(ready - k * t_c, axis=-1) + (k + 1) * t_c
 
 
+def _draw_block(cfg: LatencyConfig, loads: np.ndarray, trials: Sequence[int]) -> np.ndarray:
+    """Compute times of consecutive trials, one row per trial: rows
+    trials[0], trials[0] + 1, ... of the seed's (trials x N) uniform block,
+    each u inverted to ``a*load - (load/mu)*log1p(-u)``.  Raises ValueError
+    unless `trials` are consecutive indices >= 0."""
+    count = len(trials)
+    first = int(trials[0]) if count else 0
+    if first < 0 or list(trials) != list(range(first, first + count)):
+        raise ValueError(f"trials must be consecutive indices >= 0, got {trials!r}")
+    bits = np.random.PCG64(cfg.seed)
+    bits.advance(first * loads.size)  # Generator.random takes one word per double
+    u = np.random.Generator(bits).random((count, loads.size))
+    return cfg.a * loads - (loads / cfg.mu) * np.log1p(-u)
+
+
 def _draw_times(cfg: LatencyConfig, loads: np.ndarray, trial: int) -> np.ndarray:
-    rng = np.random.default_rng(cfg.seed + trial)
-    return cfg.a * loads + rng.exponential(loads / cfg.mu)
+    """Trial `trial`'s compute times: the one-row case of `_draw_block`."""
+    return _draw_block(cfg, loads, [trial])[0]
 
 
 def scheme_tree(scheme: str, topo, resilience: int) -> tuple[RegularTree, int, int]:
@@ -172,11 +193,11 @@ def _cr_completions(tree: RegularTree, s: int, t_c: float, T: np.ndarray) -> np.
 
 
 def _batch_completions(
-    scheme: str, topo, cfg: LatencyConfig, resilience: int, trials: range
+    scheme: str, topo, cfg: LatencyConfig, resilience: int, trials: Sequence[int]
 ) -> np.ndarray:
+    """Completion times of consecutive trials, drawn as one block."""
     tree, quorum_s, coded_s = scheme_tree(scheme, topo, resilience)
-    loads = _loads(tree, coded_s, cfg)
-    T = np.stack([_draw_times(cfg, loads, t) for t in trials])
+    T = _draw_block(cfg, _loads(tree, coded_s, cfg), trials)
     if scheme == "rar":
         return T.max(axis=1) + _ring_time(tree.n, cfg.t_c)
     return _cr_completions(tree, quorum_s, cfg.t_c, T)
@@ -225,8 +246,9 @@ def simulate_iteration(
     named ``1.i`` and the master ``0.1``.  `resilience` is the per-parent (or
     total) straggler tolerance where the scheme has one.  Stragglers are
     slow, never absent: parents simply stop listening once their quorum is
-    in.  Trial `t` draws from a generator seeded with ``cfg.seed + t``, so
-    outcomes are reproducible and trials are independent.
+    in.  Trial `t` takes row t of the seed's draw block, the same draws as
+    trial t of `mc_expected_latency`, so outcomes are reproducible and
+    trials are independent.
     """
     tree, quorum_s, coded_s = scheme_tree(scheme, topo, resilience)
     times = _draw_times(cfg, _loads(tree, coded_s, cfg), trial).tolist()
@@ -270,7 +292,9 @@ def mc_expected_latency(
     chunk: int = 256,
 ) -> tuple[float, float]:
     """Monte Carlo mean completion time and normal-approximation 95% half-width
-    over `trials` independent rounds (trial t seeded with cfg.seed + t)."""
+    over `trials` independent rounds, trials 0..trials-1 of the seed's
+    stream.  Each `chunk` of trials is one block draw; the result does not
+    depend on `chunk`."""
     if trials < 1:
         raise ValueError("need at least one trial")
     samples = np.concatenate(

@@ -5,6 +5,7 @@ from codedreduce.allocation import r_cr
 from codedreduce.latency import (
     LatencyConfig,
     _batch_completions,
+    _draw_block,
     _draw_times,
     cr_bounds,
     events_to_csv,
@@ -61,8 +62,11 @@ def test_flat_tree_without_comm_is_order_statistic():
     cfg = LatencyConfig(a=0.3, mu=1.5, t_c=0.0, d=16.0, seed=77)
     outcome = simulate_iteration("cr", tree, cfg, s, trial=4)
     load = float(r_cr(n, 1, s)) * cfg.d
-    rng = np.random.default_rng(cfg.seed + 4)
-    T = cfg.a * load + rng.exponential(np.full(n, load) / cfg.mu)
+    # trial 4 is the 5th row of n uniforms on the seed's one PCG64 stream
+    bits = np.random.PCG64(77)
+    bits.advance(4 * n)
+    u = np.random.Generator(bits).random(n)
+    T = cfg.a * load - (load / cfg.mu) * np.log1p(-u)
     assert outcome.completion_time == sorted(T)[n - s - 1]
 
 
@@ -88,6 +92,47 @@ def test_single_trial_matches_batch_path():
         np.testing.assert_allclose(
             singles, _batch_completions(scheme, 12, cfg, resil, range(40)), rtol=1e-12
         )
+
+
+def test_single_trial_is_its_row_of_the_block():
+    cfg = LatencyConfig(a=0.2, mu=3.0, t_c=0.0, d=60.0, seed=9)
+    loads = np.full(13, 4.0)
+    a, b = 37, 90
+    block = _draw_block(cfg, loads, range(a, b))
+    assert block.shape == (b - a, 13)
+    for t in range(a, b):
+        assert np.array_equal(_draw_times(cfg, loads, t), block[t - a])
+
+
+@pytest.mark.parametrize(
+    "scheme, topo, resilience",
+    [("cr", build_tree(3, 2), 1), ("gc", 12, 3), ("sgd", 12, 3), ("rar", 12, 0)],
+)
+def test_mc_result_does_not_depend_on_chunk(scheme, topo, resilience):
+    cfg = LatencyConfig(a=0.1, mu=2.0, t_c=0.5, d=36.0, seed=12)
+    trials = 600
+    results = {
+        chunk: mc_expected_latency(scheme, topo, cfg, resilience, trials=trials, chunk=chunk)
+        for chunk in (1, 7, 256, trials)
+    }
+    assert len(set(results.values())) == 1, results
+
+
+def test_neighbouring_seeds_share_no_round_time():
+    cfgs = [LatencyConfig(a=0.1, mu=2.0, t_c=0.5, d=36.0, seed=s) for s in (101, 102)]
+    runs = [_batch_completions("gc", 12, cfg, 3, range(1000)) for cfg in cfgs]
+    assert np.intersect1d(*runs).size == 0
+
+
+def test_batch_accepts_only_consecutive_trials():
+    cfg = LatencyConfig(a=0.1, mu=2.0, t_c=0.5, d=36.0, seed=4)
+    np.testing.assert_array_equal(
+        _batch_completions("gc", 12, cfg, 3, [5, 6, 7]),
+        _batch_completions("gc", 12, cfg, 3, range(5, 8)),
+    )
+    for trials in ([0, 2], [3, 2], [4, 4], [-1, 0], range(0, 6, 2)):
+        with pytest.raises(ValueError, match="consecutive"):
+            _batch_completions("gc", 12, cfg, 3, trials)
 
 
 def test_event_log_causality_and_port_exclusivity():
