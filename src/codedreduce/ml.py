@@ -247,10 +247,11 @@ def gd_run(
         assignment = cr_allocate(tree, coded_s, d, B=B)
         X, y, residual = dataset.features, dataset.labels, _RESIDUALS[config.loss]
         def aggregate(theta):
-            # quorum_s stragglers under every parent: the lowest ranks of one
-            # uniform row per layer-major parent, a uniform quorum_s-subset each
-            u = rng.random((tree.num_parents, tree.n))
-            straggling = u.argsort(axis=1).argsort(axis=1) < quorum_s
+            # quorum_s stragglers under every parent, drawn in layer order
+            straggling = np.zeros((tree.num_parents, tree.n), dtype=bool)
+            if quorum_s:
+                for lagging in straggling:
+                    lagging[rng.choice(tree.n, size=quorum_s, replace=False)] = True
             c = engine.worker_weights(tree, B, straggling, quorum_s)
             return X.T @ (assignment.point_weights(c) * residual(X, y, theta))
 

@@ -207,15 +207,14 @@ def test_gd_config_rejects_missing_topology(kwargs, missing):
 
 
 def _draw_tree_pattern(tree, s, rng):
-    """s stragglers under every parent: one uniform row per parent in layer
-    order, whose s smallest entries straggle; nothing when s = 0."""
+    """s stragglers under every parent, drawn in layer order; nothing when s = 0."""
     if not s:
         return StragglerPattern({})
-    u = rng.random((tree.num_parents, tree.n))
     mapping = {}
-    for parent, row in zip(tree.parents(), u):
+    for parent in tree.parents():
         kids = tree.children(parent)
-        mapping[parent] = frozenset(kids[int(j)] for j in np.argsort(row)[:s])
+        picks = rng.choice(tree.n, size=s, replace=False)
+        mapping[parent] = frozenset(kids[int(j)] for j in picks)
     return StragglerPattern(mapping)
 
 
