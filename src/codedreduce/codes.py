@@ -69,6 +69,9 @@ class EncodingMatrix:
     n: int
     s: int
     entries: np.ndarray = field(repr=False)
+    # Combining rows by survivor set, filled by the engine for the life of
+    # this code; not part of equality, repr or the pickled state.
+    _decode_cache: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not 0 <= self.s < self.n:
@@ -82,6 +85,9 @@ class EncodingMatrix:
             if np.any(entries[i, outside] != 0.0):
                 raise ValueError(f"row {i} has entries outside its cyclic support")
         object.__setattr__(self, "entries", entries)
+
+    def __getstate__(self) -> dict:
+        return {**self.__dict__, "_decode_cache": {}}
 
     @property
     def k(self) -> int:

@@ -76,7 +76,7 @@ class ExperimentConfig:
 
 def load_config(path, seed=None, trials=None, out=None) -> ExperimentConfig:
     """Parse an INI experiment file; `seed`, `trials`, `out` override it."""
-    parser = configparser.ConfigParser()
+    parser = configparser.ConfigParser(inline_comment_prefixes=(";",))
     read = parser.read(path)
     if not read:
         raise FileNotFoundError(f"config file {path} not found or unreadable")

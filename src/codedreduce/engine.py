@@ -8,10 +8,12 @@ A round is linear: each parent combines its surviving children with a fixed
 row (a coded parent's row a solves a @ B_F = 1), so the master's output is
 sum_v c_v * g_v over the workers' local gradients g_v, each c_v the product
 of the rows on v's path to the master.  `worker_weights` is the coefficient
-pass that gives c from integer straggler positions; `cr_execute` evaluates
-the sum through a gradient oracle, and `ml.gd_run` turns c into per-point
-weights (`Assignment.point_weights`) and takes the whole round as one
-reweighted full gradient.
+pass that gives c from integer straggler positions; the rows are cached on
+the code, so each survivor set is decoded once per code, not once per round,
+and an ill-conditioned set warns once.  `cr_execute` evaluates the sum
+through a gradient oracle, and `ml.gd_run` turns c into per-point weights
+(`Assignment.point_weights`) and takes the whole round as one reweighted
+full gradient.
 GC, UMW and SGD are rounds on the depth-1 tree (N, 1): GC with the code of
 s = S, UMW uncoded, SGD uncoded with a quorum of N - S.
 """
@@ -50,13 +52,19 @@ class UnrecoverableError(RuntimeError):
         )
 
 
-def _combining_row(B: EncodingMatrix, survivors: Sequence[int]) -> np.ndarray:
+def _combining_row(B: EncodingMatrix, survivors: tuple[int, ...]) -> np.ndarray:
     """A parent's weights for its n children, given the child positions it
-    combines (ascending): a coded B's decode row, or 1/B_ii for an uncoded
-    (diagonal) B, which sums what the parent hears."""
-    if B.s:
-        return decode_row(B, survivors).coefficients
-    return 1.0 / np.diag(B.entries)
+    combines (an ascending tuple): a coded B's decode row, or 1/B_ii for an
+    uncoded (diagonal) B, which sums what the parent hears.  Rows are cached
+    on B, so each survivor set is decoded once per code; a cached row is
+    read-only."""
+    key = survivors if B.s else ()  # an uncoded row is the same for every set
+    row = B._decode_cache.get(key)
+    if row is None:
+        row = decode_row(B, survivors).coefficients if B.s else 1.0 / np.diag(B.entries)
+        row.setflags(write=False)
+        B._decode_cache[key] = row
+    return row
 
 
 def worker_weights(
@@ -72,21 +80,18 @@ def worker_weights(
     parent combines its first n - resilience surviving children with its
     combining row, so c_master = 1 and c_child = c_parent * row[position].
     A worker no parent combines, or one below it, weighs 0.  Each distinct
-    survivor set is decoded once.
+    survivor set is decoded once per code, not once per round.
     """
     n, need = tree.n, tree.n - resilience
     weight = [0.0] * (1 + tree.num_workers)  # layer-major, master at 0
     weight[0] = 1.0
-    rows: dict[tuple[int, ...], list[float]] = {}
     for k, lagging in enumerate(straggling.tolist()):  # a parent's weight is final
         c = weight[k]
         if not c:
             continue
         # surplus survivors: keep the lowest child indices
         survivors = tuple(j for j, lag in enumerate(lagging) if not lag)[:need]
-        row = rows.get(survivors)
-        if row is None:
-            row = rows[survivors] = _combining_row(B, survivors).tolist()
+        row = _combining_row(B, survivors)
         for j in survivors:
             weight[k * n + 1 + j] = c * row[j]
     return np.array(weight[1:])
@@ -117,8 +122,9 @@ def cr_execute(
         raise ValueError(f"need 0 <= resilience < n, got n={tree.n}, resilience={resilience}")
     straggling = pattern.positions(tree, resilience)
     weight = worker_weights(tree, B, straggling, resilience)
+    nodes = tree.layer_major_nodes()
     return sum(
-        weight[v] * oracle(theta, assignment.local[tree.node_at(v + 1)])
+        weight[v] * oracle(theta, assignment.local[nodes[v + 1]])
         for v in np.flatnonzero(weight).tolist()
     )
 

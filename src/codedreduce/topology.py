@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import lru_cache
 from math import comb
 from typing import Iterator, Mapping
 
@@ -105,13 +106,17 @@ class RegularTree:
         """Nodes with children: the master plus layers 1..L-1."""
         return self.layer_offset(self.L)
 
+    def layer_major_nodes(self) -> tuple[NodeId, ...]:
+        """Every node in layer-major order, the master at 0; one cached
+        table per (n, L)."""
+        return _layer_major_nodes(self.n, self.L)
+
     def node_at(self, position: int) -> NodeId:
         """The node at a layer-major position (the master is 0)."""
-        layer = 0
-        while position >= self.n**layer:
-            position -= self.n**layer
-            layer += 1
-        return NodeId(layer, position + 1)
+        nodes = self.layer_major_nodes()
+        if not 0 <= position < len(nodes):
+            raise ValueError(f"position {position} outside [0, {len(nodes)})")
+        return nodes[position]
 
     def layer_nodes(self, layer: int) -> tuple[NodeId, ...]:
         return tuple(NodeId(layer, i) for i in range(1, self.layer_size(layer) + 1))
@@ -146,16 +151,17 @@ class StragglerPattern:
         marks the straggling child positions of the layer-major parent k.
         Raises ValueError for a node outside the tree, a straggler that is
         not its parent's child, or more than `s` stragglers under a parent."""
-        n = tree.n
-        out = np.zeros((tree.num_parents, n), dtype=bool)
+        n, L = tree.n, tree.L
+        offsets = _layer_offsets(n, L)
+        flat = [False] * (offsets[L] * n)
         for parent, kids in self.stragglers.items():
-            tree._check(parent)
-            first = n * (parent.index - 1) + 1  # index of the parent's first child
+            layer, index = parent.layer, parent.index
+            if not (0 <= layer <= L and 1 <= index <= offsets[layer + 1] - offsets[layer]):
+                tree._check(parent)
+            first = n * (index - 1) + 1  # index of the parent's first child
             bad = [
                 k for k in kids
-                if parent.layer == tree.L
-                or k.layer != parent.layer + 1
-                or not 0 <= k.index - first < n
+                if layer == L or k.layer != layer + 1 or not 0 <= k.index - first < n
             ]
             if bad:
                 raise ValueError(f"{sorted(bad, key=str)} are not children of {parent}")
@@ -163,9 +169,23 @@ class StragglerPattern:
                 raise ValueError(
                     f"parent {parent} has {len(kids)} stragglers, tolerance is {s}"
                 )
-            row = tree.layer_offset(parent.layer) + parent.index - 1
-            out[row, [k.index - first for k in kids]] = True
-        return out
+            base = (offsets[layer] + index - 1) * n - first  # + child index = flat slot
+            for k in kids:
+                flat[base + k.index] = True
+        return np.array(flat, dtype=bool).reshape(offsets[L], n)
+
+
+@lru_cache(maxsize=None)
+def _layer_offsets(n: int, L: int) -> tuple[int, ...]:
+    """`layer_offset` of layers 0..L+1 of the (n, L) tree; the last entry is
+    the node count."""
+    tree = RegularTree(n, L)
+    return tuple(tree.layer_offset(layer) for layer in range(L + 2))
+
+
+@lru_cache(maxsize=None)
+def _layer_major_nodes(n: int, L: int) -> tuple[NodeId, ...]:
+    return (MASTER, *RegularTree(n, L).workers())
 
 
 def build_tree(n: int, L: int) -> RegularTree:

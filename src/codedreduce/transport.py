@@ -290,7 +290,7 @@ def run_node(
                 _write_report(run_path, report)
                 os._exit(4)
             order = sorted(got)  # child-position order, as in the engine
-            positions = [tree.child_position(NodeId(node.layer + 1, idx)) for idx in order]
+            positions = tuple(tree.child_position(NodeId(node.layer + 1, idx)) for idx in order)
             row = _combining_row(B, positions)
             combined = sum(row[pos] * got[idx] for pos, idx in zip(positions, order))
             if is_master:

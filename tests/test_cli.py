@@ -1,6 +1,7 @@
 import csv
 import io
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
@@ -174,3 +175,15 @@ def test_transport_demo_round_trip(tmp_path):
     cfg = load_config(path)
     assert cmd_transport_demo(cfg, out=buf) == 0
     assert "PASS" in buf.getvalue()
+
+
+def test_readme_config_example_loads(tmp_path):
+    """The INI block under "Config schema (INI)" in README.md loads as printed."""
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    section = readme.split("### Config schema (INI)", 1)[1]
+    example = section.split("```ini\n", 1)[1].split("```", 1)[0]
+    path = tmp_path / "example.ini"
+    path.write_text(example)
+    cfg = load_config(path)
+    assert (cfg.n, cfg.L, cfg.s, cfg.d, cfg.trials) == (3, 2, 1, 300, 1000)
+    assert validate_config(cfg) == []

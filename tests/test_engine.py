@@ -1,3 +1,8 @@
+import dataclasses
+import itertools
+import pickle
+from math import comb
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,7 +10,7 @@ from hypothesis import strategies as st
 
 from codedreduce import engine
 from codedreduce.allocation import WeightedSlice, cr_allocate, granularity
-from codedreduce.codes import EncodingMatrix, build_encoding
+from codedreduce.codes import EncodingMatrix, build_encoding, decode_row
 from codedreduce.latency import scheme_tree
 from codedreduce.ml import generate_synthetic, linear_grad, make_oracle
 from codedreduce.topology import (
@@ -268,6 +273,72 @@ def test_each_survivor_set_is_decoded_once_per_round(monkeypatch):
     np.testing.assert_allclose(got, np.ones(d), atol=1e-9)
     # combining: 0.1, 1.1, 1.2, 2.2, 2.3, 2.4, 2.5
     assert sorted(calls) == [(0, 1), (0, 2), (1, 2)]
+
+
+def _count_decodes(monkeypatch):
+    """Record every (code, survivor set) the engine decodes."""
+    calls = []
+    real = engine.decode_row
+
+    def counting(B, survivors):
+        calls.append((B, tuple(survivors)))
+        return real(B, survivors)
+
+    monkeypatch.setattr(engine, "decode_row", counting)
+    return calls
+
+
+def test_each_survivor_set_is_decoded_once_per_code(monkeypatch):
+    calls = _count_decodes(monkeypatch)
+    tree = build_tree(3, 3)
+    B = build_encoding(3, 1, seed=0)
+    patterns = enumerate_patterns(tree, 1, cap=1000, seed=1)
+    assert len(patterns) == 1000
+    for pattern in patterns:
+        engine.worker_weights(tree, B, pattern.positions(tree, 1), 1)
+    survivor_sets = [F for _, F in calls]
+    assert len(survivor_sets) <= comb(3, 2)
+    assert len(set(survivor_sets)) == len(survivor_sets)
+
+
+def test_codes_with_different_seeds_share_no_rows(monkeypatch):
+    calls = _count_decodes(monkeypatch)
+    tree = build_tree(3, 2)
+    first, second = build_encoding(3, 1, seed=0), build_encoding(3, 1, seed=5)
+    assert not np.array_equal(first.entries, second.entries)
+    straggling = StragglerPattern({MASTER: frozenset({NodeId(1, 2)})}).positions(tree, 1)
+    for B in (first, second, first, second):
+        engine.worker_weights(tree, B, straggling, 1)
+    # the master combines children 0 and 2, every other parent 0 and 1
+    assert [(B is first, F) for B, F in calls] == [
+        (True, (0, 2)), (True, (0, 1)), (False, (0, 2)), (False, (0, 1))
+    ]
+    rows = [engine._combining_row(B, (0, 2)) for B in (first, second)]
+    assert not np.array_equal(rows[0], rows[1])
+
+
+def test_cached_row_is_the_decode_row_and_read_only():
+    B = build_encoding(4, 2, seed=3)
+    for F in itertools.combinations(range(4), 2):
+        row = engine._combining_row(B, F)
+        assert row.tobytes() == decode_row(B, F).coefficients.tobytes()
+        assert engine._combining_row(B, F) is row
+        with pytest.raises(ValueError):
+            row[F[0]] = 0.0
+
+
+def test_decode_cache_leaves_equality_repr_and_pickle_alone():
+    B = build_encoding(3, 1, seed=0)
+    before = repr(B)
+    engine._combining_row(B, (0, 1))
+    assert repr(B) == before == "EncodingMatrix(n=3, s=1)"
+    assert [f.name for f in dataclasses.fields(B) if f.compare] == ["n", "s", "entries"]
+    fresh = EncodingMatrix(3, 1, B.entries)  # same entries, empty cache
+    assert fresh == B
+    clone = pickle.loads(pickle.dumps(B))
+    assert (clone.n, clone.s) == (B.n, B.s)
+    assert clone.entries.tobytes() == B.entries.tobytes()
+    assert clone._decode_cache == {}  # rows stay with the process that decoded them
 
 
 def test_gc_reference_combination(reference_b):

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from codedreduce.topology import (
     MASTER,
@@ -135,3 +137,65 @@ def test_pattern_positions_reject_like_validate(parent, kids, message):
     with pytest.raises(ValueError) as err:
         pattern.positions(build_tree(3, 2), 1)
     assert str(err.value) == message
+
+
+def _reference_positions(pattern, tree, s):
+    """`positions` as a per-parent loop over the tree's own checks.  An empty
+    entry for a leaf used to index past the last parent row (IndexError);
+    it marks nothing."""
+    n = tree.n
+    out = np.zeros((tree.num_parents, n), dtype=bool)
+    for parent, kids in pattern.stragglers.items():
+        tree._check(parent)
+        first = n * (parent.index - 1) + 1
+        bad = [
+            k for k in kids
+            if parent.layer == tree.L
+            or k.layer != parent.layer + 1
+            or not 0 <= k.index - first < n
+        ]
+        if bad:
+            raise ValueError(f"{sorted(bad, key=str)} are not children of {parent}")
+        if len(kids) > s:
+            raise ValueError(f"parent {parent} has {len(kids)} stragglers, tolerance is {s}")
+        if kids:  # a leaf may map to no stragglers; it has no row to mark
+            row = tree.layer_offset(parent.layer) + parent.index - 1
+            out[row, [k.index - first for k in kids]] = True
+    return out
+
+
+@st.composite
+def _patterns(draw):
+    """A tree with n <= 4 and L <= 3, a tolerance and a mapping of parents to
+    some of their children, sometimes with a node outside the tree or a
+    straggler that is not the parent's child."""
+    n, L = draw(st.integers(1, 4)), draw(st.integers(1, 3))
+    tree = build_tree(n, L)
+    nodes = [MASTER, *tree.workers()]
+    outside = [NodeId(-1, 1), NodeId(0, 2), NodeId(1, 0), NodeId(1, n + 1), NodeId(L + 1, 1)]
+    rarely = st.integers(0, 5).map(lambda x: x == 0)  # one draw in six
+    mapping = {}
+    for _ in range(draw(st.integers(0, 4))):
+        parent = draw(st.sampled_from(outside if draw(rarely) else nodes))
+        kids = tree.children(parent) if tree.contains(parent) else ()
+        chosen = draw(st.lists(st.sampled_from(kids), unique=True)) if kids else []
+        if draw(rarely):
+            chosen.append(draw(st.sampled_from(nodes + outside)))
+        mapping[parent] = frozenset(chosen)
+    return tree, StragglerPattern(mapping), draw(st.integers(0, n))
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(case=_patterns())
+def test_pattern_positions_match_the_per_parent_loop(case):
+    tree, pattern, s = case
+    try:
+        expected = _reference_positions(pattern, tree, s)
+    except ValueError as err:
+        with pytest.raises(ValueError) as got:
+            pattern.positions(tree, s)
+        assert str(got.value) == str(err)
+    else:
+        got = pattern.positions(tree, s)
+        assert got.dtype == bool
+        assert np.array_equal(got, expected)
