@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import configparser
 from dataclasses import dataclass
+from math import isfinite
 from pathlib import Path
 
 from .allocation import granularity, r_cr
@@ -166,6 +167,6 @@ def validate_config(cfg: ExperimentConfig, builds_tree: bool = False) -> list[st
         problems.append("gd needs step_size or both c1 and c2")
     if cfg.loss not in ("linear", "logistic"):
         problems.append(f"loss must be linear or logistic, got {cfg.loss!r}")
-    if cfg.deadline <= 0:
-        problems.append(f"transport deadline must be positive, got {cfg.deadline}")
+    if not (isfinite(cfg.deadline) and cfg.deadline > 0):
+        problems.append(f"transport deadline must be finite and positive, got {cfg.deadline}")
     return problems

@@ -8,10 +8,12 @@ occupies it for exactly t_c, waiting children are served in readiness order
 Internal nodes may receive while still computing; sending upward requires
 both their own compute and the quorum.
 
-The FCFS port admits a closed form used by the vectorized Monte Carlo path:
-with sorted ready times r_(0) <= r_(1) <= ..., the k-th service (0-based)
-ends at ``max_{j<=k}(r_(j) - j*t_c) + (k+1)*t_c``.  The event-driven path
-replays the same queue explicitly and doubles as a cross-check.
+The FCFS port admits a closed form: with sorted ready times
+r_(0) <= r_(1) <= ..., the k-th service (0-based) ends at
+``max_{j<=k}(r_(j) - j*t_c) + (k+1)*t_c``.  It is the only port model.
+Monte Carlo runs it on blocks of trials; the event-driven path runs it on a
+one-trial block and reads each message's send/recv interval off the finish
+times, so its completion equals the batched one bit for bit.
 
 All trials of a seed come from one ``PCG64(cfg.seed)`` stream: trial t is
 row t of a (trials x N) block of uniform doubles, inverted to the shifted
@@ -26,7 +28,7 @@ import csv
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from math import log
+from math import isfinite, log
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -62,14 +64,14 @@ class LatencyConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.a < 0:
-            raise ValueError(f"shift coefficient must be >= 0, got {self.a}")
-        if self.mu <= 0:
-            raise ValueError(f"exponential rate scale must be > 0, got {self.mu}")
-        if self.t_c < 0:
-            raise ValueError(f"message cost must be >= 0, got {self.t_c}")
-        if self.d <= 0:
-            raise ValueError(f"dataset size must be > 0, got {self.d}")
+        if not (isfinite(self.a) and self.a >= 0):
+            raise ValueError(f"shift coefficient must be finite and >= 0, got {self.a}")
+        if not (isfinite(self.mu) and self.mu > 0):
+            raise ValueError(f"exponential rate scale must be finite and > 0, got {self.mu}")
+        if not (isfinite(self.t_c) and self.t_c >= 0):
+            raise ValueError(f"message cost must be finite and >= 0, got {self.t_c}")
+        if not (isfinite(self.d) and self.d > 0):
+            raise ValueError(f"dataset size must be finite and > 0, got {self.d}")
 
 
 class SimEvent(NamedTuple):
@@ -126,11 +128,6 @@ def _draw_block(cfg: LatencyConfig, loads: np.ndarray, trials: Sequence[int]) ->
     return cfg.a * loads - (loads / cfg.mu) * np.log1p(-u)
 
 
-def _draw_times(cfg: LatencyConfig, loads: np.ndarray, trial: int) -> np.ndarray:
-    """Trial `trial`'s compute times: the one-row case of `_draw_block`."""
-    return _draw_block(cfg, loads, [trial])[0]
-
-
 def scheme_tree(scheme: str, topo, resilience: int) -> tuple[RegularTree, int, int]:
     """(tree, quorum tolerance, coded tolerance) of a scheme: the one place
     that decides what a scheme is.
@@ -173,9 +170,15 @@ def _layout(n: int, L: int) -> tuple[tuple[int, ...], tuple[tuple[str, ...], ...
     return offsets, names
 
 
-def _cr_completions(tree: RegularTree, s: int, t_c: float, T: np.ndarray) -> np.ndarray:
-    """Completion times for a batch of trials; T has shape (trials, N) in
-    layer-major worker order."""
+def _port_layers(tree: RegularTree, s: int, t_c: float, T: np.ndarray):
+    """Every FCFS port of a batch of trials, one tree layer at a time,
+    deepest first.  T has shape (trials, N) in layer-major worker order.
+
+    Yields each layer's child ready times, unsorted, shaped (trials, parents,
+    n), and the finish times of the n - s messages each port serves before
+    closing, shaped (trials, parents, n - s).  The finish times are a prefix
+    of the full queue's, so serving only the quorum changes no bit.
+    """
     n, L = tree.n, tree.L
     need = n - s
     trials = T.shape[0]
@@ -183,13 +186,11 @@ def _cr_completions(tree: RegularTree, s: int, t_c: float, T: np.ndarray) -> np.
     ready = T[:, offsets[L - 1] : offsets[L]]  # leaves
     for layer in range(L, 0, -1):
         groups = ready.reshape(trials, n ** (layer - 1), n)
-        finish = _port_finish_times(np.sort(groups, axis=-1), t_c)
-        recv_done = finish[..., need - 1]
-        if layer == 1:
-            return recv_done[:, 0]
-        own = T[:, offsets[layer - 2] : offsets[layer - 1]]
-        ready = np.maximum(own, recv_done)
-    raise AssertionError("unreachable")
+        finish = _port_finish_times(np.sort(groups, axis=-1)[..., :need], t_c)
+        yield groups, finish
+        if layer > 1:
+            own = T[:, offsets[layer - 2] : offsets[layer - 1]]
+            ready = np.maximum(own, finish[..., -1])
 
 
 def _batch_completions(
@@ -200,36 +201,8 @@ def _batch_completions(
     T = _draw_block(cfg, _loads(tree, coded_s, cfg), trials)
     if scheme == "rar":
         return T.max(axis=1) + _ring_time(tree.n, cfg.t_c)
-    return _cr_completions(tree, quorum_s, cfg.t_c, T)
-
-
-def _replay_ports(
-    tree: RegularTree, need: int, t_c: float, times: list[float], events: list[SimEvent]
-) -> float:
-    """Event replay of every FCFS port, deepest layer first, over layer-major
-    worker indices; logs send/recv pairs and returns the time the master's
-    `need`-th message finishes."""
-    n, L = tree.n, tree.L
-    offsets, names = _layout(n, L)
-    ready = times[offsets[L - 1] :]  # leaves
-    for layer in range(L, 0, -1):
-        kids = names[layer]
-        recv_done = []
-        for g, parent in enumerate(names[layer - 1]):
-            port_free = 0.0
-            # stable sort: ties are served in child-index order; the port
-            # closes after the quorum, so later messages are never sent
-            for c in sorted(range(g * n, g * n + n), key=ready.__getitem__)[:need]:
-                start = max(port_free, ready[c])
-                port_free = start + t_c
-                events.append(SimEvent(kids[c], "send", start, port_free))
-                events.append(SimEvent(parent, "recv", start, port_free))
-            recv_done.append(port_free)
-        if layer == 1:
-            return recv_done[0]
-        own = times[offsets[layer - 2] : offsets[layer - 1]]
-        ready = [max(o, r) for o, r in zip(own, recv_done)]
-    raise AssertionError("unreachable")
+    *_, (_, master) = _port_layers(tree, quorum_s, cfg.t_c, T)
+    return master[:, 0, -1]
 
 
 def simulate_iteration(
@@ -248,10 +221,13 @@ def simulate_iteration(
     slow, never absent: parents simply stop listening once their quorum is
     in.  Trial `t` takes row t of the seed's draw block, the same draws as
     trial t of `mc_expected_latency`, so outcomes are reproducible and
-    trials are independent.
+    trials are independent.  Each port serves its children in readiness
+    order, ties by child index, and message k occupies it over
+    [f_k - t_c, f_k] for the port's k-th finish time f_k.
     """
     tree, quorum_s, coded_s = scheme_tree(scheme, topo, resilience)
-    times = _draw_times(cfg, _loads(tree, coded_s, cfg), trial).tolist()
+    T = _draw_block(cfg, _loads(tree, coded_s, cfg), [trial])
+    times = T[0].tolist()
     _, names = _layout(tree.n, tree.L)
     workers = (name for layer in names[1:] for name in layer)
     events = [SimEvent(name, "compute", 0.0, t) for name, t in zip(workers, times)]
@@ -259,9 +235,18 @@ def simulate_iteration(
         barrier = max(times)
         completion = barrier + _ring_time(tree.n, cfg.t_c)
         events.append(SimEvent("ring", "allreduce", barrier, completion))
-    else:
-        completion = _replay_ports(tree, tree.n - quorum_s, cfg.t_c, times, events)
-    return SimOutcome(completion, tuple(events))
+        return SimOutcome(completion, tuple(events))
+    n, need = tree.n, tree.n - quorum_s
+    layers = zip(range(tree.L, 0, -1), _port_layers(tree, quorum_s, cfg.t_c, T))
+    for layer, (groups, finish) in layers:
+        kids, parents = names[layer], names[layer - 1]
+        served = np.argsort(groups[0], axis=-1, kind="stable")[:, :need].tolist()
+        for g, (order, ends) in enumerate(zip(served, finish[0].tolist())):
+            for c, end in zip(order, ends):
+                start = end - cfg.t_c
+                events.append(SimEvent(kids[g * n + c], "send", start, end))
+                events.append(SimEvent(parents[g], "recv", start, end))
+    return SimOutcome(float(finish[0, 0, -1]), tuple(events))
 
 
 def cr_bounds(cfg: LatencyConfig, n: int, L: int, s: int) -> tuple[float, float]:

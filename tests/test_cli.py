@@ -80,11 +80,35 @@ def test_validate_reports_first_violation(tmp_path):
         # both commands build the tree even when cr is not scheduled
         ("verify", "d", 24, "granularity", "umw"),
         ("transport-demo", "d", 24, "granularity", "umw"),
+        # NaN passes every ordered comparison, so each bound must say finite
+        pytest.param(
+            "latency", "t_c", float("nan"), "message cost", "cr", id="latency-t_c-nan"
+        ),
+        pytest.param(
+            "transport-demo",
+            "deadline",
+            float("nan"),
+            "deadline",
+            "cr",
+            id="transport-demo-deadline-nan",
+        ),
     ],
 )
-def test_commands_refuse_invalid_config(tmp_path, command, field, value, headline, schemes):
+def test_commands_refuse_invalid_config(
+    tmp_path, monkeypatch, command, field, value, headline, schemes
+):
     cfg = replace(load_config(write_config(tmp_path, schemes=schemes)), **{field: value})
-    handler = {"verify": cmd_verify, "transport-demo": cli.cmd_transport_demo, "train": cmd_train}
+    handler = {
+        "verify": cmd_verify,
+        "transport-demo": cli.cmd_transport_demo,
+        "train": cmd_train,
+        "latency": cmd_latency,
+    }
+
+    def no_processes(*_args, **_kwargs):
+        raise AssertionError("an invalid config reached orchestrate")
+
+    monkeypatch.setattr(cli, "orchestrate", no_processes)
     buf = io.StringIO()
     assert handler[command](cfg, out=buf) == 1
     assert buf.getvalue().startswith("INVALID:") and headline in buf.getvalue()

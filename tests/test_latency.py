@@ -1,20 +1,27 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from codedreduce.allocation import r_cr
 from codedreduce.latency import (
     LatencyConfig,
+    SimEvent,
     _batch_completions,
     _draw_block,
-    _draw_times,
+    _layout,
+    _loads,
     cr_bounds,
     events_to_csv,
     expected_order_stat,
     harmonic,
     mc_expected_latency,
+    scheme_tree,
     simulate_iteration,
 )
-from codedreduce.topology import build_tree
+from codedreduce.topology import RegularTree, build_tree
 
 
 def test_config_validation():
@@ -24,23 +31,28 @@ def test_config_validation():
         LatencyConfig(a=0, mu=0, t_c=0, d=1)
     with pytest.raises(ValueError):
         LatencyConfig(a=0, mu=1, t_c=-0.1, d=1)
+    good = dict(a=0.1, mu=1.0, t_c=0.5, d=1.0)
+    for name in good:
+        for bad in (float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="finite"):
+                LatencyConfig(**{**good, name: bad})
 
 
 def test_sample_mean_unit_exponential():
     cfg = LatencyConfig(a=0.0, mu=1.0, t_c=0.0, d=1.0, seed=0)
-    draws = _draw_times(cfg, np.full(200_000, 1.0), trial=0)
+    draws = _draw_block(cfg, np.full(200_000, 1.0), [0])[0]
     assert np.mean(draws) == pytest.approx(1.0, rel=0.01)
 
 
 def test_sample_support_includes_shift():
     cfg = LatencyConfig(a=2.0, mu=1.0, t_c=0.0, d=5.0, seed=1)
-    draws = _draw_times(cfg, np.full(2_000, 5.0), trial=0)
+    draws = _draw_block(cfg, np.full(2_000, 5.0), [0])[0]
     assert min(draws) >= 10.0
 
 
 def test_sample_mean_formula():
     cfg = LatencyConfig(a=0.5, mu=2.0, t_c=0.0, d=100.0, seed=2)
-    draws = _draw_times(cfg, np.full(200_000, 100.0), trial=0)
+    draws = _draw_block(cfg, np.full(200_000, 100.0), [0])[0]
     assert np.mean(draws) == pytest.approx(100 * 0.5 + 100 / 2, rel=0.01)
 
 
@@ -77,8 +89,8 @@ def test_pure_queueing_sequential_receives():
 
 
 def test_single_trial_matches_batch_path():
-    # The event replay and the vectorized scan use algebraically identical
-    # formulas; rounding may differ by an ulp where t_c mixes into the maxima.
+    # The event path runs the batched port pass on a one-trial block; the
+    # bit-exact check is test_event_completion_is_the_batched_value_bit_for_bit.
     cfg = LatencyConfig(a=0.1, mu=2.0, t_c=0.5, d=30.0, seed=42)
     tree = build_tree(3, 2)
     singles = [simulate_iteration("cr", tree, cfg, 1, trial=t).completion_time for t in range(40)]
@@ -94,6 +106,94 @@ def test_single_trial_matches_batch_path():
         )
 
 
+def test_event_completion_is_the_batched_value_bit_for_bit():
+    cfg = LatencyConfig(a=0.1, mu=2.0, t_c=0.5, d=30.0, seed=42)
+    cases = [
+        ("cr", build_tree(3, 2), 1),
+        ("gc", 12, 3),
+        ("umw", 12, 0),
+        ("sgd", 12, 3),
+        ("rar", 12, 0),
+    ]
+    for scheme, topo, resil in cases:
+        for t in range(60):
+            outcome = simulate_iteration(scheme, topo, cfg, resil, trial=t)
+            batched = _batch_completions(scheme, topo, cfg, resil, [t])[0]
+            assert outcome.completion_time == batched, (scheme, t)
+            assert type(outcome.completion_time) is float
+            assert all(type(x) is float for ev in outcome.events for x in ev[2:])
+
+
+def _replay_ports(
+    tree: RegularTree, need: int, t_c: float, times: list[float], events: list[SimEvent]
+) -> float:
+    """Event replay of every FCFS port, deepest layer first, over layer-major
+    worker indices; logs send/recv pairs and returns the time the master's
+    `need`-th message finishes."""
+    n, L = tree.n, tree.L
+    offsets, names = _layout(n, L)
+    ready = times[offsets[L - 1] :]  # leaves
+    for layer in range(L, 0, -1):
+        kids = names[layer]
+        recv_done = []
+        for g, parent in enumerate(names[layer - 1]):
+            port_free = 0.0
+            # stable sort: ties are served in child-index order; the port
+            # closes after the quorum, so later messages are never sent
+            for c in sorted(range(g * n, g * n + n), key=ready.__getitem__)[:need]:
+                start = max(port_free, ready[c])
+                port_free = start + t_c
+                events.append(SimEvent(kids[c], "send", start, port_free))
+                events.append(SimEvent(parent, "recv", start, port_free))
+            recv_done.append(port_free)
+        if layer == 1:
+            return recv_done[0]
+        own = times[offsets[layer - 2] : offsets[layer - 1]]
+        ready = [max(o, r) for o, r in zip(own, recv_done)]
+    raise AssertionError("unreachable")
+
+
+@st.composite
+def _port_cases(draw):
+    """A CR tree (n <= 5, L <= 3) or a flat GC/UMW/SGD group (N <= 16), a
+    message cost, and either random compute or a deterministic one whose
+    ready times tie."""
+    if draw(st.booleans()):
+        n = draw(st.integers(1, 5))
+        topo, resil = build_tree(n, draw(st.integers(1, 3))), draw(st.integers(0, n - 1))
+        scheme = "cr"
+    else:
+        scheme, N = draw(st.sampled_from(["gc", "umw", "sgd"])), draw(st.integers(1, 16))
+        topo, resil = N, 0 if scheme == "umw" else draw(st.integers(0, N - 1))
+    mu = 1e300 if draw(st.booleans()) else draw(st.sampled_from([0.5, 2.0, 20.0]))
+    cfg = LatencyConfig(
+        a=draw(st.sampled_from([0.05, 0.3])),
+        mu=mu,
+        t_c=draw(st.sampled_from([0.0, 0.5, 1.0])),
+        d=60.0,
+        seed=draw(st.integers(0, 2**32 - 1)),
+    )
+    return scheme, topo, resil, cfg, draw(st.integers(0, 1000))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(case=_port_cases())
+def test_events_match_the_reference_port_replay(case):
+    scheme, topo, resil, cfg, trial = case
+    tree, quorum_s, coded_s = scheme_tree(scheme, topo, resil)
+    times = _draw_block(cfg, _loads(tree, coded_s, cfg), [trial])[0].tolist()
+    _, names = _layout(tree.n, tree.L)
+    workers = [name for layer in names[1:] for name in layer]
+    expected = [SimEvent(name, "compute", 0.0, t) for name, t in zip(workers, times)]
+    completion = _replay_ports(tree, tree.n - quorum_s, cfg.t_c, times, expected)
+    outcome = simulate_iteration(scheme, topo, cfg, resil, trial=trial)
+    assert [ev[:2] for ev in outcome.events] == [ev[:2] for ev in expected]
+    for got, want in zip(outcome.events, expected):
+        assert math.isclose(got.t_start, want.t_start, rel_tol=1e-12), (got, want)
+        assert math.isclose(got.t_end, want.t_end, rel_tol=1e-12), (got, want)
+    assert math.isclose(outcome.completion_time, completion, rel_tol=1e-12)
+
+
 def test_single_trial_is_its_row_of_the_block():
     cfg = LatencyConfig(a=0.2, mu=3.0, t_c=0.0, d=60.0, seed=9)
     loads = np.full(13, 4.0)
@@ -101,7 +201,7 @@ def test_single_trial_is_its_row_of_the_block():
     block = _draw_block(cfg, loads, range(a, b))
     assert block.shape == (b - a, 13)
     for t in range(a, b):
-        assert np.array_equal(_draw_times(cfg, loads, t), block[t - a])
+        assert np.array_equal(_draw_block(cfg, loads, [t])[0], block[t - a])
 
 
 @pytest.mark.parametrize(
