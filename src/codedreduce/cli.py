@@ -19,7 +19,7 @@ import sys
 import numpy as np
 
 from . import engine
-from .allocation import cr_allocate, r_cr
+from .allocation import cr_allocate, slice_count
 from .codes import CodeConstructionError, build_encoding
 from .config import ExperimentConfig, load_config, validate_config
 from .latency import cr_bounds, mc_expected_latency
@@ -150,11 +150,8 @@ def cmd_verify(cfg: ExperimentConfig, out=None) -> int:
     )
     print(f"PASS: {validity}", file=out)
 
-    load = r_cr(cfg.n, cfg.L, cfg.s) * d
-    equal = all(
-        sum(sl.count for sl in assignment.local[node]) == load
-        for node in tree.workers()
-    )
+    load = assignment.points_per_node
+    equal = all(slice_count(assignment.local[node]) == load for node in tree.workers())
     print(f"{'PASS' if equal else 'FAIL'}: equal per-node load of {load} points", file=out)
     return 1 if bad or not equal else 0
 

@@ -89,11 +89,6 @@ class EncodingMatrix:
     def __getstate__(self) -> dict:
         return {**self.__dict__, "_decode_cache": {}}
 
-    @property
-    def k(self) -> int:
-        """Partition count; fixed equal to n so the cyclic support is canonical."""
-        return self.n
-
     def row_support(self, i: int) -> tuple[int, ...]:
         return _support(i, self.s, self.n)
 

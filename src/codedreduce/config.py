@@ -19,7 +19,7 @@ from math import isfinite
 from pathlib import Path
 
 from .allocation import granularity, r_cr
-from .latency import LatencyConfig, SCHEMES
+from .latency import LatencyConfig
 from .ml import GDConfig
 
 __all__ = ["ExperimentConfig", "load_config", "validate_config"]
@@ -128,15 +128,14 @@ def validate_config(cfg: ExperimentConfig, builds_tree: bool = False) -> list[st
     caller builds the tree whatever the schemes (`builds_tree`), as
     `verify` and `transport-demo` do."""
     problems: list[str] = []
-    for scheme in cfg.schemes:
-        if scheme not in SCHEMES:
-            problems.append(f"unknown scheme {scheme!r}; valid: {', '.join(SCHEMES)}")
     if cfg.data_kind not in ("synthetic", "csv"):
         problems.append(f"data kind must be synthetic or csv, got {cfg.data_kind!r}")
     if cfg.data_kind == "csv" and not cfg.csv_path:
         problems.append("data kind csv requires data.path")
     if cfg.data_kind == "synthetic" and cfg.p < 1:
         problems.append(f"synthetic data needs p >= 1 features, got {cfg.p}")
+    if cfg.data_kind == "synthetic" and not (isfinite(cfg.noise) and cfg.noise >= 0):
+        problems.append(f"synthetic data needs a finite noise >= 0, got {cfg.noise}")
     if cfg.d < 1:
         problems.append(f"dataset size must be >= 1, got {cfg.d}")
     if builds_tree or "cr" in cfg.schemes:
@@ -159,14 +158,13 @@ def validate_config(cfg: ExperimentConfig, builds_tree: bool = False) -> list[st
             problems.append(f"d={cfg.d} is not divisible by the {cfg.N} workers")
     if cfg.trials < 1:
         problems.append(f"trials must be >= 1, got {cfg.trials}")
-    try:
-        cfg.latency_config()
-    except ValueError as err:
-        problems.append(str(err))
-    if cfg.step_size is None and (cfg.c1 is None or cfg.c2 is None):
-        problems.append("gd needs step_size or both c1 and c2")
-    if cfg.loss not in ("linear", "logistic"):
-        problems.append(f"loss must be linear or logistic, got {cfg.loss!r}")
+    # GDConfig and LatencyConfig own the scheme, GD and timing rules
+    for scheme in cfg.schemes:
+        try:
+            cfg.gd_config(scheme)
+        except ValueError as err:
+            if str(err) not in problems:
+                problems.append(str(err))
     if not (isfinite(cfg.deadline) and cfg.deadline > 0):
         problems.append(f"transport deadline must be finite and positive, got {cfg.deadline}")
     return problems

@@ -4,18 +4,21 @@ Samples follow the convention that the label is the (p+1)-th coordinate of
 each row.  Both losses have a per-point residual r(theta), X theta - y for
 linear and sigmoid(X theta) - y for logistic loss, so the gradient over
 points weighted by w is X'(w * r(theta)).  `gd_run` takes the round of
-every tree scheme (CR, GC, UMW, SGD) in that form: the engine's coefficient
-pass gives each worker's weight, `Assignment.point_weights` turns those
-into w, and the round is one pass over the data whatever the tree.
-The per-slice oracles `linear_grad` and `logistic_grad` serve RAR, the
-transport and `engine.cr_execute`: they take weighted index slices, are
-additive over disjoint slices and homogeneous in the weights.
+every scheme in that form: the engine's coefficient pass gives each
+worker's weight, `Assignment.point_weights` turns those into w, and the
+round is one pass over the data whatever the tree.  RAR's ring sums all N
+partial gradients, which is UMW's round, so it runs UMW's round on its own
+clock.  The per-slice oracles `linear_grad` and `logistic_grad` serve the
+transport, `engine.cr_execute` and `engine.rar_execute`: they take weighted
+index slices, are additive over disjoint slices and homogeneous in the
+weights.
 """
 
 from __future__ import annotations
 
 import csv
 from dataclasses import dataclass, field
+from math import isfinite
 from typing import Callable, Sequence
 
 import numpy as np
@@ -189,8 +192,14 @@ class GDConfig:
             raise ValueError("need at least one iteration")
         if self.step_size is None and (self.c1 is None or self.c2 is None):
             raise ValueError("set step_size or the (c1, c2) schedule")
-        if self.step_size is not None and self.step_size <= 0:
-            raise ValueError("step size must be positive")
+        if self.step_size is not None and not (isfinite(self.step_size) and self.step_size > 0):
+            raise ValueError(f"step size must be finite and positive, got {self.step_size}")
+        for name in ("c1", "c2", "lam"):
+            value = getattr(self, name)
+            if value is not None and not isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
+        if self.loss not in _RESIDUALS:
+            raise ValueError(f"loss must be {' or '.join(_RESIDUALS)}, got {self.loss!r}")
 
     def step(self, t: int) -> float:
         if self.step_size is not None:
@@ -223,38 +232,23 @@ def gd_run(
     aggregation scheme under a freshly drawn straggler pattern.
 
     Full-gradient schemes give identical trajectories regardless of the
-    pattern; the partial-aggregation scheme intentionally diverges.  A tree
-    scheme's round is one reweighted full gradient X'(w * r(theta)), its
-    point weights w read from the coefficient pass; RAR runs its ring over
-    the per-slice oracle.  When a timing model is configured, per-iteration
-    completion times accumulate into the trace's simulated clock.
+    pattern; the partial-aggregation scheme intentionally diverges.  Every
+    scheme's round is one reweighted full gradient X'(w * r(theta)) on the
+    tree `scheme_tree` gives it, its point weights w read from the
+    coefficient pass; RAR's is UMW's round.  When a timing model is
+    configured, per-iteration completion times, RAR's by its ring,
+    accumulate into the trace's simulated clock.
     """
     scheme = config.scheme
-    d = dataset.d
-    oracle = make_oracle(config.loss, dataset)
     rng = np.random.default_rng(config.seed)
     if scheme == "cr":
         topo, resilience = build_tree(config.n, config.L), config.s
     else:
         topo, resilience = config.N, config.S
     tree, quorum_s, coded_s = scheme_tree(scheme, topo, resilience)
-
-    if scheme == "rar":
-        def aggregate(theta):
-            return engine.rar_execute(tree.n, oracle, theta, d)[0]
-    else:  # one tree round: CR, and GC, UMW and SGD on the depth-1 tree (N, 1)
-        B = build_encoding(tree.n, coded_s, config.seed)
-        assignment = cr_allocate(tree, coded_s, d, B=B)
-        X, y, residual = dataset.features, dataset.labels, _RESIDUALS[config.loss]
-        def aggregate(theta):
-            # quorum_s stragglers under every parent, drawn in layer order
-            straggling = np.zeros((tree.num_parents, tree.n), dtype=bool)
-            if quorum_s:
-                for lagging in straggling:
-                    lagging[rng.choice(tree.n, size=quorum_s, replace=False)] = True
-            c = engine.worker_weights(tree, B, straggling, quorum_s)
-            return X.T @ (assignment.point_weights(c) * residual(X, y, theta))
-
+    B = build_encoding(tree.n, coded_s, config.seed)
+    assignment = cr_allocate(tree, coded_s, dataset.d, B=B)
+    X, y, residual = dataset.features, dataset.labels, _RESIDUALS[config.loss]
     T = config.iterations
     clock = [0.0] * T
     if config.latency is not None:  # iteration t takes trial t's round time
@@ -263,7 +257,13 @@ def gd_run(
     theta = np.zeros(dataset.p)
     trace: list[TraceRow] = []
     for t in range(1, T + 1):
-        g = aggregate(theta)
+        # quorum_s stragglers under every parent, drawn in layer order
+        straggling = np.zeros((tree.num_parents, tree.n), dtype=bool)
+        if quorum_s:
+            for lagging in straggling:
+                lagging[rng.choice(tree.n, size=quorum_s, replace=False)] = True
+        c = engine.worker_weights(tree, B, straggling, quorum_s)
+        g = X.T @ (assignment.point_weights(c) * residual(X, y, theta))
         new_theta = theta - config.step(t) * (g + config.lam * theta)
         rer = _squared_ratio(new_theta - theta, theta)
         ner = (

@@ -111,13 +111,6 @@ class RegularTree:
         table per (n, L)."""
         return _layer_major_nodes(self.n, self.L)
 
-    def node_at(self, position: int) -> NodeId:
-        """The node at a layer-major position (the master is 0)."""
-        nodes = self.layer_major_nodes()
-        if not 0 <= position < len(nodes):
-            raise ValueError(f"position {position} outside [0, {len(nodes)})")
-        return nodes[position]
-
     def layer_nodes(self, layer: int) -> tuple[NodeId, ...]:
         return tuple(NodeId(layer, i) for i in range(1, self.layer_size(layer) + 1))
 
@@ -141,10 +134,6 @@ class StragglerPattern:
 
     def per_parent(self, parent: NodeId) -> frozenset[NodeId]:
         return self.stragglers.get(parent, frozenset())
-
-    def validate(self, tree: RegularTree, s: int) -> None:
-        """Raise ValueError where `positions` would."""
-        self.positions(tree, s)
 
     def positions(self, tree: RegularTree, s: int) -> np.ndarray:
         """The pattern as a (tree.num_parents, n) boolean array whose row k

@@ -1,3 +1,5 @@
+import multiprocessing.process
+
 import numpy as np
 import pytest
 
@@ -23,3 +25,15 @@ def identity_oracle_for(d: int):
         return out
 
     return oracle
+
+
+@pytest.fixture(autouse=True)
+def _no_process_outside_transport(request, monkeypatch):
+    """`-m "not transport"` starts no process: any test without the mark
+    fails the moment it starts one."""
+    if request.node.get_closest_marker("transport") is None:
+
+        def refuse(_self):
+            raise AssertionError("a test without the transport mark started a process")
+
+        monkeypatch.setattr(multiprocessing.process.BaseProcess, "start", refuse)

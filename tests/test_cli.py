@@ -92,6 +92,15 @@ def test_validate_reports_first_violation(tmp_path):
             "cr",
             id="transport-demo-deadline-nan",
         ),
+        # GD settings and noise that gd_run or generate_synthetic would refuse
+        pytest.param("train", "iterations", 0, "iteration", "cr", id="train-iterations-0"),
+        pytest.param("train", "step_size", -1.0, "step size", "cr", id="train-step_size--1"),
+        pytest.param(
+            "train", "step_size", float("nan"), "step size", "cr", id="train-step_size-nan"
+        ),
+        pytest.param("train", "c1", float("nan"), "c1", "cr", id="train-c1-nan"),
+        pytest.param("train", "lam", float("inf"), "lam", "cr", id="train-lam-inf"),
+        pytest.param("train", "noise", float("nan"), "noise", "cr", id="train-noise-nan"),
     ],
 )
 def test_commands_refuse_invalid_config(

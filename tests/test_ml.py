@@ -206,6 +206,21 @@ def test_gd_config_rejects_missing_topology(kwargs, missing):
         GDConfig(iterations=1, step_size=1e-3, **kwargs)
 
 
+@pytest.mark.parametrize(
+    "kwargs, problem",
+    [
+        (dict(loss="hinge"), "loss"),
+        # NaN passes every ordered comparison, so each bound must say finite
+        (dict(step_size=float("nan")), "step size"),
+        (dict(step_size=None, c1=float("nan"), c2=1.0), "c1"),
+        (dict(lam=float("inf")), "lam"),
+    ],
+)
+def test_gd_config_rejects_bad_gd_settings(kwargs, problem):
+    with pytest.raises(ValueError, match=problem):
+        GDConfig(**{**dict(scheme="umw", N=12, iterations=1, step_size=1e-3), **kwargs})
+
+
 def _draw_tree_pattern(tree, s, rng):
     """s stragglers under every parent, drawn in layer order; nothing when s = 0."""
     if not s:
@@ -243,7 +258,7 @@ def _reference_gd(dataset, config):
 
 @st.composite
 def _gd_cases(draw):
-    scheme = draw(st.sampled_from(["cr", "gc", "umw", "sgd"]))
+    scheme = draw(st.sampled_from(["cr", "gc", "umw", "rar", "sgd"]))
     if scheme == "cr":
         n = draw(st.integers(1, 4))
         L = draw(st.integers(1, 3))
@@ -285,8 +300,8 @@ def test_gd_run_matches_the_per_slice_round(case):
 
 @pytest.mark.parametrize("loss", ["linear", "logistic"])
 def test_tree_schemes_make_no_per_slice_oracle_call(monkeypatch, loss):
-    """A tree scheme's round is one reweighted full gradient; only RAR still
-    calls the per-slice oracle."""
+    """Every scheme's round, RAR's included, is one reweighted full gradient
+    with no per-slice oracle call."""
     calls = []
     for name in ("linear_grad", "logistic_grad"):
         real = getattr(ml, name)
@@ -299,4 +314,31 @@ def test_tree_schemes_make_no_per_slice_oracle_call(monkeypatch, loss):
     for scheme, topo in topologies.items():
         calls.clear()
         gd_run(dataset, GDConfig(scheme=scheme, iterations=3, step_size=1e-3, loss=loss, **topo))
-        assert (len(calls) > 0) == (scheme == "rar"), scheme
+        assert calls == [], scheme
+
+
+@pytest.mark.parametrize("loss", ["linear", "logistic"])
+def test_rar_runs_umws_round_on_its_own_clock(loss):
+    """A ring allreduce sums all N partial gradients, which is UMW's round:
+    RAR's theta, rer and ner are UMW's bit for bit, and its clock is the
+    ring's."""
+    dataset, theta_star = generate_synthetic(60, 4, seed=3)
+    if loss == "logistic":
+        pts = dataset.points.copy()
+        pts[:, -1] = pts[:, -1] > 0
+        dataset = Dataset(points=pts)
+    lat = LatencyConfig(a=0.05, mu=20.0, t_c=1.0, d=60.0, seed=2)
+    runs = {
+        scheme: gd_run(
+            dataset,
+            GDConfig(scheme=scheme, iterations=5, step_size=1e-2, loss=loss, N=12, S=3,
+                     seed=2, latency=lat),
+            theta_star,
+        )
+        for scheme in ("umw", "rar")
+    }
+    ring = np.cumsum(_batch_completions("rar", 12, lat, 3, range(1, 6)))
+    for rar, umw, clock in zip(runs["rar"], runs["umw"], ring, strict=True):
+        assert np.array_equal(rar.theta, umw.theta)
+        assert np.array_equal([rar.rer, rar.ner], [umw.rer, umw.ner], equal_nan=True)
+        assert rar.sim_time == clock != umw.sim_time

@@ -87,7 +87,7 @@ def test_sampled_patterns_include_extremes():
     for parent in tree.parents():
         assert len(maximal.per_parent(parent)) == 2
     for p in patterns:
-        p.validate(tree, s=2)
+        p.positions(tree, s=2)
     again = enumerate_patterns(tree, s=2, cap=100, seed=5)
     assert [p.stragglers for p in again] == [p.stragglers for p in patterns]
 
@@ -96,17 +96,17 @@ def test_pattern_validation_rejects_foreign_children():
     tree = build_tree(3, 2)
     bad = StragglerPattern({MASTER: frozenset({NodeId(2, 1)})})
     with pytest.raises(ValueError, match="not children"):
-        bad.validate(tree, s=1)
+        bad.positions(tree, s=1)
     too_many = StragglerPattern({MASTER: frozenset({NodeId(1, 1), NodeId(1, 2)})})
     with pytest.raises(ValueError, match="tolerance"):
-        too_many.validate(tree, s=1)
+        too_many.positions(tree, s=1)
 
 
 def test_layer_major_positions_round_trip():
     tree = build_tree(3, 3)
     nodes = [MASTER, *tree.workers()]
     for k, node in enumerate(nodes):
-        assert tree.node_at(k) == node
+        assert tree.layer_major_nodes()[k] == node
         assert tree.layer_offset(node.layer) + node.index - 1 == k
         for j, child in enumerate(tree.children(node)):
             assert nodes[k * tree.n + 1 + j] == child
