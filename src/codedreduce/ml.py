@@ -198,6 +198,9 @@ class GDConfig:
             value = getattr(self, name)
             if value is not None and not isfinite(value):
                 raise ValueError(f"{name} must be finite, got {value}")
+        if self.step_size is None and not (self.c1 > 0 and self.c2 > -1):
+            # t + c2 > 0 for every t >= 1, so each step c1/(t + c2) is positive
+            raise ValueError(f"schedule needs c1 > 0, c2 > -1; got c1={self.c1}, c2={self.c2}")
         if self.loss not in _RESIDUALS:
             raise ValueError(f"loss must be {' or '.join(_RESIDUALS)}, got {self.loss!r}")
 

@@ -9,13 +9,13 @@ Wire format (all integers little-endian):
     payload_len  u32      (number of doubles)
     payload      payload_len * 8 bytes, IEEE-754 doubles
 
-The orchestrator opens every parent's listener on a local port before any
-node starts and hands it to its owner; a child connects upward once, so a
-refused or reset connection means its parent is gone.  A parent sends the
-current model down each accepted connection, computes its own coded
-gradient, collects the first n-s gradient messages (later arrivals are
-drained and discarded), decodes on the realized survivor set with the
-engine's combine step, adds its local term, and sends the result to its
+The tree is fixed, so the orchestrator connects one localhost TCP pair per
+tree edge before any node starts and hands each node its parent end and its
+child ends; no node process opens a socket of its own.  A parent sends the
+current model down every child link as soon as it has it, computes its own
+coded gradient, collects the first n-s gradient messages (later arrivals
+are dropped with the links), combines them with the decode row of the
+realized survivor set, adds its local term, and sends the result to its
 own parent.  The master writes the recovered gradient to a CSV file.
 """
 
@@ -145,8 +145,9 @@ class TransportConfig:
 @dataclass(frozen=True)
 class FailurePlan:
     """never_start: the process is not launched at all; die_before_send: it
-    starts, completes the model handshake, then dies before computing;
-    kill_after: the orchestrator terminates it that many seconds in."""
+    starts, reads the model (its parent queues it on the link however late
+    the child starts), then dies before computing; kill_after: the
+    orchestrator terminates it that many seconds in."""
 
     never_start: frozenset = frozenset()
     die_before_send: frozenset = frozenset()
@@ -156,7 +157,9 @@ class FailurePlan:
 @dataclass
 class NodeReport:
     node: str
-    status: str  # ok | discarded | timeout | connect_failed | killed | error
+    # ok | discarded | timeout | connect_failed | killed | error, where
+    # connect_failed means the parent was gone before the model arrived
+    status: str
     received_from: list
     missing: list
     detail: str = ""
@@ -177,17 +180,18 @@ def _write_report(run_dir: Path, report: NodeReport) -> None:
 
 
 def _collect_gradients(
-    listener: socket.socket,
-    model_bytes: bytes,
+    down: tuple[socket.socket, ...],
+    kids: tuple[NodeId, ...],
     need: int,
     deadline_at: float,
 ) -> tuple[dict[int, np.ndarray], bool]:
-    """Accept child connections, push the model down each, and gather the
-    first `need` gradient payloads keyed by sender index (arrival order
-    wins).  Returns (payloads, timed_out)."""
+    """Gather the first `need` gradients from the child links, keyed by
+    position (arrival order wins), then close every link.  A link that
+    breaks, or whose gradient names a node other than its child in `kids`,
+    counts as that child failing.  Returns (payloads, timed_out)."""
     sel = selectors.DefaultSelector()
-    sel.register(listener, selectors.EVENT_READ, "accept")
-    conns: list[socket.socket] = []
+    for pos, conn in enumerate(down):
+        sel.register(conn, selectors.EVENT_READ, pos)
     got: dict[int, np.ndarray] = {}
     timed_out = False
     try:
@@ -197,27 +201,20 @@ def _collect_gradients(
                 timed_out = True
                 break
             for key, _ in sel.select(timeout=min(budget, 0.25)):
-                if key.data == "accept":
-                    conn, _addr = listener.accept()
-                    conn.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-                    conn.sendall(model_bytes)
-                    conns.append(conn)
-                    sel.register(conn, selectors.EVENT_READ, "child")
-                    continue
-                conn = key.fileobj
                 try:
-                    msg = read_message(conn)
-                except (ConnectionError, ValueError, OSError):
-                    sel.unregister(conn)
-                    conn.close()
-                    conns.remove(conn)
+                    msg = read_message(key.fileobj)
+                except (OSError, ValueError):
+                    msg = None
+                if msg is not None and msg.msg_type != MSG_GRADIENT:
                     continue
-                if msg.msg_type == MSG_GRADIENT and len(got) < need:
-                    got[msg.sender_index] = msg.payload
+                sel.unregister(key.fileobj)
+                sender = None if msg is None else NodeId(msg.sender_layer, msg.sender_index)
+                if sender == kids[key.data] and len(got) < need:
+                    got[key.data] = msg.payload
     finally:
         sel.close()
-        for conn in conns:
-            conn.close()  # late arrivals are dropped with the connection
+        for conn in down:
+            conn.close()  # late arrivals are dropped with the link
     return got, timed_out
 
 
@@ -226,40 +223,34 @@ def run_node(
     cfg: TransportConfig,
     shard: tuple,
     B: EncodingMatrix,
-    listener: socket.socket | None,
-    parent_port: int | None,
+    up: socket.socket | None,
+    down: tuple[socket.socket, ...],
     run_dir: str,
     out_path: str,
     die_before_send: bool = False,
 ) -> None:
     """Body of one node process; writes a JSON report before exiting.
 
-    A parent gets its already-open `listener`; every node but the master
-    connects once to `parent_port`.  The master (layer 0) only aggregates
-    and writes the recovered gradient to `out_path` as a one-line CSV
-    vector.  Exit codes: 0 ok/discarded, 3 planned death, 4 timeout,
-    5 connectivity failure.
+    `up` is the link to the parent (None at the master) and `down` the
+    links to the children in position order (empty at a leaf).  A worker
+    whose parent is gone before the model arrives reports connect_failed.
+    The master (layer 0) only aggregates and writes the recovered gradient
+    to `out_path` as a one-line CSV vector.  Exit codes: 0 ok/discarded,
+    3 planned death, 4 timeout, 5 connectivity failure.
     """
     run_path = Path(run_dir)
     tree, s = cfg.tree, cfg.s
     need = tree.n - s
     is_master = node == MASTER
-    is_leaf = not is_master and tree.is_leaf(node)
     report = NodeReport(node=str(node), status="error", received_from=[], missing=[])
-    parent_sock = None
     try:
         deadline_at = time.monotonic() + cfg.deadline
 
         if is_master:
             theta = np.asarray(cfg.theta, dtype=float)
         else:
-            # The parent's listener may exist before its owner has started,
-            # so the model read may wait out the whole deadline.
-            parent_sock = socket.create_connection(
-                ("127.0.0.1", parent_port), timeout=deadline_at - time.monotonic()
-            )
-            parent_sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-            model_msg = read_message(parent_sock)
+            up.settimeout(cfg.deadline)
+            model_msg = read_message(up)
             if model_msg.msg_type != MSG_MODEL:
                 raise ValueError(f"expected model broadcast, got type {model_msg.msg_type}")
             theta = model_msg.payload
@@ -270,17 +261,22 @@ def run_node(
             _write_report(run_path, report)
             os._exit(3)
 
+        model_bytes = encode_message(MSG_MODEL, node, theta)
+        for conn in down:
+            try:
+                conn.sendall(model_bytes)
+            except OSError:
+                pass  # that child is already gone; its link reads as failed
         oracle = cfg.oracle.build()
         local = None if is_master else oracle(theta, shard)
 
-        if is_leaf:
+        if not down:
             message = encode_message(MSG_GRADIENT, node, local)
         else:
-            model_bytes = encode_message(MSG_MODEL, node, theta)
             kids = tree.children(node)
-            got, timed_out = _collect_gradients(listener, model_bytes, need, deadline_at)
-            report.received_from = [f"{node.layer + 1}.{idx}" for idx in sorted(got)]
-            report.missing = [str(c) for c in kids if c.index not in got]
+            got, timed_out = _collect_gradients(down, kids, need, deadline_at)
+            report.received_from = [str(kids[pos]) for pos in sorted(got)]
+            report.missing = [str(kid) for pos, kid in enumerate(kids) if pos not in got]
             if timed_out:
                 report.status = "timeout"
                 report.detail = (
@@ -289,10 +285,9 @@ def run_node(
                 )
                 _write_report(run_path, report)
                 os._exit(4)
-            order = sorted(got)  # child-position order, as in the engine
-            positions = tuple(tree.child_position(NodeId(node.layer + 1, idx)) for idx in order)
+            positions = tuple(sorted(got))  # child-position order, as in the engine
             row = _combining_row(B, positions)
-            combined = sum(row[pos] * got[idx] for pos, idx in zip(positions, order))
+            combined = sum(row[pos] * got[pos] for pos in positions)
             if is_master:
                 Path(out_path).write_text(",".join(repr(float(v)) for v in combined) + "\n")
                 report.status = "ok"
@@ -301,32 +296,31 @@ def run_node(
             message = encode_message(MSG_GRADIENT, node, combined + local)
 
         try:
-            parent_sock.sendall(message)
+            up.sendall(message)
             report.status = "ok"
         except OSError as err:
-            # Parent reached quorum without us and closed the connection.
+            # Parent reached quorum without us and closed the link.
             report.status = "discarded"
             report.detail = f"upward send failed: {err}"
         _write_report(run_path, report)
-    except (ConnectionError, OSError, ValueError) as err:
+    except (OSError, ValueError) as err:
         report.status = "connect_failed"
         report.detail = str(err)
         _write_report(run_path, report)
         os._exit(5)
     finally:
-        if parent_sock is not None:
-            parent_sock.close()
-        if listener is not None:
-            listener.close()
+        for conn in filter(None, (up, *down)):
+            conn.close()
 
 
 def orchestrate(cfg: TransportConfig, run_dir, plan: FailurePlan = FailurePlan()):
-    """Open every parent's listener, spawn one process per node, apply the
+    """Connect every tree edge, spawn one process per node, apply the
     failure plan, and collect the master's output plus every node's report.
 
-    A parent's listener goes to its own process only; the listener of a
-    parent that never starts is closed before the join, so its children
-    are refused at once instead of waiting out the deadline."""
+    A node's link ends go to its own process only, and the orchestrator
+    closes its copies right after that start; the ends of a node that never
+    starts are closed before the join, so its parent's and children's reads
+    fail at once instead of waiting out the deadline."""
     run_path = Path(run_dir)
     run_path.mkdir(parents=True, exist_ok=True)
     for stale in run_path.glob("node_*.json"):
@@ -334,39 +328,40 @@ def orchestrate(cfg: TransportConfig, run_dir, plan: FailurePlan = FailurePlan()
     tree = cfg.tree
     B = build_encoding(tree.n, cfg.s, cfg.alloc_seed)
     assignment = cr_allocate(tree, cfg.s, cfg.oracle.d, B=B)
-    listeners = {
-        v: socket.create_server(("127.0.0.1", 0), backlog=tree.n + 2)
-        for v in tree.parents()
-    }
-    ports = {v: sock.getsockname()[1] for v, sock in listeners.items()}
     out_path = run_path / "master_gradient.csv"
     if out_path.exists():
         out_path.unlink()
 
     ctx = mp.get_context("spawn")
     procs = {}
+    ends, edges = [], {}  # every link end made; worker -> its parent link's ends
     try:
+        with socket.create_server(("127.0.0.1", 0)) as server:
+            for worker in tree.workers():
+                ends.append(socket.create_connection(server.getsockname()))
+                ends.append(server.accept()[0])
+                edges[worker] = (ends[-1], ends[-2])  # (parent end, child end)
+                for end in edges[worker]:
+                    end.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
         for node in [MASTER] + list(tree.workers()):
             if node in plan.never_start:
                 continue
-            if node == MASTER:
-                shard, parent_port = (), None
-            else:
-                shard, parent_port = assignment.local[node], ports[tree.parent(node)]
-            listener = listeners.get(node)
+            shard = assignment.local[node] if node != MASTER else ()
+            up = edges[node][1] if node != MASTER else None
+            down = tuple(edges[kid][0] for kid in tree.children(node))
             proc = ctx.Process(
                 target=run_node,
-                args=(node, cfg, shard, B, listener, parent_port, str(run_path), str(out_path)),
+                args=(node, cfg, shard, B, up, down, str(run_path), str(out_path)),
                 kwargs={"die_before_send": node in plan.die_before_send},
                 name=f"node-{node}",
             )
             proc.start()
             procs[node] = proc
-            if listener is not None:
-                listener.close()  # the spawned owner holds its own descriptor
+            for end in filter(None, (up, *down)):  # the node holds its own copies
+                end.close()
     finally:
-        for listener in listeners.values():  # and those of parents that never start
-            listener.close()
+        for end in ends:  # and those of nodes that never start
+            end.close()
 
     timers = []
     for node, delay in plan.kill_after.items():

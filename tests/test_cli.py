@@ -101,12 +101,22 @@ def test_validate_reports_first_violation(tmp_path):
         pytest.param("train", "c1", float("nan"), "c1", "cr", id="train-c1-nan"),
         pytest.param("train", "lam", float("inf"), "lam", "cr", id="train-lam-inf"),
         pytest.param("train", "noise", float("nan"), "noise", "cr", id="train-noise-nan"),
+        # a schedule whose first step c1/(1 + c2) divides by zero
+        pytest.param(
+            "train",
+            {"step_size": None, "c1": 1.0, "c2": -1.0},
+            None,
+            "c2 > -1",
+            "cr",
+            id="train-c2--1",
+        ),
     ],
 )
 def test_commands_refuse_invalid_config(
     tmp_path, monkeypatch, command, field, value, headline, schemes
 ):
-    cfg = replace(load_config(write_config(tmp_path, schemes=schemes)), **{field: value})
+    changes = field if isinstance(field, dict) else {field: value}
+    cfg = replace(load_config(write_config(tmp_path, schemes=schemes)), **changes)
     handler = {
         "verify": cmd_verify,
         "transport-demo": cli.cmd_transport_demo,

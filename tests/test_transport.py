@@ -1,9 +1,10 @@
+import socket
 import time
 
 import numpy as np
 import pytest
 
-from codedreduce import engine
+from codedreduce import engine, transport
 from codedreduce.allocation import cr_allocate
 from codedreduce.codes import build_encoding
 from codedreduce.ml import generate_synthetic, make_oracle
@@ -16,9 +17,11 @@ from codedreduce.transport import (
     FailurePlan,
     OracleSpec,
     TransportConfig,
+    _collect_gradients,
     decode_message,
     encode_message,
     orchestrate,
+    run_node,
 )
 
 from conftest import identity_oracle_for
@@ -142,3 +145,55 @@ def test_orphaned_subtree_does_not_hold_the_round(tmp_path):
         assert report.node_reports[orphan].status == "connect_failed"
     # the orphans learn at once that 1.1 is gone, so the round ends at quorum
     assert elapsed < cfg.deadline / 2
+
+
+@pytest.mark.parametrize("wrong_sender", [NodeId(2, 2), NodeId(9, 1)], ids=["sibling", "stranger"])
+def test_parent_keys_gradients_by_link_and_drops_a_mislabelled_one(wrong_sender):
+    kids = build_tree(3, 2).children(NodeId(1, 1))  # 2.1, 2.2, 2.3
+    pairs = [socket.socketpair() for _ in kids]
+    down = tuple(parent_end for parent_end, _ in pairs)
+    try:
+        senders = (wrong_sender, *kids[1:])
+        for pos, ((_, child_end), sender) in enumerate(zip(pairs, senders)):
+            child_end.sendall(encode_message(MSG_GRADIENT, sender, np.full(3, float(pos))))
+        got, timed_out = _collect_gradients(down, kids, 2, time.monotonic() + 5.0)
+    finally:
+        for pair in pairs:
+            for end in pair:
+                end.close()
+    assert not timed_out
+    assert sorted(got) == [1, 2]
+    for pos in got:
+        np.testing.assert_array_equal(got[pos], np.full(3, float(pos)))
+
+
+def _run_node_late(node, *args, **kwargs):
+    """run_node with node 1.1 starting 1.5 s late; spawned nodes import it
+    from this module by name."""
+    if node == NodeId(1, 1):
+        time.sleep(1.5)
+    run_node(node, *args, **kwargs)
+
+
+@pytest.mark.parametrize(
+    "plan, status, timed_out_parents",
+    [
+        (FailurePlan(die_before_send=frozenset({NodeId(1, 1)})), "killed", []),
+        (FailurePlan(never_start=frozenset({NodeId(2, 1), NodeId(2, 2)})), "timeout", ["1.1"]),
+    ],
+    ids=["die_before_send", "never_start"],
+)
+def test_a_late_child_still_gets_the_model(
+    tmp_path, monkeypatch, plan, status, timed_out_parents
+):
+    monkeypatch.setattr(transport, "run_node", _run_node_late)
+    tree = build_tree(3, 2)
+    spec = OracleSpec(kind="identity", d=15, p=15)
+    cfg = TransportConfig(tree=tree, s=1, oracle=spec, theta=np.zeros(15), deadline=5.0)
+    report = orchestrate(cfg, tmp_path / "run", plan)
+    assert report.ok, report.error
+    np.testing.assert_allclose(report.gradient, np.ones(15), atol=1e-9)
+    # the master reaches quorum on 1.2 and 1.3 long before 1.1 starts
+    assert report.node_reports["0.1"].received_from == ["1.2", "1.3"]
+    assert report.node_reports["1.1"].status == status
+    assert report.timed_out_parents == timed_out_parents
