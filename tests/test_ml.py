@@ -213,10 +213,10 @@ def test_gd_config_rejects_missing_topology(kwargs, missing):
         # NaN passes every ordered comparison, so each bound must say finite
         (dict(step_size=float("nan")), "step size"),
         (dict(step_size=None, c1=float("nan"), c2=1.0), "c1"),
+        (dict(lam=float("inf")), "lam"),
         # the schedule c1/(t + c2) must stay finite and positive for t >= 1
         pytest.param(dict(step_size=None, c1=1.0, c2=-1.0), "c2=-1.0", id="c2=-1.0"),
         pytest.param(dict(step_size=None, c1=-1.0, c2=1.0), "c1=-1.0", id="c1=-1.0"),
-        (dict(lam=float("inf")), "lam"),
     ],
 )
 def test_gd_config_rejects_bad_gd_settings(kwargs, problem):
