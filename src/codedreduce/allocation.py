@@ -176,17 +176,25 @@ class Assignment:
         below = self._view(slice(self._q0, None))
         return {MASTER: (WeightedSlice(0, self.d, 1.0),), **below}
 
-    def point_weights(self, c: np.ndarray) -> np.ndarray:
-        """The per-point weights w = sum_v c_v * W_v of the workers' local
-        sets W_v, for worker weights c in layer-major order: one bincount
-        over the (N, q0) block matrix, each block's weight repeated over its
-        k points."""
+    @property
+    def block_size(self) -> int:
+        """k, the points in each of the d0 blocks every cut falls between."""
+        return self._k
+
+    def block_weights(self, c: np.ndarray) -> np.ndarray:
+        """The per-block weights of w = sum_v c_v * W_v over the workers'
+        local sets W_v, for worker weights c in layer-major order: one
+        bincount over the (N, q0) block matrix, d0 entries."""
         blocks = np.concatenate([b[:, : self._q0] for b, _ in self._shares])
         weights = np.concatenate([w[:, : self._q0] for _, w in self._shares])
-        per_block = np.bincount(
+        return np.bincount(
             blocks.ravel(), weights=(c[:, None] * weights).ravel(), minlength=self.d // self._k
         )
-        return np.repeat(per_block, self._k)
+
+    def point_weights(self, c: np.ndarray) -> np.ndarray:
+        """The per-point weights w: each block's weight repeated over its k
+        points."""
+        return np.repeat(self.block_weights(c), self._k)
 
 
 def cr_allocate(

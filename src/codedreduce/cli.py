@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import csv
 import sys
+from dataclasses import replace
 
 import numpy as np
 
@@ -23,50 +24,69 @@ from .allocation import cr_allocate, slice_count
 from .codes import CodeConstructionError, build_encoding
 from .config import ExperimentConfig, load_config, validate_config
 from .latency import cr_bounds, mc_expected_latency
-from .ml import FULL_GRADIENT_SCHEMES, gd_run, generate_synthetic, load_dataset_csv, trace_to_csv
+from .ml import (
+    FULL_GRADIENT_SCHEMES,
+    Dataset,
+    gd_run,
+    generate_synthetic,
+    load_dataset_csv,
+    trace_to_csv,
+)
 from .topology import build_tree, enumerate_patterns
 from .transport import FailurePlan, OracleSpec, TransportConfig, orchestrate
 
 __all__ = ["main", "cmd_validate", "cmd_train", "cmd_latency", "cmd_verify", "cmd_transport_demo"]
 
 
-def _load_data(cfg: ExperimentConfig):
-    if cfg.data_kind == "csv":
-        dataset = load_dataset_csv(cfg.csv_path)
-        return dataset, None
-    dataset, theta_star = generate_synthetic(cfg.d, cfg.p, cfg.data_seed, cfg.noise)
-    return dataset, theta_star
+def _validated(
+    cfg: ExperimentConfig, out, builds_tree: bool = False
+) -> tuple[ExperimentConfig | None, Dataset | None]:
+    """The config with a CSV dataset's d and p read from its file, and that
+    dataset (None for synthetic data); the config is None once its problems
+    are printed, headline first."""
+    dataset, problems = None, []
+    if cfg.data_kind == "csv" and cfg.csv_path:
+        try:
+            dataset = load_dataset_csv(cfg.csv_path)
+        except (OSError, ValueError) as err:
+            problems = [f"cannot read a sample matrix from data.path {cfg.csv_path}: {err}"]
+        else:
+            cfg = replace(cfg, d=dataset.d, p=dataset.p)
+    problems = problems or validate_config(cfg, builds_tree)
+    if not problems:
+        return cfg, dataset
+    print(f"INVALID: {problems[0]}", file=out)
+    for extra in problems[1:]:
+        print(f"  also: {extra}", file=out)
+    return None, None
 
 
-def _report_problems(cfg: ExperimentConfig, out, builds_tree: bool = False) -> int:
-    """Print the config's problems, headline first; 1 if there are any."""
-    problems = validate_config(cfg, builds_tree)
-    if problems:
-        print(f"INVALID: {problems[0]}", file=out)
-        for extra in problems[1:]:
-            print(f"  also: {extra}", file=out)
-    return 1 if problems else 0
+def _accepted(cfg: ExperimentConfig, out) -> tuple[ExperimentConfig | None, Dataset | None]:
+    """`validate`'s check and report, for the commands that run it first."""
+    cfg, dataset = _validated(cfg, out)
+    if cfg is not None:
+        print(
+            f"OK: schemes={','.join(cfg.schemes)} d={cfg.d} "
+            f"tree=({cfg.n},{cfg.L},{cfg.s}) group=({cfg.N},{cfg.S})",
+            file=out,
+        )
+    return cfg, dataset
 
 
 def cmd_validate(cfg: ExperimentConfig, out=None) -> int:
     out = out if out is not None else sys.stdout
-    if _report_problems(cfg, out):
-        return 1
-    print(
-        f"OK: schemes={','.join(cfg.schemes)} d={cfg.d} "
-        f"tree=({cfg.n},{cfg.L},{cfg.s}) group=({cfg.N},{cfg.S})",
-        file=out,
-    )
-    return 0
+    return 0 if _accepted(cfg, out)[0] is not None else 1
 
 
 def cmd_train(cfg: ExperimentConfig, out=None) -> int:
     out = out if out is not None else sys.stdout
-    code = cmd_validate(cfg, out=out)
-    if code:
-        return code
+    cfg, dataset = _accepted(cfg, out)
+    if cfg is None:
+        return 1
     cfg.out.mkdir(parents=True, exist_ok=True)
-    dataset, theta_star = _load_data(cfg)
+    theta_star = None
+    if dataset is None:
+        dataset, theta_star = generate_synthetic(cfg.d, cfg.p, cfg.data_seed, cfg.noise)
     finals = {}
     for scheme in cfg.schemes:
         trace = gd_run(dataset, cfg.gd_config(scheme), theta_star)
@@ -88,9 +108,9 @@ def cmd_train(cfg: ExperimentConfig, out=None) -> int:
 
 def cmd_latency(cfg: ExperimentConfig, out=None) -> int:
     out = out if out is not None else sys.stdout
-    code = cmd_validate(cfg, out=out)
-    if code:
-        return code
+    cfg = _accepted(cfg, out)[0]
+    if cfg is None:
+        return 1
     cfg.out.mkdir(parents=True, exist_ok=True)
     lat = cfg.latency_config()
     rows = []
@@ -124,7 +144,8 @@ def cmd_verify(cfg: ExperimentConfig, out=None) -> int:
     whose every survivor set decodes, so code validity is reported from its
     construction."""
     out = out if out is not None else sys.stdout
-    if _report_problems(cfg, out, builds_tree=True):
+    cfg = _validated(cfg, out, builds_tree=True)[0]
+    if cfg is None:
         return 1
     validity = f"code validity for (n={cfg.n}, s={cfg.s}), all survivor sets"
     try:
@@ -160,7 +181,8 @@ def cmd_transport_demo(cfg: ExperimentConfig, out=None) -> int:
     """One real-process round killing one child per live parent, checked
     against the exact aggregate."""
     out = out if out is not None else sys.stdout
-    if _report_problems(cfg, out, builds_tree=True):
+    cfg = _validated(cfg, out, builds_tree=True)[0]
+    if cfg is None:
         return 1
     if cfg.s < 1:
         print("transport demo needs s >= 1 to have something to kill", file=out)

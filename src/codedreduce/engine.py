@@ -11,8 +11,8 @@ of the rows on v's path to the master.  `worker_weights` is the coefficient
 pass that gives c from integer straggler positions; the rows are cached on
 the code, so each survivor set is decoded once per code, not once per round,
 and an ill-conditioned set warns once.  `cr_execute` evaluates the sum
-through a gradient oracle, and `ml.gd_run` turns c into per-point weights
-(`Assignment.point_weights`) and takes the whole round as one reweighted
+through a gradient oracle, and `ml.gd_run` turns c into per-block weights
+(`Assignment.block_weights`) and takes the whole round as one reweighted
 full gradient.
 GC, UMW and SGD are rounds on the depth-1 tree (N, 1): GC with the code of
 s = S, UMW uncoded, SGD uncoded with a quorum of N - S.

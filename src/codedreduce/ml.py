@@ -5,8 +5,11 @@ each row.  Both losses have a per-point residual r(theta), X theta - y for
 linear and sigmoid(X theta) - y for logistic loss, so the gradient over
 points weighted by w is X'(w * r(theta)).  `gd_run` takes the round of
 every scheme in that form: the engine's coefficient pass gives each
-worker's weight, `Assignment.point_weights` turns those into w, and the
-round is one pass over the data whatever the tree.  RAR's ring sums all N
+worker's weight, and `Assignment.block_weights` turns those into one weight
+per granularity block of k points, which w repeats over the block.  For
+linear loss with p < k the round reads per-block Gram matrices
+[X_b y_b]'[X_b y_b], built once per run, instead of the data; otherwise it
+is one pass over the data, whatever the tree.  RAR's ring sums all N
 partial gradients, which is UMW's round, so it runs UMW's round on its own
 clock.  The per-slice oracles `linear_grad` and `logistic_grad` serve the
 transport, `engine.cr_execute` and `engine.rar_execute`: they take weighted
@@ -237,10 +240,14 @@ def gd_run(
     Full-gradient schemes give identical trajectories regardless of the
     pattern; the partial-aggregation scheme intentionally diverges.  Every
     scheme's round is one reweighted full gradient X'(w * r(theta)) on the
-    tree `scheme_tree` gives it, its point weights w read from the
-    coefficient pass; RAR's is UMW's round.  When a timing model is
-    configured, per-iteration completion times, RAR's by its ring,
-    accumulate into the trace's simulated clock.
+    tree `scheme_tree` gives it, its per-block weights read from the
+    coefficient pass; RAR's is UMW's round.  For linear loss with fewer
+    features than block points, the round is sum_b w_b (G_b theta - h_b)
+    over per-block Gram matrices G_b = X_b'X_b and h_b = X_b'y_b.  Each
+    iteration draws one uniform per child of every parent; the quorum_s
+    lowest of a parent's n straggle.  When a timing model is configured,
+    per-iteration completion times, RAR's by its ring, accumulate into the
+    trace's simulated clock.
     """
     scheme = config.scheme
     rng = np.random.default_rng(config.seed)
@@ -251,22 +258,37 @@ def gd_run(
     tree, quorum_s, coded_s = scheme_tree(scheme, topo, resilience)
     B = build_encoding(tree.n, coded_s, config.seed)
     assignment = cr_allocate(tree, coded_s, dataset.d, B=B)
-    X, y, residual = dataset.features, dataset.labels, _RESIDUALS[config.loss]
+    k, p = assignment.block_size, dataset.p
+    if config.loss == "linear" and p < k:
+        # [X_b y_b]'[X_b y_b] per block: a round reads d0 (p+1)^2 doubles,
+        # not the (d, p) feature matrix twice
+        blocks = dataset.points.reshape(-1, k, p + 1)
+        gram = np.matmul(blocks.transpose(0, 2, 1), blocks)
+
+        def gradient(w_b: np.ndarray, theta: np.ndarray) -> np.ndarray:
+            M = np.tensordot(w_b, gram, 1)
+            return M[:p, :p] @ theta - M[:p, p]
+
+    else:
+        X, y, residual = dataset.features, dataset.labels, _RESIDUALS[config.loss]
+
+        def gradient(w_b: np.ndarray, theta: np.ndarray) -> np.ndarray:
+            return X.T @ (np.repeat(w_b, k) * residual(X, y, theta))
+
     T = config.iterations
     clock = [0.0] * T
     if config.latency is not None:  # iteration t takes trial t's round time
         times = _batch_completions(scheme, topo, config.latency, resilience, range(1, T + 1))
         clock = np.cumsum(times).tolist()
-    theta = np.zeros(dataset.p)
+    theta = np.zeros(p)
     trace: list[TraceRow] = []
     for t in range(1, T + 1):
-        # quorum_s stragglers under every parent, drawn in layer order
         straggling = np.zeros((tree.num_parents, tree.n), dtype=bool)
-        if quorum_s:
-            for lagging in straggling:
-                lagging[rng.choice(tree.n, size=quorum_s, replace=False)] = True
+        if quorum_s:  # each parent's quorum_s lowest uniforms straggle
+            lowest = np.argpartition(rng.random(straggling.shape), quorum_s - 1, axis=1)
+            np.put_along_axis(straggling, lowest[:, :quorum_s], True, axis=1)
         c = engine.worker_weights(tree, B, straggling, quorum_s)
-        g = X.T @ (assignment.point_weights(c) * residual(X, y, theta))
+        g = gradient(assignment.block_weights(c), theta)
         new_theta = theta - config.step(t) * (g + config.lam * theta)
         rer = _squared_ratio(new_theta - theta, theta)
         ner = (

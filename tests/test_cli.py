@@ -9,6 +9,7 @@ from codedreduce import cli
 from codedreduce.cli import cmd_latency, cmd_train, cmd_validate, cmd_verify, main
 from codedreduce.codes import CodeConstructionError
 from codedreduce.config import load_config, validate_config
+from codedreduce.ml import gd_run, generate_synthetic, load_dataset_csv
 
 BASE_INI = """
 [experiment]
@@ -131,6 +132,56 @@ def test_commands_refuse_invalid_config(
     buf = io.StringIO()
     assert handler[command](cfg, out=buf) == 1
     assert buf.getvalue().startswith("INVALID:") and headline in buf.getvalue()
+
+
+def write_csv_config(tmp_path, rows, header=False, name="data.csv"):
+    """The base config on a CSV dataset of `rows` samples of 4 features and
+    a label, written to `name` unless `rows` is None (a missing file)."""
+    data = tmp_path / name
+    if rows is not None:
+        dataset, _ = generate_synthetic(rows, 4, seed=3)
+        lines = [",".join(repr(float(v)) for v in row) for row in dataset.points]
+        data.write_text("\n".join(["x1,x2,x3,x4,y"] * header + lines) + "\n")
+    ini = write_config(tmp_path).read_text().replace(
+        "kind = synthetic", f"kind = csv\npath = {data}"
+    )
+    path = tmp_path / "csv.ini"
+    path.write_text(ini)
+    return load_config(path)
+
+
+@pytest.mark.parametrize("command", ["validate", "train"])
+@pytest.mark.parametrize(
+    "rows, header, headline",
+    [
+        # the INI's d of 60 would pass; the file's 50 rows are not a multiple of 15
+        pytest.param(50, False, "d=50 is not a multiple of granularity 15", id="50-rows"),
+        pytest.param(None, False, "No such file", id="missing-file"),
+        pytest.param(60, True, "could not convert string to float", id="header-row"),
+    ],
+)
+def test_commands_check_the_csv_data(tmp_path, command, rows, header, headline):
+    cfg = write_csv_config(tmp_path, rows, header)
+    buf = io.StringIO()
+    assert {"validate": cmd_validate, "train": cmd_train}[command](cfg, out=buf) == 1
+    assert buf.getvalue().startswith("INVALID:") and headline in buf.getvalue()
+    assert not cfg.out.exists()
+
+
+def test_train_takes_d_from_the_csv(tmp_path):
+    """d, and with it the latency clock, comes from the file's 120 rows, not
+    from the INI's d = 60."""
+    cfg = write_csv_config(tmp_path, 120)
+    buf = io.StringIO()
+    assert cmd_train(cfg, out=buf) == 0
+    assert "d=120" in buf.getvalue()
+    dataset = load_dataset_csv(tmp_path / "data.csv")
+    for scheme in cfg.schemes:
+        gd_cfg = replace(cfg, d=120).gd_config(scheme)
+        assert gd_cfg.latency.d == 120.0
+        with open(cfg.out / f"train_{scheme}.csv") as fh:
+            clock = [float(row["wall_sim_time"]) for row in csv.DictReader(fh)]
+        assert clock == [row.sim_time for row in gd_run(dataset, gd_cfg)]
 
 
 def test_validate_checks_the_tree_only_for_cr(tmp_path):

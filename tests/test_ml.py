@@ -225,14 +225,15 @@ def test_gd_config_rejects_bad_gd_settings(kwargs, problem):
 
 
 def _draw_tree_pattern(tree, s, rng):
-    """s stragglers under every parent, drawn in layer order; nothing when s = 0."""
+    """s stragglers under every parent: one uniform per child of each
+    parent, in layer order, and a parent's s lowest straggle; nothing when
+    s = 0."""
     if not s:
         return StragglerPattern({})
     mapping = {}
-    for parent in tree.parents():
+    for parent, row in zip(tree.parents(), rng.random((tree.num_parents, tree.n))):
         kids = tree.children(parent)
-        picks = rng.choice(tree.n, size=s, replace=False)
-        mapping[parent] = frozenset(kids[int(j)] for j in picks)
+        mapping[parent] = frozenset(kids[int(j)] for j in np.argsort(row)[:s])
     return StragglerPattern(mapping)
 
 
@@ -299,6 +300,73 @@ def test_gd_run_matches_the_per_slice_round(case):
     for row, (theta, clock) in zip(trace, reference, strict=True):
         assert np.max(np.abs(row.theta - theta)) <= 1e-12 * np.max(np.abs(theta))
         assert row.sim_time == clock
+
+
+@pytest.mark.parametrize("scheme, topo, d", [
+    ("cr", dict(n=3, L=2, s=1), 150),  # d0 = 15 blocks of k = 10 points
+    ("gc", dict(N=4, S=1), 40),  # d0 = 4 blocks of k = 10 points
+])
+@pytest.mark.parametrize("p, gram", [(3, True), (12, False)])
+def test_both_linear_rounds_match_the_per_slice_round(monkeypatch, scheme, topo, d, p, gram):
+    """The linear round on per-block Gram matrices (p < k) and on the data
+    (p >= k), each against a loop of cr_execute rounds: theta within 1e-12
+    relative at every iteration, the simulated clock to the bit.  Only the
+    data round evaluates residuals."""
+    residuals = []
+    real = ml._RESIDUALS["linear"]
+    monkeypatch.setitem(
+        ml._RESIDUALS, "linear", lambda *args: residuals.append(1) or real(*args)
+    )
+    dataset, _ = generate_synthetic(d, p, seed=p)
+    lam_max = float(np.linalg.eigvalsh(dataset.features.T @ dataset.features).max())
+    lat = LatencyConfig(a=0.05, mu=20.0, t_c=1.0, d=float(d), seed=5)
+    config = GDConfig(scheme=scheme, iterations=6, step_size=1.0 / lam_max, lam=0.01,
+                      seed=5, latency=lat, **topo)
+    trace = gd_run(dataset, config)
+    assert len(residuals) == (0 if gram else config.iterations)
+    for row, (theta, clock) in zip(trace, _reference_gd(dataset, config), strict=True):
+        assert np.max(np.abs(row.theta - theta)) <= 1e-12 * np.max(np.abs(theta))
+        assert row.sim_time == clock
+
+
+@pytest.mark.parametrize("scheme, topo", [
+    ("cr", dict(n=4, L=3, s=2)),
+    ("gc", dict(N=8, S=3)),
+    ("sgd", dict(N=8, S=5)),
+    ("umw", dict(N=8)),
+])
+def test_each_iteration_draws_one_uniform_block(monkeypatch, scheme, topo):
+    """Every parent loses exactly its quorum_s children each iteration, and
+    the iterations consume T (num_parents, n) uniform blocks of the seed's
+    stream, none when nothing straggles."""
+    rows = []
+    real_weights = engine.worker_weights
+    monkeypatch.setattr(
+        engine, "worker_weights",
+        lambda tree, B, straggling, s: rows.append((straggling.copy(), s))
+        or real_weights(tree, B, straggling, s),
+    )
+    if scheme == "cr":
+        topology, resilience = build_tree(topo["n"], topo["L"]), topo["s"]
+    else:
+        topology, resilience = topo["N"], topo.get("S", 0)
+    tree, quorum_s, coded_s = scheme_tree(scheme, topology, resilience)
+    dataset, _ = generate_synthetic(granularity(tree.n, tree.L, coded_s), 2, seed=1)
+    config = GDConfig(scheme=scheme, iterations=5, step_size=1e-3, seed=9, **topo)
+    generators = []  # gd_run's straggler stream is the first generator it makes
+    real_rng = np.random.default_rng
+    monkeypatch.setattr(
+        np.random, "default_rng", lambda seed: generators.append(real_rng(seed)) or generators[-1]
+    )
+    gd_run(dataset, config)
+    assert len(rows) == config.iterations
+    for straggling, s in rows:
+        assert s == quorum_s and straggling.shape == (tree.num_parents, tree.n)
+        assert np.all(straggling.sum(axis=1) == quorum_s)
+    expected = real_rng(config.seed)
+    for _ in range(config.iterations if quorum_s else 0):
+        expected.random((tree.num_parents, tree.n))
+    assert generators[0].bit_generator.state == expected.bit_generator.state
 
 
 @pytest.mark.parametrize("loss", ["linear", "logistic"])
