@@ -23,7 +23,7 @@ from . import engine
 from .allocation import cr_allocate, slice_count
 from .codes import CodeConstructionError, build_encoding
 from .config import ExperimentConfig, load_config, validate_config
-from .latency import cr_bounds, mc_expected_latency
+from .latency import cr_bounds, mc_expected_latency, scheme_topology
 from .ml import (
     FULL_GRADIENT_SCHEMES,
     Dataset,
@@ -116,10 +116,7 @@ def cmd_latency(cfg: ExperimentConfig, out=None) -> int:
     rows = []
     means = {}
     for scheme in cfg.schemes:
-        if scheme == "cr":
-            topo, resil = build_tree(cfg.n, cfg.L), cfg.s
-        else:  # every flat scheme passes (N, S); scheme_tree says what S means
-            topo, resil = cfg.N, cfg.S
+        topo, resil = scheme_topology(scheme, cfg)
         bounds = cr_bounds(lat, cfg.n, cfg.L, cfg.s) if scheme == "cr" and cfg.s else ()
         mean, half = mc_expected_latency(scheme, topo, lat, resil, trials=cfg.trials)
         means[scheme] = mean
@@ -208,7 +205,8 @@ def cmd_transport_demo(cfg: ExperimentConfig, out=None) -> int:
     plan = FailurePlan(never_start=frozenset(doomed))
     spec = OracleSpec(kind="identity", d=cfg.d, p=cfg.d)
     tcfg = TransportConfig(
-        tree=tree, s=cfg.s, oracle=spec, theta=np.zeros(cfg.d), deadline=cfg.deadline
+        tree=tree, s=cfg.s, oracle=spec, theta=np.zeros(cfg.d), deadline=cfg.deadline,
+        alloc_seed=cfg.seed,
     )
     cfg.out.mkdir(parents=True, exist_ok=True)
     print(f"killing {len(victims)} nodes: {sorted(str(v) for v in victims)}", file=out)

@@ -19,7 +19,7 @@ from math import isfinite
 from pathlib import Path
 
 from .allocation import granularity, r_cr
-from .latency import LatencyConfig
+from .latency import LatencyConfig, scheme_topology, scheme_tree
 from .ml import GDConfig
 
 __all__ = ["ExperimentConfig", "load_config", "validate_config"]
@@ -124,9 +124,12 @@ def load_config(path, seed=None, trials=None, out=None) -> ExperimentConfig:
 def validate_config(cfg: ExperimentConfig, builds_tree: bool = False) -> list[str]:
     """All constraint violations, first one being the reporting headline.
 
-    The (n, L, s) tree is checked when `cr` is scheduled, or when the
-    caller builds the tree whatever the schemes (`builds_tree`), as
-    `verify` and `transport-demo` do."""
+    Every scheduled scheme runs on the tree `scheme_tree` gives it, and the
+    (n, L, s) tree is checked too when the caller builds it whatever the
+    schemes (`builds_tree`), as `verify` and `transport-demo` do.
+    `RegularTree`, `r_cr` and `scheme_tree` refuse a bad tree or tolerance,
+    and d must be a multiple of the granularity of each distinct (tree,
+    coded s)."""
     problems: list[str] = []
     if cfg.data_kind not in ("synthetic", "csv"):
         problems.append(f"data kind must be synthetic or csv, got {cfg.data_kind!r}")
@@ -138,27 +141,27 @@ def validate_config(cfg: ExperimentConfig, builds_tree: bool = False) -> list[st
         problems.append(f"synthetic data needs a finite noise >= 0, got {cfg.noise}")
     if cfg.d < 1:
         problems.append(f"dataset size must be >= 1, got {cfg.d}")
-    if builds_tree or "cr" in cfg.schemes:
-        if not 0 <= cfg.s < cfg.n:
-            problems.append(f"tree needs 0 <= s < n, got n={cfg.n}, s={cfg.s}")
-        elif cfg.L < 1:
-            problems.append(f"tree needs L >= 1, got L={cfg.L}")
-        else:
-            d0 = granularity(cfg.n, cfg.L, cfg.s)
-            if cfg.d % d0 != 0:
-                problems.append(
-                    f"d={cfg.d} is not a multiple of granularity {d0} for "
-                    f"(n={cfg.n}, L={cfg.L}, s={cfg.s}); per-node load would be "
-                    f"{r_cr(cfg.n, cfg.L, cfg.s) * cfg.d} points"
-                )
-    if any(scheme in cfg.schemes for scheme in ("gc", "umw", "rar", "sgd")):
-        if not 0 <= cfg.S < cfg.N:
-            problems.append(f"group needs 0 <= S < N, got N={cfg.N}, S={cfg.S}")
-        elif cfg.d % cfg.N != 0:
-            problems.append(f"d={cfg.d} is not divisible by the {cfg.N} workers")
+    checked = set()
+    for scheme in ["cr"] * builds_tree + list(cfg.schemes):
+        try:
+            tree, _, coded_s = scheme_tree(scheme, *scheme_topology(scheme, cfg))
+            if (tree, coded_s) in checked:
+                continue
+            checked.add((tree, coded_s))
+            d0 = granularity(tree.n, tree.L, coded_s)
+        except ValueError as err:
+            if str(err) not in problems:
+                problems.append(str(err))
+            continue
+        if cfg.d % d0 != 0:
+            problems.append(
+                f"d={cfg.d} is not a multiple of granularity {d0} for "
+                f"(n={tree.n}, L={tree.L}, s={coded_s}); per-node load would be "
+                f"{r_cr(tree.n, tree.L, coded_s) * cfg.d} points"
+            )
     if cfg.trials < 1:
         problems.append(f"trials must be >= 1, got {cfg.trials}")
-    # GDConfig and LatencyConfig own the scheme, GD and timing rules
+    # GDConfig and LatencyConfig own the GD and timing rules
     for scheme in cfg.schemes:
         try:
             cfg.gd_config(scheme)

@@ -43,6 +43,7 @@ __all__ = [
     "harmonic",
     "expected_order_stat",
     "scheme_tree",
+    "scheme_topology",
     "simulate_iteration",
     "cr_bounds",
     "mc_expected_latency",
@@ -50,6 +51,7 @@ __all__ = [
 ]
 
 SCHEMES = ("cr", "gc", "umw", "sgd", "rar")
+_MC_CHUNK = 256  # trials per block draw in mc_expected_latency
 
 
 @dataclass(frozen=True)
@@ -134,20 +136,27 @@ def scheme_tree(scheme: str, topo, resilience: int) -> tuple[RegularTree, int, i
 
     `topo` is the tree for CR and the worker count N for every flat scheme,
     and `resilience` is s for CR and S for the flat ones.  Every flat scheme
-    runs on the depth-1 tree (N, 1): GC(N, S) is CR there with s = S, UMW is
-    s = 0, SGD waits for N - S workers of uncoded load, and RAR takes the
-    uncoded load but completes by its own ring.
+    runs on the depth-1 tree (N, 1) and needs 0 <= S < N: GC(N, S) is CR
+    there with s = S, UMW is s = 0, SGD waits for N - S workers of uncoded
+    load, and RAR takes the uncoded load but completes by its own ring.
     """
     if scheme not in SCHEMES:
         raise ValueError(f"unknown scheme {scheme!r}, expected one of {SCHEMES}")
     if scheme == "cr":
         return topo, resilience, resilience
     N = int(topo)
-    if scheme in ("gc", "sgd"):
-        if not 0 <= resilience < N:
-            raise ValueError(f"need 0 <= S < N, got N={N}, S={resilience}")
-        return RegularTree(N, 1), resilience, resilience if scheme == "gc" else 0
-    return RegularTree(N, 1), 0, 0
+    if not 0 <= resilience < N:
+        raise ValueError(f"need 0 <= S < N, got N={N}, S={resilience}")
+    quorum_s = resilience if scheme in ("gc", "sgd") else 0
+    return RegularTree(N, 1), quorum_s, resilience if scheme == "gc" else 0
+
+
+def scheme_topology(scheme: str, cfg) -> tuple[RegularTree | int, int]:
+    """The `(topo, resilience)` that `scheme_tree` takes for `scheme`, read
+    from a config's n, L, s (the CR tree) or N, S (the flat group)."""
+    if scheme == "cr":
+        return RegularTree(cfg.n, cfg.L), cfg.s
+    return cfg.N, cfg.S
 
 
 def _loads(tree: RegularTree, coded_s: int, cfg: LatencyConfig) -> np.ndarray:
@@ -160,14 +169,10 @@ def _ring_time(N: int, t_c: float) -> float:
 
 
 @lru_cache(maxsize=16)
-def _layout(n: int, L: int) -> tuple[tuple[int, ...], tuple[tuple[str, ...], ...]]:
-    """Start of each worker layer in layer-major order (plus the end), and
-    the node names of layers 0..L."""
-    offsets = tuple(int(x) for x in np.cumsum([0] + [n**l for l in range(1, L + 1)]))
-    names = tuple(
-        tuple(f"{layer}.{i}" for i in range(1, n**layer + 1)) for layer in range(L + 1)
-    )
-    return offsets, names
+def _node_names(tree: RegularTree) -> tuple[str, ...]:
+    """Every node's name, ``str(NodeId)`` as the transport writes it, in
+    layer-major order with the master at 0."""
+    return tuple(map(str, tree.layer_major_nodes()))
 
 
 def _port_layers(tree: RegularTree, s: int, t_c: float, T: np.ndarray):
@@ -182,14 +187,13 @@ def _port_layers(tree: RegularTree, s: int, t_c: float, T: np.ndarray):
     n, L = tree.n, tree.L
     need = n - s
     trials = T.shape[0]
-    offsets, _ = _layout(n, L)
-    ready = T[:, offsets[L - 1] : offsets[L]]  # leaves
+    ready = T[:, tree.num_parents - 1 :]  # leaves; worker v is node v + 1
     for layer in range(L, 0, -1):
         groups = ready.reshape(trials, n ** (layer - 1), n)
         finish = _port_finish_times(np.sort(groups, axis=-1)[..., :need], t_c)
         yield groups, finish
         if layer > 1:
-            own = T[:, offsets[layer - 2] : offsets[layer - 1]]
+            own = T[:, tree.layer_offset(layer - 1) - 1 : tree.layer_offset(layer) - 1]
             ready = np.maximum(own, finish[..., -1])
 
 
@@ -228,9 +232,8 @@ def simulate_iteration(
     tree, quorum_s, coded_s = scheme_tree(scheme, topo, resilience)
     T = _draw_block(cfg, _loads(tree, coded_s, cfg), [trial])
     times = T[0].tolist()
-    _, names = _layout(tree.n, tree.L)
-    workers = (name for layer in names[1:] for name in layer)
-    events = [SimEvent(name, "compute", 0.0, t) for name, t in zip(workers, times)]
+    names = _node_names(tree)
+    events = [SimEvent(name, "compute", 0.0, t) for name, t in zip(names[1:], times)]
     if scheme == "rar":
         barrier = max(times)
         completion = barrier + _ring_time(tree.n, cfg.t_c)
@@ -239,13 +242,13 @@ def simulate_iteration(
     n, need = tree.n, tree.n - quorum_s
     layers = zip(range(tree.L, 0, -1), _port_layers(tree, quorum_s, cfg.t_c, T))
     for layer, (groups, finish) in layers:
-        kids, parents = names[layer], names[layer - 1]
+        kids, parents = tree.layer_offset(layer), tree.layer_offset(layer - 1)
         served = np.argsort(groups[0], axis=-1, kind="stable")[:, :need].tolist()
         for g, (order, ends) in enumerate(zip(served, finish[0].tolist())):
             for c, end in zip(order, ends):
                 start = end - cfg.t_c
-                events.append(SimEvent(kids[g * n + c], "send", start, end))
-                events.append(SimEvent(parents[g], "recv", start, end))
+                events.append(SimEvent(names[kids + g * n + c], "send", start, end))
+                events.append(SimEvent(names[parents + g], "recv", start, end))
     return SimOutcome(float(finish[0, 0, -1]), tuple(events))
 
 
@@ -274,19 +277,15 @@ def mc_expected_latency(
     cfg: LatencyConfig,
     resilience: int = 0,
     trials: int = 1000,
-    chunk: int = 256,
 ) -> tuple[float, float]:
     """Monte Carlo mean completion time and normal-approximation 95% half-width
     over `trials` independent rounds, trials 0..trials-1 of the seed's
-    stream.  Each `chunk` of trials is one block draw; the result does not
-    depend on `chunk`."""
+    stream, drawn `_MC_CHUNK` trials to a block."""
     if trials < 1:
         raise ValueError("need at least one trial")
+    blocks = (range(lo, min(lo + _MC_CHUNK, trials)) for lo in range(0, trials, _MC_CHUNK))
     samples = np.concatenate(
-        [
-            _batch_completions(scheme, topo, cfg, resilience, range(lo, min(lo + chunk, trials)))
-            for lo in range(0, trials, chunk)
-        ]
+        [_batch_completions(scheme, topo, cfg, resilience, block) for block in blocks]
     )
     mean = float(samples.mean())
     if trials == 1:

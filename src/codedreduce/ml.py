@@ -29,11 +29,10 @@ import numpy as np
 from . import engine
 from .allocation import WeightedSlice, cr_allocate
 from .codes import build_encoding
-from .latency import SCHEMES, LatencyConfig, _batch_completions, scheme_tree
+from .latency import SCHEMES, LatencyConfig, _batch_completions, scheme_topology, scheme_tree
 # Not called here since gd_run batches its clock, but perfbench's tracer wraps
 # ml.simulate_iteration by name.
 from .latency import simulate_iteration  # noqa: F401
-from .topology import build_tree
 
 __all__ = [
     "Dataset",
@@ -244,17 +243,15 @@ def gd_run(
     coefficient pass; RAR's is UMW's round.  For linear loss with fewer
     features than block points, the round is sum_b w_b (G_b theta - h_b)
     over per-block Gram matrices G_b = X_b'X_b and h_b = X_b'y_b.  Each
-    iteration draws one uniform per child of every parent; the quorum_s
+    iteration draws one uniform per child of every parent from the seed's
+    first `SeedSequence` child, not from the clock's stream; the quorum_s
     lowest of a parent's n straggle.  When a timing model is configured,
     per-iteration completion times, RAR's by its ring, accumulate into the
     trace's simulated clock.
     """
     scheme = config.scheme
-    rng = np.random.default_rng(config.seed)
-    if scheme == "cr":
-        topo, resilience = build_tree(config.n, config.L), config.s
-    else:
-        topo, resilience = config.N, config.S
+    rng = np.random.default_rng(np.random.SeedSequence(config.seed).spawn(1)[0])
+    topo, resilience = scheme_topology(scheme, config)
     tree, quorum_s, coded_s = scheme_tree(scheme, topo, resilience)
     B = build_encoding(tree.n, coded_s, config.seed)
     assignment = cr_allocate(tree, coded_s, dataset.d, B=B)

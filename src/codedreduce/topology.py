@@ -56,7 +56,7 @@ class RegularTree:
     @property
     def num_workers(self) -> int:
         """Total worker count N = n + n^2 + ... + n^L."""
-        return sum(self.n**l for l in range(1, self.L + 1))
+        return len(_layout(self.n, self.L)[1]) - 1
 
     def layer_size(self, layer: int) -> int:
         if not 0 <= layer <= self.L:
@@ -96,10 +96,12 @@ class RegularTree:
         return (node.index - 1) % self.n
 
     def layer_offset(self, layer: int) -> int:
-        """Number of nodes above `layer`.  In layer-major order, with the
-        master at 0, node (layer, i) sits at layer_offset(layer) + i - 1 and
-        child j (0-based) of the node at k sits at k * n + 1 + j."""
-        return sum(self.n**l for l in range(layer))
+        """Number of nodes above `layer` (0..L+1).  In layer-major order, with
+        the master at 0, node (layer, i) sits at layer_offset(layer) + i - 1
+        and child j (0-based) of the node at k sits at k * n + 1 + j."""
+        if not 0 <= layer <= self.L + 1:
+            raise ValueError(f"layer {layer} outside [0, {self.L + 1}]")
+        return _layout(self.n, self.L)[0][layer]
 
     @property
     def num_parents(self) -> int:
@@ -107,23 +109,31 @@ class RegularTree:
         return self.layer_offset(self.L)
 
     def layer_major_nodes(self) -> tuple[NodeId, ...]:
-        """Every node in layer-major order, the master at 0; one cached
-        table per (n, L)."""
-        return _layer_major_nodes(self.n, self.L)
+        """Every node in layer-major order, the master at 0."""
+        return _layout(self.n, self.L)[1]
 
     def layer_nodes(self, layer: int) -> tuple[NodeId, ...]:
-        return tuple(NodeId(layer, i) for i in range(1, self.layer_size(layer) + 1))
+        size = self.layer_size(layer)
+        offsets, nodes = _layout(self.n, self.L)
+        return nodes[offsets[layer] : offsets[layer] + size]
 
     def workers(self) -> Iterator[NodeId]:
         """All workers in layer-major order (layer 1 first)."""
-        for layer in range(1, self.L + 1):
-            yield from self.layer_nodes(layer)
+        return iter(self.layer_major_nodes()[1:])
 
     def parents(self) -> Iterator[NodeId]:
         """Every node with children: the master plus layers 1..L-1."""
-        yield MASTER
-        for layer in range(1, self.L):
-            yield from self.layer_nodes(layer)
+        return iter(self.layer_major_nodes()[: self.num_parents])
+
+
+@lru_cache(maxsize=None)
+def _layout(n: int, L: int) -> tuple[tuple[int, ...], tuple[NodeId, ...]]:
+    """The (n, L) tree in layer-major order: the offset of layers 0..L+1
+    (the last is the node count) and every node, the master at 0."""
+    sizes = [n**layer for layer in range(L + 1)]
+    offsets = tuple(itertools.accumulate(sizes, initial=0))
+    nodes = tuple(NodeId(layer, i) for layer, size in enumerate(sizes) for i in range(1, size + 1))
+    return offsets, nodes
 
 
 @dataclass(frozen=True)
@@ -141,7 +151,7 @@ class StragglerPattern:
         Raises ValueError for a node outside the tree, a straggler that is
         not its parent's child, or more than `s` stragglers under a parent."""
         n, L = tree.n, tree.L
-        offsets = _layer_offsets(n, L)
+        offsets = _layout(n, L)[0]
         flat = [False] * (offsets[L] * n)
         for parent, kids in self.stragglers.items():
             layer, index = parent.layer, parent.index
@@ -162,19 +172,6 @@ class StragglerPattern:
             for k in kids:
                 flat[base + k.index] = True
         return np.array(flat, dtype=bool).reshape(offsets[L], n)
-
-
-@lru_cache(maxsize=None)
-def _layer_offsets(n: int, L: int) -> tuple[int, ...]:
-    """`layer_offset` of layers 0..L+1 of the (n, L) tree; the last entry is
-    the node count."""
-    tree = RegularTree(n, L)
-    return tuple(tree.layer_offset(layer) for layer in range(L + 2))
-
-
-@lru_cache(maxsize=None)
-def _layer_major_nodes(n: int, L: int) -> tuple[NodeId, ...]:
-    return (MASTER, *RegularTree(n, L).workers())
 
 
 def build_tree(n: int, L: int) -> RegularTree:

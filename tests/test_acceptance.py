@@ -139,7 +139,7 @@ def test_criterion_05_order_statistic_oracle():
     tree = build_tree(n, 1)
     load = r_cr(n, 1, s)
     assert float(load) * cfg.d == 1.0
-    mean, _ = mc_expected_latency("cr", tree, cfg, s, trials=100_000, chunk=4096)
+    mean, _ = mc_expected_latency("cr", tree, cfg, s, trials=100_000)
     expected = expected_order_stat(cfg, n, s, load)
     assert expected == pytest.approx(0.5 + harmonic(10) - harmonic(3))
     assert expected == pytest.approx(1.595635, abs=1e-6)
@@ -153,7 +153,7 @@ def test_criterion_06_latency_envelope():
     n, L, s = 100, 2, 20  # alpha = 0.2
     cfg = LatencyConfig(a=10.0, mu=1.0, t_c=0.001, d=3000.0, seed=11)
     lower, upper = cr_bounds(cfg, n, L, s)
-    mean, _ = mc_expected_latency("cr", build_tree(n, L), cfg, s, trials=10_000, chunk=128)
+    mean, _ = mc_expected_latency("cr", build_tree(n, L), cfg, s, trials=10_000)
     elapsed = time.perf_counter() - start
     assert 0.9 * lower <= mean <= 1.1 * upper
     assert elapsed < 300.0
@@ -166,9 +166,9 @@ def test_criterion_06_latency_envelope():
 def test_criterion_07_scheme_ordering():
     cfg = LatencyConfig(a=0.05, mu=20.0, t_c=1.0, d=8400.0, seed=7)
     tree = build_tree(12, 2)  # N = 156, alpha = 1/12
-    cr_mean, cr_half = mc_expected_latency("cr", tree, cfg, 1, trials=10_000, chunk=512)
-    gc_mean, gc_half = mc_expected_latency("gc", 156, cfg, 13, trials=10_000, chunk=512)
-    umw_mean, umw_half = mc_expected_latency("umw", 156, cfg, 0, trials=10_000, chunk=512)
+    cr_mean, cr_half = mc_expected_latency("cr", tree, cfg, 1, trials=10_000)
+    gc_mean, gc_half = mc_expected_latency("gc", 156, cfg, 13, trials=10_000)
+    umw_mean, umw_half = mc_expected_latency("umw", 156, cfg, 0, trials=10_000)
     assert cr_mean + cr_half < gc_mean - gc_half
     assert cr_mean + cr_half < umw_mean - umw_half
     print(

@@ -10,6 +10,7 @@ from codedreduce.cli import cmd_latency, cmd_train, cmd_validate, cmd_verify, ma
 from codedreduce.codes import CodeConstructionError
 from codedreduce.config import load_config, validate_config
 from codedreduce.ml import gd_run, generate_synthetic, load_dataset_csv
+from codedreduce.transport import RunReport
 
 BASE_INI = """
 [experiment]
@@ -269,6 +270,23 @@ def test_transport_demo_round_trip(tmp_path):
     cfg = load_config(path)
     assert cmd_transport_demo(cfg, out=buf) == 0
     assert "PASS" in buf.getvalue()
+
+
+def test_transport_demo_builds_the_code_of_its_seed(tmp_path, monkeypatch):
+    """`--seed` reaches the transport's code, as it does `verify`'s; the
+    round itself is stubbed, so no process starts."""
+    seen = []
+
+    def capture(tcfg, run_dir, plan):
+        seen.append(tcfg)
+        return RunReport(False, None, "stubbed round", {}, [])
+
+    monkeypatch.setattr(cli, "orchestrate", capture)
+    cfg = load_config(write_config(tmp_path, schemes="cr", d=15), seed=7)
+    buf = io.StringIO()
+    assert cli.cmd_transport_demo(cfg, out=buf) == 1
+    assert "FAIL: stubbed round" in buf.getvalue()
+    assert [tcfg.alloc_seed for tcfg in seen] == [7]
 
 
 def test_readme_config_example_loads(tmp_path):

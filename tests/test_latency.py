@@ -11,7 +11,6 @@ from codedreduce.latency import (
     SimEvent,
     _batch_completions,
     _draw_block,
-    _layout,
     _loads,
     cr_bounds,
     events_to_csv,
@@ -21,7 +20,8 @@ from codedreduce.latency import (
     scheme_tree,
     simulate_iteration,
 )
-from codedreduce.topology import RegularTree, build_tree
+from codedreduce import latency
+from codedreduce.topology import MASTER, NodeId, RegularTree, build_tree
 
 
 def test_config_validation():
@@ -124,6 +124,14 @@ def test_event_completion_is_the_batched_value_bit_for_bit():
             assert all(type(x) is float for ev in outcome.events for x in ev[2:])
 
 
+def _layer_names(tree: RegularTree) -> list[list[str]]:
+    """Node names of layers 0..L, built from NodeId alone."""
+    return [
+        [str(NodeId(layer, i)) for i in range(1, tree.n**layer + 1)]
+        for layer in range(tree.L + 1)
+    ]
+
+
 def _replay_ports(
     tree: RegularTree, need: int, t_c: float, times: list[float], events: list[SimEvent]
 ) -> float:
@@ -131,8 +139,10 @@ def _replay_ports(
     worker indices; logs send/recv pairs and returns the time the master's
     `need`-th message finishes."""
     n, L = tree.n, tree.L
-    offsets, names = _layout(n, L)
-    ready = times[offsets[L - 1] :]  # leaves
+    names = _layer_names(tree)
+    rest = iter(times)
+    layer_times = [None] + [[next(rest) for _ in names[layer]] for layer in range(1, L + 1)]
+    ready = layer_times[L]
     for layer in range(L, 0, -1):
         kids = names[layer]
         recv_done = []
@@ -148,8 +158,7 @@ def _replay_ports(
             recv_done.append(port_free)
         if layer == 1:
             return recv_done[0]
-        own = times[offsets[layer - 2] : offsets[layer - 1]]
-        ready = [max(o, r) for o, r in zip(own, recv_done)]
+        ready = [max(o, r) for o, r in zip(layer_times[layer - 1], recv_done)]
     raise AssertionError("unreachable")
 
 
@@ -182,8 +191,7 @@ def test_events_match_the_reference_port_replay(case):
     scheme, topo, resil, cfg, trial = case
     tree, quorum_s, coded_s = scheme_tree(scheme, topo, resil)
     times = _draw_block(cfg, _loads(tree, coded_s, cfg), [trial])[0].tolist()
-    _, names = _layout(tree.n, tree.L)
-    workers = [name for layer in names[1:] for name in layer]
+    workers = [name for layer in _layer_names(tree)[1:] for name in layer]
     expected = [SimEvent(name, "compute", 0.0, t) for name, t in zip(workers, times)]
     completion = _replay_ports(tree, tree.n - quorum_s, cfg.t_c, times, expected)
     outcome = simulate_iteration(scheme, topo, cfg, resil, trial=trial)
@@ -192,6 +200,29 @@ def test_events_match_the_reference_port_replay(case):
         assert math.isclose(got.t_start, want.t_start, rel_tol=1e-12), (got, want)
         assert math.isclose(got.t_end, want.t_end, rel_tol=1e-12), (got, want)
     assert math.isclose(outcome.completion_time, completion, rel_tol=1e-12)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(n=st.integers(1, 5), L=st.integers(1, 4))
+def test_one_layer_major_layout_names_every_node(n, L):
+    """The tree's cached layout against arithmetic and NodeId: the master
+    then each layer, each layer starting at the sum of the sizes above it
+    (and no offset outside layers 0..L+1), and the simulator's compute
+    events named str(w) for each worker w."""
+    tree = RegularTree(n, L)
+    layers = [tree.layer_nodes(layer) for layer in range(1, L + 1)]
+    assert tree.layer_major_nodes() == (MASTER, *(w for layer in layers for w in layer))
+    for layer in range(1, L + 1):
+        assert layers[layer - 1] == tuple(NodeId(layer, i) for i in range(1, n**layer + 1))
+    for layer in range(L + 2):
+        assert tree.layer_offset(layer) == sum(n**j for j in range(layer))
+    for layer in (-1, L + 2):
+        with pytest.raises(ValueError):
+            tree.layer_offset(layer)
+    cfg = LatencyConfig(a=0.05, mu=20.0, t_c=1.0, d=60.0, seed=n * 10 + L)
+    outcome = simulate_iteration("cr", tree, cfg, n - 1)
+    computed = [ev.node for ev in outcome.events if ev.event_type == "compute"]
+    assert computed == [str(w) for w in tree.workers()]
 
 
 def test_single_trial_is_its_row_of_the_block():
@@ -208,13 +239,13 @@ def test_single_trial_is_its_row_of_the_block():
     "scheme, topo, resilience",
     [("cr", build_tree(3, 2), 1), ("gc", 12, 3), ("sgd", 12, 3), ("rar", 12, 0)],
 )
-def test_mc_result_does_not_depend_on_chunk(scheme, topo, resilience):
+def test_mc_result_does_not_depend_on_chunk(monkeypatch, scheme, topo, resilience):
     cfg = LatencyConfig(a=0.1, mu=2.0, t_c=0.5, d=36.0, seed=12)
     trials = 600
-    results = {
-        chunk: mc_expected_latency(scheme, topo, cfg, resilience, trials=trials, chunk=chunk)
-        for chunk in (1, 7, 256, trials)
-    }
+    results = {}
+    for chunk in (1, 7, 256, trials):
+        monkeypatch.setattr(latency, "_MC_CHUNK", chunk)
+        results[chunk] = mc_expected_latency(scheme, topo, cfg, resilience, trials=trials)
     assert len(set(results.values())) == 1, results
 
 
@@ -291,7 +322,7 @@ def test_order_stat_monte_carlo_matches_mean():
     n, s = 6, 2
     tree = build_tree(n, 1)
     cfg = LatencyConfig(a=0.25, mu=1.0, t_c=0.0, d=12.0, seed=31)
-    mean, _ = mc_expected_latency("cr", tree, cfg, s, trials=30_000, chunk=2048)
+    mean, _ = mc_expected_latency("cr", tree, cfg, s, trials=30_000)
     expected = expected_order_stat(cfg, n, s, r_cr(n, 1, s))
     assert mean == pytest.approx(expected, rel=0.02)
 
@@ -374,8 +405,8 @@ def test_uncoded_waits_longer_than_coded_under_heavy_tail():
     slowest stragglers outweighs the extra coded load, so the uncoded
     all-workers barrier is slower on average."""
     cfg = LatencyConfig(a=0.01, mu=0.1, t_c=0.01, d=80.0, seed=44)
-    gc_mean, gc_half = mc_expected_latency("gc", 8, cfg, 6, trials=4000, chunk=512)
-    umw_mean, umw_half = mc_expected_latency("umw", 8, cfg, 0, trials=4000, chunk=512)
+    gc_mean, gc_half = mc_expected_latency("gc", 8, cfg, 6, trials=4000)
+    umw_mean, umw_half = mc_expected_latency("umw", 8, cfg, 0, trials=4000)
     assert umw_mean - umw_half > gc_mean + gc_half
 
 

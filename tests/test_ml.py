@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 from codedreduce import engine, ml
 from codedreduce.allocation import WeightedSlice, cr_allocate, granularity
 from codedreduce.codes import build_encoding
-from codedreduce.latency import LatencyConfig, _batch_completions, scheme_tree
+from codedreduce.latency import LatencyConfig, _batch_completions, _draw_block, _loads, scheme_tree
 from codedreduce.ml import (
     Dataset,
     GDConfig,
@@ -249,7 +249,7 @@ def _reference_gd(dataset, config):
     B = build_encoding(tree.n, coded_s, config.seed)
     assignment = cr_allocate(tree, coded_s, dataset.d, B=B)
     oracle = make_oracle(config.loss, dataset)
-    rng = np.random.default_rng(config.seed)
+    rng = np.random.default_rng(np.random.SeedSequence(config.seed).spawn(1)[0])
     theta, clock, out = np.zeros(dataset.p), 0.0, []
     for t in range(1, config.iterations + 1):
         pattern = _draw_tree_pattern(tree, quorum_s, rng)
@@ -338,7 +338,7 @@ def test_both_linear_rounds_match_the_per_slice_round(monkeypatch, scheme, topo,
 def test_each_iteration_draws_one_uniform_block(monkeypatch, scheme, topo):
     """Every parent loses exactly its quorum_s children each iteration, and
     the iterations consume T (num_parents, n) uniform blocks of the seed's
-    stream, none when nothing straggles."""
+    first child stream, none when nothing straggles."""
     rows = []
     real_weights = engine.worker_weights
     monkeypatch.setattr(
@@ -363,10 +363,40 @@ def test_each_iteration_draws_one_uniform_block(monkeypatch, scheme, topo):
     for straggling, s in rows:
         assert s == quorum_s and straggling.shape == (tree.num_parents, tree.n)
         assert np.all(straggling.sum(axis=1) == quorum_s)
-    expected = real_rng(config.seed)
+    expected = real_rng(np.random.SeedSequence(config.seed).spawn(1)[0])
     for _ in range(config.iterations if quorum_s else 0):
         expected.random((tree.num_parents, tree.n))
     assert generators[0].bit_generator.state == expected.bit_generator.state
+
+
+@pytest.mark.parametrize("scheme, topo", [
+    ("sgd", dict(N=20, S=5)),
+    ("cr", dict(n=4, L=2, s=1)),
+])
+def test_stragglers_are_not_the_clocks_fastest_workers(monkeypatch, scheme, topo):
+    """The straggler draw and the clock share a seed but not their numbers:
+    on every tree num_parents * n = N, so a draw from the clock's stream
+    would make iteration t's stragglers each parent's fastest children of
+    the clock's trial t - 1."""
+    rows = []
+    real_weights = engine.worker_weights
+    monkeypatch.setattr(
+        engine, "worker_weights",
+        lambda tree, B, straggling, s: rows.append(straggling.copy())
+        or real_weights(tree, B, straggling, s),
+    )
+    seed, T, d = 0, 6, 60  # a multiple of both granularities, 20 and 12
+    lat = LatencyConfig(a=0.05, mu=20.0, t_c=1.0, d=float(d), seed=seed)
+    config = GDConfig(scheme=scheme, iterations=T, step_size=1e-3, seed=seed, latency=lat, **topo)
+    topology = build_tree(topo["n"], topo["L"]) if scheme == "cr" else topo["N"]
+    tree, quorum_s, coded_s = scheme_tree(scheme, topology, topo.get("s", topo.get("S")))
+    gd_run(generate_synthetic(d, 2, seed=1)[0], config)
+    clock = _draw_block(lat, _loads(tree, coded_s, lat), range(T))
+    for straggling, times in zip(rows, clock, strict=True):
+        fastest = np.zeros_like(straggling)
+        order = np.argsort(times.reshape(straggling.shape), axis=1)
+        np.put_along_axis(fastest, order[:, :quorum_s], True, axis=1)
+        assert not np.array_equal(straggling, fastest)
 
 
 @pytest.mark.parametrize("loss", ["linear", "logistic"])
