@@ -10,7 +10,7 @@ and d0 = `granularity(n, L, s)` is the lcm of the denominators of every
 such c.  So with k = d / d0 each cut c * d = (c * d0) * k is a multiple of
 k, and the placement is built on d0 blocks of k points, one array pass per
 tree layer.  Sizes are exact integers; floats appear only in combining
-weights.
+weights.  The code is the caller's: `cr_allocate` builds none.
 """
 
 from __future__ import annotations
@@ -18,13 +18,13 @@ from __future__ import annotations
 import csv
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, lru_cache
 from math import lcm
 from typing import Iterable, Mapping
 
 import numpy as np
 
-from .codes import EncodingMatrix, build_encoding
+from .codes import EncodingMatrix
 from .topology import MASTER, NodeId, RegularTree
 
 __all__ = [
@@ -88,9 +88,11 @@ def r_gc(N: int, S: int) -> Fraction:
     return Fraction(S + 1, N)
 
 
+@lru_cache(maxsize=256)
 def granularity(n: int, L: int, s: int) -> int:
     """Smallest dataset size d0 for which every split in the allocation
     recursion is integral; valid sizes are exactly the multiples of d0.
+    Cached by (n, L, s); invalid arguments raise on every call.
 
     Integrality is required for the local pick r*d, and at each layer for the
     n-way partition of the remainder being passed down.  Every such quantity
@@ -197,17 +199,11 @@ class Assignment:
         return np.repeat(self.block_weights(c), self._k)
 
 
-def cr_allocate(
-    tree: RegularTree,
-    s: int,
-    d: int,
-    seed: int = 0,
-    B: EncodingMatrix | None = None,
-) -> Assignment:
+def cr_allocate(tree: RegularTree, s: int, d: int, B: EncodingMatrix) -> Assignment:
     """Allocate d points across the tree; every worker ends with exactly r*d.
 
-    One encoding matrix (from `seed`, or the supplied `B`) is reused at every
-    parent.  Which points a node keeps is pinned to "first in global index
+    The encoding matrix `B`, which must be an (n, s) code, is reused at
+    every parent.  Which points a node keeps is pinned to "first in global index
     order" so the construction is deterministic.  Each layer is one array
     pass: every parent's pass-down set is reshaped into n equal parts, and
     child i gathers the parts of its row support in ascending part index
@@ -222,9 +218,7 @@ def cr_allocate(
             f"dataset size {d} is not a positive multiple of the granularity {d0} "
             f"for (n={n}, L={L}, s={s})"
         )
-    if B is None:
-        B = build_encoding(n, s, seed)
-    elif B.n != n or B.s != s:
+    if B.n != n or B.s != s:
         raise AllocationError(
             f"encoding matrix is for (n={B.n}, s={B.s}), tree needs (n={n}, s={s})"
         )

@@ -14,8 +14,11 @@ and an ill-conditioned set warns once.  `cr_execute` evaluates the sum
 through a gradient oracle, and `ml.gd_run` turns c into per-block weights
 (`Assignment.block_weights`) and takes the whole round as one reweighted
 full gradient.
-GC, UMW and SGD are rounds on the depth-1 tree (N, 1): GC with the code of
-s = S, UMW uncoded, SGD uncoded with a quorum of N - S.
+GC, UMW and SGD are this round on the tree, quorum and code that
+`latency.scheme_tree` gives them, so the tree round's checks (the
+allocation's code shape and granularity, the pattern's straggler bound) are
+theirs too; RAR starts from the same uncoded allocation and completes by its
+ring.
 """
 
 from __future__ import annotations
@@ -26,11 +29,11 @@ import numpy as np
 
 from .allocation import Assignment, WeightedSlice, cr_allocate
 from .codes import EncodingMatrix, build_encoding, decode_row
+from .latency import scheme_tree
 from .topology import MASTER, NodeId, RegularTree, StragglerPattern
 
 __all__ = [
     "GradientOracle",
-    "UnrecoverableError",
     "cr_execute",
     "worker_weights",
     "gc_execute",
@@ -42,14 +45,6 @@ __all__ = [
 # Maps (model, weighted slices) to the weighted sum of per-point gradients.
 # Must be additive over disjoint slice lists and homogeneous in the weights.
 GradientOracle = Callable[[np.ndarray, Sequence[WeightedSlice]], np.ndarray]
-
-
-class UnrecoverableError(RuntimeError):
-    def __init__(self, parent: NodeId, missing: int, tolerance: int):
-        self.parent = parent
-        super().__init__(
-            f"parent {parent} lost {missing} children but tolerates only {tolerance}"
-        )
 
 
 def _combining_row(B: EncodingMatrix, survivors: tuple[int, ...]) -> np.ndarray:
@@ -129,30 +124,27 @@ def cr_execute(
     )
 
 
-def _check_even(N: int, d: int) -> None:
-    if d % N != 0:
-        raise ValueError(f"{d} points do not split evenly over {N} workers")
-
-
 def _flat_execute(
-    B: EncodingMatrix,
-    resilience: int,
+    scheme: str,
+    N: int,
+    S: int,
     stragglers,
     oracle: GradientOracle,
     theta: np.ndarray,
     d: int,
+    B: EncodingMatrix | None = None,
 ) -> np.ndarray:
-    """CR on the depth-1 tree (N, 1) with quorum N - resilience: worker i is
-    node 1.(i+1)."""
-    straggling = frozenset(int(i) for i in stragglers)
-    if len(straggling) > resilience:
-        raise UnrecoverableError(MASTER, len(straggling), resilience)
-    tree = RegularTree(B.n, 1)
-    pattern = StragglerPattern(
-        {MASTER: frozenset(NodeId(1, i + 1) for i in straggling)} if straggling else {}
-    )
-    assignment = cr_allocate(tree, B.s, d, B=B)
-    return cr_execute(tree, assignment, B, pattern, oracle, theta, resilience)
+    """The flat scheme's round: `cr_execute` on the tree, quorum and code
+    `scheme_tree` gives it, worker i being node 1.(i+1).  `B` is the code
+    (default: the uncoded one); `cr_allocate` refuses one of another shape
+    or a d off the (N, 1) granularity N, and `StragglerPattern.positions`
+    more stragglers than the quorum lets go."""
+    tree, quorum_s, coded_s = scheme_tree(scheme, N, S)
+    if B is None:
+        B = build_encoding(N, coded_s, 0)
+    pattern = StragglerPattern({MASTER: frozenset(NodeId(1, int(i) + 1) for i in stragglers)})
+    assignment = cr_allocate(tree, coded_s, d, B)
+    return cr_execute(tree, assignment, B, pattern, oracle, theta, quorum_s)
 
 
 def gc_execute(
@@ -165,15 +157,12 @@ def gc_execute(
     d: int,
 ) -> np.ndarray:
     """Single-group coded round: master combines any N-S workers' messages."""
-    if B.n != N or B.s != S:
-        raise ValueError(f"encoding matrix is for (n={B.n}, s={B.s}), not (N={N}, S={S})")
-    return _flat_execute(B, S, stragglers, oracle, theta, d)
+    return _flat_execute("gc", N, S, stragglers, oracle, theta, d, B)
 
 
 def umw_execute(N: int, oracle: GradientOracle, theta: np.ndarray, d: int) -> np.ndarray:
     """Uncoded master-worker: plain sum of all N partial gradients."""
-    _check_even(N, d)
-    return _flat_execute(build_encoding(N, 0, 0), 0, (), oracle, theta, d)
+    return _flat_execute("umw", N, 0, (), oracle, theta, d)
 
 
 def rar_execute(
@@ -181,32 +170,24 @@ def rar_execute(
 ) -> list[np.ndarray]:
     """Ring allreduce at the data level: reduce-scatter then allgather.
 
-    Returns all N workers' copies of the aggregated gradient, each built by
-    circulating vector segments around the ring for N-1 rounds per phase.
+    Returns all N workers' copies of the aggregated gradient.  Each worker
+    starts from its local gradient on the uncoded (N, 1) allocation, and its
+    copy is built by circulating vector segments around the ring for N-1
+    rounds per phase.
     """
-    _check_even(N, d)
-    size = d // N
-    parts = [(WeightedSlice(i * size, (i + 1) * size, 1.0),) for i in range(N)]
-    buffers = [oracle(theta, part) for part in parts]
-    p = buffers[0].shape[0]
-    bounds = [len(seg) for seg in np.array_split(np.arange(p), N)]
-    offsets = np.concatenate([[0], np.cumsum(bounds)])
-    seg = [slice(int(offsets[k]), int(offsets[k + 1])) for k in range(N)]
+    tree, _, coded_s = scheme_tree("rar", N, 0)
+    assignment = cr_allocate(tree, coded_s, d, build_encoding(N, coded_s, 0))
+    buffers = [oracle(theta, assignment.local[worker]) for worker in tree.workers()]
+    seg = np.array_split(np.arange(buffers[0].shape[0]), N)
 
     for rnd in range(N - 1):  # reduce-scatter: worker i forwards segment i-rnd
-        updates = []
-        for i in range(N):
-            k = (i - rnd) % N
-            updates.append(((i + 1) % N, k, buffers[i][seg[k]].copy()))
-        for receiver, k, payload in updates:
-            buffers[receiver][seg[k]] += payload
+        sent = [buffers[i][seg[(i - rnd) % N]] for i in range(N)]  # index arrays copy
+        for i, payload in enumerate(sent):
+            buffers[(i + 1) % N][seg[(i - rnd) % N]] += payload
     for rnd in range(N - 1):  # allgather: circulate each fully reduced segment
-        updates = []
-        for i in range(N):
-            k = (i + 1 - rnd) % N
-            updates.append(((i + 1) % N, k, buffers[i][seg[k]].copy()))
-        for receiver, k, payload in updates:
-            buffers[receiver][seg[k]] = payload
+        sent = [buffers[i][seg[(i + 1 - rnd) % N]] for i in range(N)]
+        for i, payload in enumerate(sent):
+            buffers[(i + 1) % N][seg[(i + 1 - rnd) % N]] = payload
     return buffers
 
 
@@ -224,5 +205,4 @@ def sgd_execute(
     Intentionally returns a partial gradient; the model update absorbs the
     missing terms as stochastic error.
     """
-    _check_even(N, d)
-    return _flat_execute(build_encoding(N, 0, 0), S, stragglers, oracle, theta, d)
+    return _flat_execute("sgd", N, S, stragglers, oracle, theta, d)

@@ -38,7 +38,7 @@ import numpy as np
 from .allocation import cr_allocate
 from .codes import EncodingMatrix, build_encoding
 from .engine import _combining_row
-from .ml import generate_synthetic, make_oracle
+from .ml import _RESIDUALS, generate_synthetic, make_oracle
 from .topology import MASTER, NodeId, RegularTree
 
 __all__ = [
@@ -117,6 +117,11 @@ class OracleSpec:
     data_seed: int = 0
     noise_scale: float = 1.0
 
+    def __post_init__(self) -> None:
+        kinds = ("identity", *_RESIDUALS)
+        if self.kind not in kinds:
+            raise ValueError(f"unknown oracle kind {self.kind!r}, expected one of {kinds}")
+
     def build(self):
         if self.kind == "identity":
             d = self.d
@@ -158,7 +163,8 @@ class FailurePlan:
 class NodeReport:
     node: str
     # ok | discarded | timeout | connect_failed | killed | error, where
-    # connect_failed means the parent was gone before the model arrived
+    # connect_failed means the parent was gone before the model arrived and
+    # error that the node raised; detail says why
     status: str
     received_from: list
     missing: list
@@ -233,10 +239,12 @@ def run_node(
 
     `up` is the link to the parent (None at the master) and `down` the
     links to the children in position order (empty at a leaf).  A worker
-    whose parent is gone before the model arrives reports connect_failed.
-    The master (layer 0) only aggregates and writes the recovered gradient
-    to `out_path` as a one-line CSV vector.  Exit codes: 0 ok/discarded,
-    3 planned death, 4 timeout, 5 connectivity failure.
+    whose parent is gone before the model arrives reports connect_failed;
+    any other exception is reported as error, with its type and text, and
+    re-raised.  The master (layer 0) only aggregates and writes the
+    recovered gradient to `out_path` as a one-line CSV vector.  Exit codes:
+    0 ok/discarded, 1 error, 3 planned death, 4 timeout, 5 connectivity
+    failure.
     """
     run_path = Path(run_dir)
     tree, s = cfg.tree, cfg.s
@@ -249,10 +257,16 @@ def run_node(
         if is_master:
             theta = np.asarray(cfg.theta, dtype=float)
         else:
-            up.settimeout(cfg.deadline)
-            model_msg = read_message(up)
-            if model_msg.msg_type != MSG_MODEL:
-                raise ValueError(f"expected model broadcast, got type {model_msg.msg_type}")
+            try:
+                up.settimeout(cfg.deadline)
+                model_msg = read_message(up)
+                if model_msg.msg_type != MSG_MODEL:
+                    raise ValueError(f"expected model broadcast, got type {model_msg.msg_type}")
+            except (OSError, ValueError) as err:
+                report.status = "connect_failed"
+                report.detail = str(err)
+                _write_report(run_path, report)
+                os._exit(5)
             theta = model_msg.payload
 
         if die_before_send:
@@ -303,11 +317,11 @@ def run_node(
             report.status = "discarded"
             report.detail = f"upward send failed: {err}"
         _write_report(run_path, report)
-    except (OSError, ValueError) as err:
-        report.status = "connect_failed"
-        report.detail = str(err)
+    except Exception as err:
+        report.status = "error"
+        report.detail = f"{type(err).__name__}: {err}"
         _write_report(run_path, report)
-        os._exit(5)
+        raise
     finally:
         for conn in filter(None, (up, *down)):
             conn.close()

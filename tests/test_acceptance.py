@@ -104,7 +104,9 @@ def test_criterion_03_load_formulas():
         d = granularity(n, L, s) * int(rng.integers(1, 4))
         expected = r_cr(n, L, s) * d
         assert expected.denominator == 1
-        assignment = cr_allocate(build_tree(n, L), s, d, seed=int(rng.integers(10_000)))
+        assignment = cr_allocate(
+            build_tree(n, L), s, d, B=build_encoding(n, s, int(rng.integers(10_000)))
+        )
         assert all(
             slice_count(assignment.local[w]) == int(expected)
             for w in assignment.tree.workers()

@@ -61,13 +61,20 @@ def test_granularity_known_values(n, L, s, expected):
     assert brute_force_granularity(n, L, s) == expected
 
 
+@pytest.mark.parametrize("n,L,s", [(3, 1, 3), (3, 1, -1), (3, 0, 1)])
+def test_granularity_refuses_bad_arguments_on_every_call(n, L, s):
+    for _ in range(2):  # a cached granularity caches no refusal
+        with pytest.raises(ValueError):
+            granularity(n, L, s)
+
+
 @pytest.mark.parametrize("n,L,s", [(4, 2, 1), (5, 2, 2), (3, 3, 1), (6, 2, 3), (2, 4, 1)])
 def test_granularity_matches_brute_force(n, L, s):
     d0 = granularity(n, L, s)
     assert brute_force_granularity(n, L, s) == d0
     # any multiple must also allocate cleanly
     tree = build_tree(n, L)
-    cr_allocate(tree, s, 2 * d0, seed=1)
+    cr_allocate(tree, s, 2 * d0, B=build_encoding(n, s, 1))
 
 
 def test_layer1_subtree_shares_reference_example(reference_b):
@@ -118,7 +125,7 @@ def test_allocation_scales_with_dataset(reference_b):
 
 def test_uncoded_allocation_partitions_cleanly():
     tree = build_tree(3, 2)
-    assignment = cr_allocate(tree, 0, 12, seed=0)
+    assignment = cr_allocate(tree, 0, 12, B=build_encoding(3, 0, 0))
     seen = np.zeros(12)
     for node in tree.workers():
         for s in assignment.local[node]:
@@ -131,7 +138,7 @@ def test_uncoded_allocation_partitions_cleanly():
 def test_layer1_redundancy_is_s_plus_1():
     tree = build_tree(4, 2)
     s = 1
-    assignment = cr_allocate(tree, s, 24, seed=5)
+    assignment = cr_allocate(tree, s, 24, B=build_encoding(4, s, 5))
     cover = np.zeros(24, dtype=int)
     for i in range(1, 5):
         for sl in assignment.subtree[NodeId(1, i)]:
@@ -148,7 +155,7 @@ def test_equal_load_over_random_configurations():
         d0 = granularity(n, L, s)
         d = d0 * int(rng.integers(1, 4))
         tree = build_tree(n, L)
-        assignment = cr_allocate(tree, s, d, seed=int(rng.integers(1_000_000)))
+        assignment = cr_allocate(tree, s, d, B=build_encoding(n, s, int(rng.integers(1_000_000))))
         expected = r_cr(n, L, s) * d
         assert expected.denominator == 1
         for node in tree.workers():
@@ -158,7 +165,7 @@ def test_equal_load_over_random_configurations():
 def test_granularity_violation_rejected():
     tree = build_tree(3, 2)
     with pytest.raises(AllocationError, match="granularity"):
-        cr_allocate(tree, 1, 16, seed=0)
+        cr_allocate(tree, 1, 16, B=build_encoding(3, 1, 0))
 
 
 def test_csv_dump_is_parseable(tmp_path, reference_b):

@@ -372,23 +372,33 @@ def test_gc_identity_recovery_random_patterns():
         np.testing.assert_allclose(got, np.ones(d), atol=1e-9)
 
 
-def test_gc_matches_single_layer_tree():
+@pytest.mark.parametrize(
+    "scheme, stragglers, flat",
+    [
+        ("gc", {1, 4}, lambda N, S, B, lag, *rest: engine.gc_execute(N, S, B, lag, *rest)),
+        ("umw", set(), lambda N, S, B, lag, *rest: engine.umw_execute(N, *rest)),
+        ("sgd", {1, 4}, lambda N, S, B, lag, *rest: engine.sgd_execute(N, S, lag, *rest)),
+    ],
+    ids=["gc", "umw", "sgd"],
+)
+def test_gc_matches_single_layer_tree(scheme, stragglers, flat):
+    """Each flat wrapper is `cr_execute` on the tree `scheme_tree` gives
+    its scheme, waiting for that tree's quorum."""
     d, N, S = 30, 6, 2
-    B = build_encoding(N, S, seed=21)
-    tree = build_tree(N, 1)
-    assignment = cr_allocate(tree, S, d, B=B)
+    tree, quorum_s, coded_s = scheme_tree(scheme, N, S)
+    B = build_encoding(N, coded_s, seed=21)
+    assignment = cr_allocate(tree, coded_s, d, B=B)
     dataset, _ = generate_synthetic(d, 5, seed=10)
     oracle = make_oracle("linear", dataset)
     theta = np.full(5, 0.7)
-    stragglers = {1, 4}
     pattern = StragglerPattern({MASTER: frozenset(NodeId(1, i + 1) for i in stragglers)})
-    via_tree = engine.cr_execute(tree, assignment, B, pattern, oracle, theta)
-    via_flat = engine.gc_execute(N, S, B, stragglers, oracle, theta, d)
+    via_tree = engine.cr_execute(tree, assignment, B, pattern, oracle, theta, quorum_s)
+    via_flat = flat(N, S, B, stragglers, oracle, theta, d)
     np.testing.assert_allclose(via_flat, via_tree, rtol=1e-12)
 
 
 def test_gc_rejects_excess_stragglers(reference_b):
-    with pytest.raises(engine.UnrecoverableError):
+    with pytest.raises(ValueError, match=r"parent 0\.1 has 2 stragglers, tolerance is 1"):
         engine.gc_execute(3, 1, reference_b, {0, 1}, identity_oracle_for(15), np.zeros(1), 15)
 
 
@@ -498,5 +508,5 @@ def test_all_full_gradient_schemes_agree():
 
 
 def test_divisibility_errors():
-    with pytest.raises(ValueError, match="evenly"):
+    with pytest.raises(ValueError, match="granularity"):
         engine.umw_execute(7, identity_oracle_for(10), np.zeros(1), 10)

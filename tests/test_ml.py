@@ -19,6 +19,7 @@ from codedreduce.ml import (
     trace_to_csv,
 )
 from codedreduce.topology import StragglerPattern, build_tree
+from codedreduce.transport import OracleSpec
 
 
 def full_slice(dataset):
@@ -99,6 +100,13 @@ def test_gradients_match_finite_differences(kind):
             e[j] = h
             numeric[j] = (loss(theta + e, idx) - loss(theta - e, idx)) / (2 * h)
         assert np.max(np.abs(analytic - numeric)) / max(1.0, np.max(np.abs(numeric))) < 1e-5
+
+
+def test_oracle_spec_refuses_an_unknown_kind():
+    """A misspelt kind fails where the spec is written, before any node
+    process would build the oracle."""
+    with pytest.raises(ValueError, match="unknown oracle kind 'lineer'"):
+        OracleSpec(kind="lineer", d=15, p=3)
 
 
 def test_csv_ingestion_round_trip(tmp_path):

@@ -197,3 +197,25 @@ def test_a_late_child_still_gets_the_model(
     assert report.node_reports["0.1"].received_from == ["1.2", "1.3"]
     assert report.node_reports["1.1"].status == status
     assert report.timed_out_parents == timed_out_parents
+
+
+def _run_node_unreadable_shard(node, cfg, shard, *args, **kwargs):
+    """run_node with node 2.1 handed a shard its oracle cannot read; spawned
+    nodes import it from this module by name."""
+    if node == NodeId(2, 1):
+        shard = (None,)
+    run_node(node, cfg, shard, *args, **kwargs)
+
+
+def test_a_node_that_raises_reports_error(tmp_path, monkeypatch):
+    monkeypatch.setattr(transport, "run_node", _run_node_unreadable_shard)
+    tree = build_tree(3, 2)
+    spec = OracleSpec(kind="identity", d=15, p=15)
+    cfg = TransportConfig(tree=tree, s=1, oracle=spec, theta=np.zeros(15), deadline=5.0)
+    report = orchestrate(cfg, tmp_path / "run")
+    assert report.ok, report.error
+    np.testing.assert_allclose(report.gradient, np.ones(15), atol=1e-9)
+    failed = report.node_reports["2.1"]
+    assert failed.status == "error"
+    assert failed.detail.startswith("AttributeError: ")
+    assert report.node_reports["1.1"].missing == ["2.1"]
