@@ -183,20 +183,31 @@ class Assignment:
         """k, the points in each of the d0 blocks every cut falls between."""
         return self._k
 
-    def block_weights(self, c: np.ndarray) -> np.ndarray:
-        """The per-block weights of w = sum_v c_v * W_v over the workers'
-        local sets W_v, for worker weights c in layer-major order: one
-        bincount over the (N, q0) block matrix, d0 entries."""
-        blocks = np.concatenate([b[:, : self._q0] for b, _ in self._shares])
-        weights = np.concatenate([w[:, : self._q0] for _, w in self._shares])
-        return np.bincount(
-            blocks.ravel(), weights=(c[:, None] * weights).ravel(), minlength=self.d // self._k
+    @cached_property
+    def _local_blocks(self) -> tuple[np.ndarray, np.ndarray]:
+        """Every worker's local blocks and their weights, (N, q0) each."""
+        return tuple(
+            np.concatenate([a[:, : self._q0] for a in arrays]) for arrays in zip(*self._shares)
         )
 
+    def block_weights(self, c: np.ndarray) -> np.ndarray:
+        """The per-block weights of w = sum_v c_v * W_v over the workers'
+        local sets W_v, for worker weights c of shape (..., N) in
+        layer-major order: (..., d0) entries from one bincount over the
+        (N, q0) block matrix, each round's bins offset by d0."""
+        blocks, weights = self._local_blocks
+        d0 = self.d // self._k
+        rounds = c.reshape(-1, c.shape[-1])
+        bins = blocks.ravel() + d0 * np.arange(len(rounds))[:, None]
+        sums = np.bincount(
+            bins.ravel(), weights=(rounds[:, :, None] * weights).ravel(), minlength=len(rounds) * d0
+        )
+        return sums.reshape(c.shape[:-1] + (d0,))
+
     def point_weights(self, c: np.ndarray) -> np.ndarray:
-        """The per-point weights w: each block's weight repeated over its k
-        points."""
-        return np.repeat(self.block_weights(c), self._k)
+        """The per-point weights w, (..., d): each block's weight repeated
+        over its k points."""
+        return np.repeat(self.block_weights(c), self._k, axis=-1)
 
 
 def cr_allocate(tree: RegularTree, s: int, d: int, B: EncodingMatrix) -> Assignment:

@@ -141,6 +141,11 @@ def validate_config(cfg: ExperimentConfig, builds_tree: bool = False) -> list[st
         problems.append(f"synthetic data needs a finite noise >= 0, got {cfg.noise}")
     if cfg.d < 1:
         problems.append(f"dataset size must be >= 1, got {cfg.d}")
+    if not cfg.schemes:
+        problems.append("experiment.schemes names no scheme")
+    repeated = sorted({scheme for scheme in cfg.schemes if cfg.schemes.count(scheme) > 1})
+    if repeated:
+        problems.append(f"experiment.schemes lists {', '.join(repeated)} more than once")
     checked = set()
     for scheme in ["cr"] * builds_tree + list(cfg.schemes):
         try:

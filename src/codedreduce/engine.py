@@ -8,12 +8,14 @@ A round is linear: each parent combines its surviving children with a fixed
 row (a coded parent's row a solves a @ B_F = 1), so the master's output is
 sum_v c_v * g_v over the workers' local gradients g_v, each c_v the product
 of the rows on v's path to the master.  `worker_weights` is the coefficient
-pass that gives c from integer straggler positions; the rows are cached on
-the code, so each survivor set is decoded once per code, not once per round,
-and an ill-conditioned set warns once.  `cr_execute` evaluates the sum
-through a gradient oracle, and `ml.gd_run` turns c into per-block weights
-(`Assignment.block_weights`) and takes the whole round as one reweighted
-full gradient.
+pass that gives c from integer straggler positions, vectorized over a batch
+of rounds (the straggler draws do not depend on the model, so `ml.gd_run`
+passes a chunk of iterations at once and `codedreduce verify` a chunk of
+patterns); the rows are cached on the code, so each survivor set is decoded
+once per code, not once per round, and an ill-conditioned set warns once.
+`cr_execute` evaluates the sum through a gradient oracle, and `ml.gd_run`
+turns c into per-block weights (`Assignment.block_weights`) and takes the
+whole round as one reweighted full gradient.
 GC, UMW and SGD are this round on the tree, quorum and code that
 `latency.scheme_tree` gives them, so the tree round's checks (the
 allocation's code shape and granularity, the pattern's straggler bound) are
@@ -23,6 +25,7 @@ ring.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import Callable, Sequence
 
 import numpy as np
@@ -41,6 +44,11 @@ __all__ = [
     "rar_execute",
     "sgd_execute",
 ]
+
+# Rounds per coefficient pass where a caller sweeps many (gd_run's
+# iterations, verify's patterns): a pass's arrays stay O(chunk x workers)
+# whatever the number of rounds.
+_PASS_CHUNK = 64
 
 # Maps (model, weighted slices) to the weighted sum of per-point gradients.
 # Must be additive over disjoint slice lists and homogeneous in the weights.
@@ -62,34 +70,58 @@ def _combining_row(B: EncodingMatrix, survivors: tuple[int, ...]) -> np.ndarray:
     return row
 
 
+@lru_cache(maxsize=None)
+def _bits(n: int) -> np.ndarray:
+    """Child position j's bit, 1 << j: int64 for up to 62 children and Python
+    ints beyond, so a bitmask of a parent's children never wraps."""
+    return 1 << np.arange(n, dtype=np.int64 if n < 63 else object)
+
+
+@lru_cache(maxsize=1024)
+def _kept(alive: int, n: int, need: int) -> tuple[tuple[int, ...], np.ndarray]:
+    """The `need` lowest child positions set in the bitmask `alive`, the
+    ones a parent combines, and their read-only 0/1 indicator."""
+    kept = tuple(j for j in range(n) if alive >> j & 1)[:need]
+    on = np.zeros(n)
+    on[list(kept)] = 1.0
+    on.setflags(write=False)
+    return kept, on
+
+
 def worker_weights(
     tree: RegularTree, B: EncodingMatrix, straggling: np.ndarray, resilience: int
 ) -> np.ndarray:
-    """The round's coefficient pass: every worker's weight c_v in the
-    master's output sum_v c_v * g_v, one entry per worker in layer-major
-    order.
+    """The coefficient pass: every worker's weight c_v in the master's output
+    sum_v c_v * g_v, one entry per worker in layer-major order, for every
+    round of a batch at once.
 
-    `straggling` is a (tree.num_parents, n) boolean array, row k marking the
-    straggling child positions of the layer-major parent k (see
-    `StragglerPattern.positions`), with at most `resilience` per row.  Each
-    parent combines its first n - resilience surviving children with its
-    combining row, so c_master = 1 and c_child = c_parent * row[position].
-    A worker no parent combines, or one below it, weighs 0.  Each distinct
-    survivor set is decoded once per code, not once per round.
+    `straggling` is a (..., tree.num_parents, n) boolean array, row k of a
+    round marking the straggling child positions of the layer-major parent
+    k (see `StragglerPattern.positions`), with at most `resilience` per row;
+    the result is (..., tree.num_workers).  Each parent combines its first
+    n - resilience surviving children with its combining row, so
+    c_master = 1 and c_child = c_parent * row[position], multiplied root
+    first.  A worker no parent combines, or one below it, weighs 0 (or -0).
+    A parent's answering children are one bitmask; the rows are looked up
+    once per distinct bitmask, in order of first appearance (round, then
+    layer-major parent), and each survivor set is decoded once per code,
+    the sets of parents whose weight is 0 included.
     """
-    n, need = tree.n, tree.n - resilience
-    weight = [0.0] * (1 + tree.num_workers)  # layer-major, master at 0
-    weight[0] = 1.0
-    for k, lagging in enumerate(straggling.tolist()):  # a parent's weight is final
-        c = weight[k]
-        if not c:
-            continue
-        # surplus survivors: keep the lowest child indices
-        survivors = tuple(j for j, lag in enumerate(lagging) if not lag)[:need]
-        row = _combining_row(B, survivors)
-        for j in survivors:
-            weight[k * n + 1 + j] = c * row[j]
-    return np.array(weight[1:])
+    n, L = tree.n, tree.L
+    batch = straggling.shape[:-2]
+    alive = ~straggling @ _bits(n)  # each parent's answering children
+    rows = dict.fromkeys(alive.ravel().tolist())  # distinct, first appearance first
+    for mask in rows:
+        kept, on = _kept(mask, n, n - resilience)
+        rows[mask] = _combining_row(B, kept) * on  # an uncoded row is nonzero off its set
+    masks = sorted(rows)
+    factor = np.array([rows[mask] for mask in masks])[np.searchsorted(np.array(masks), alive)]
+    c = factor.reshape(batch + (tree.num_workers,))  # node v's weight sits at v - 1
+    offsets = [tree.layer_offset(layer) - 1 for layer in range(1, L + 2)]
+    for first, kids, end in zip(offsets, offsets[1:], offsets[2:]):
+        below = c[..., kids:end].reshape(batch + (kids - first, n))  # a view
+        below *= c[..., first:kids, None]  # each child times its parent's weight
+    return c
 
 
 def cr_execute(
@@ -118,9 +150,9 @@ def cr_execute(
     straggling = pattern.positions(tree, resilience)
     weight = worker_weights(tree, B, straggling, resilience)
     nodes = tree.layer_major_nodes()
-    return sum(
-        weight[v] * oracle(theta, assignment.local[nodes[v + 1]])
-        for v in np.flatnonzero(weight).tolist()
+    combined = np.flatnonzero(weight)
+    return weight[combined] @ np.array(
+        [oracle(theta, assignment.local[nodes[v + 1]]) for v in combined.tolist()]
     )
 
 

@@ -6,10 +6,12 @@ linear and sigmoid(X theta) - y for logistic loss, so the gradient over
 points weighted by w is X'(w * r(theta)).  `gd_run` takes the round of
 every scheme in that form: the engine's coefficient pass gives each
 worker's weight, and `Assignment.block_weights` turns those into one weight
-per granularity block of k points, which w repeats over the block.  For
-linear loss with p < k the round reads per-block Gram matrices
-[X_b y_b]'[X_b y_b], built once per run, instead of the data; otherwise it
-is one pass over the data, whatever the tree.  RAR's ring sums all N
+per granularity block of k points, which w repeats over the block.  The
+straggler draws do not depend on theta, so both run once per chunk of
+iterations, before its steps.  For linear loss with p < k the round reads
+per-block Gram matrices [X_b y_b]'[X_b y_b], built once per run and
+contracted once per chunk, instead of the data; otherwise it is one pass
+over the data, whatever the tree.  RAR's ring sums all N
 partial gradients, which is UMW's round, so it runs UMW's round on its own
 clock.  The per-slice oracles `linear_grad` and `logistic_grad` serve the
 transport, `engine.cr_execute` and `engine.rar_execute`: they take weighted
@@ -245,9 +247,13 @@ def gd_run(
     over per-block Gram matrices G_b = X_b'X_b and h_b = X_b'y_b.  Each
     iteration draws one uniform per child of every parent from the seed's
     first `SeedSequence` child, not from the clock's stream; the quorum_s
-    lowest of a parent's n straggle.  When a timing model is configured,
-    per-iteration completion times, RAR's by its ring, accumulate into the
-    trace's simulated clock.
+    lowest of a parent's n straggle.  The weights do not depend on theta,
+    so the loop runs by chunks of `engine._PASS_CHUNK` iterations: one
+    (chunk, num_parents, n) draw, which consumes the words of one draw per
+    iteration, one coefficient pass, one block-weight call and, for the Gram
+    round, one stacked contraction, then the chunk's steps.  When a timing
+    model is configured, per-iteration completion times, RAR's by its ring,
+    accumulate into the trace's simulated clock.
     """
     scheme = config.scheme
     rng = np.random.default_rng(np.random.SeedSequence(config.seed).spawn(1)[0])
@@ -260,14 +266,21 @@ def gd_run(
         # [X_b y_b]'[X_b y_b] per block: a round reads d0 (p+1)^2 doubles,
         # not the (d, p) feature matrix twice
         blocks = dataset.points.reshape(-1, k, p + 1)
-        gram = np.matmul(blocks.transpose(0, 2, 1), blocks)
+        gram = np.matmul(blocks.transpose(0, 2, 1), blocks).reshape(len(blocks), -1)
 
-        def gradient(w_b: np.ndarray, theta: np.ndarray) -> np.ndarray:
-            M = np.tensordot(w_b, gram, 1)
+        def rounds(Wb: np.ndarray) -> np.ndarray:
+            # a chunk's sum_b w_b A_b in one call; stacked (1, d0) rows sum
+            # each round as a per-round tensordot does, bit for bit
+            return np.matmul(Wb[:, None], gram).reshape(-1, p + 1, p + 1)
+
+        def gradient(M: np.ndarray, theta: np.ndarray) -> np.ndarray:
             return M[:p, :p] @ theta - M[:p, p]
 
     else:
         X, y, residual = dataset.features, dataset.labels, _RESIDUALS[config.loss]
+
+        def rounds(Wb: np.ndarray) -> np.ndarray:
+            return Wb
 
         def gradient(w_b: np.ndarray, theta: np.ndarray) -> np.ndarray:
             return X.T @ (np.repeat(w_b, k) * residual(X, y, theta))
@@ -279,24 +292,26 @@ def gd_run(
         clock = np.cumsum(times).tolist()
     theta = np.zeros(p)
     trace: list[TraceRow] = []
-    for t in range(1, T + 1):
-        straggling = np.zeros((tree.num_parents, tree.n), dtype=bool)
+    chunk = engine._PASS_CHUNK  # iterations per straggler draw and coefficient pass
+    for start in range(0, T, chunk):
+        straggling = np.zeros((min(chunk, T - start), tree.num_parents, tree.n), dtype=bool)
         if quorum_s:  # each parent's quorum_s lowest uniforms straggle
-            lowest = np.argpartition(rng.random(straggling.shape), quorum_s - 1, axis=1)
-            np.put_along_axis(straggling, lowest[:, :quorum_s], True, axis=1)
+            lowest = np.argpartition(rng.random(straggling.shape), quorum_s - 1, axis=-1)
+            np.put_along_axis(straggling, lowest[..., :quorum_s], True, axis=-1)
         c = engine.worker_weights(tree, B, straggling, quorum_s)
-        g = gradient(assignment.block_weights(c), theta)
-        new_theta = theta - config.step(t) * (g + config.lam * theta)
-        rer = _squared_ratio(new_theta - theta, theta)
-        ner = (
-            _squared_ratio(new_theta - theta_star, theta_star)
-            if theta_star is not None
-            else float("nan")
-        )
-        theta = new_theta
-        trace.append(
-            TraceRow(iteration=t, theta=theta.copy(), rer=rer, ner=ner, sim_time=clock[t - 1])
-        )
+        for t, w in enumerate(rounds(assignment.block_weights(c)), start + 1):
+            g = gradient(w, theta)
+            new_theta = theta - config.step(t) * (g + config.lam * theta)
+            rer = _squared_ratio(new_theta - theta, theta)
+            ner = (
+                _squared_ratio(new_theta - theta_star, theta_star)
+                if theta_star is not None
+                else float("nan")
+            )
+            theta = new_theta
+            trace.append(
+                TraceRow(iteration=t, theta=theta.copy(), rer=rer, ner=ner, sim_time=clock[t - 1])
+            )
     return trace
 
 

@@ -3,6 +3,7 @@ import io
 from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from codedreduce import cli
@@ -10,6 +11,7 @@ from codedreduce.cli import cmd_latency, cmd_train, cmd_validate, cmd_verify, ma
 from codedreduce.codes import CodeConstructionError
 from codedreduce.config import load_config, validate_config
 from codedreduce.ml import gd_run, generate_synthetic, load_dataset_csv
+from codedreduce.topology import build_tree, enumerate_patterns
 from codedreduce.transport import RunReport
 
 BASE_INI = """
@@ -103,6 +105,12 @@ def test_validate_reports_first_violation(tmp_path):
         pytest.param("train", "c1", float("nan"), "c1", "cr", id="train-c1-nan"),
         pytest.param("train", "lam", float("inf"), "lam", "cr", id="train-lam-inf"),
         pytest.param("train", "noise", float("nan"), "noise", "cr", id="train-noise-nan"),
+        # a run of nothing, or one whose outputs would be written twice
+        pytest.param("train", "schemes", (), "no scheme", "cr", id="train-schemes-empty"),
+        pytest.param(
+            "latency", "schemes", ("umw", "umw"), "umw more than once", "cr",
+            id="latency-schemes-umw-umw",
+        ),
         # a schedule whose first step c1/(1 + c2) divides by zero
         pytest.param(
             "train",
@@ -234,6 +242,25 @@ def test_verify_exhaustive_recovery(tmp_path):
     text = buf.getvalue()
     assert "256/256" in text
     assert text.count("PASS") == 3
+
+
+def test_verify_counts_every_pattern_that_misses(tmp_path, monkeypatch):
+    """Weights 1e-6 off for every pattern with an odd number of stragglers:
+    each such pattern, in whichever chunk of the sweep, fails."""
+    real = cli.engine.worker_weights
+
+    def off(tree, B, straggling, s):
+        odd = straggling.sum(axis=(-2, -1)) % 2 == 1
+        return real(tree, B, straggling, s) * np.where(odd, 1 + 1e-6, 1.0)[..., None]
+
+    monkeypatch.setattr(cli.engine, "worker_weights", off)
+    cfg = load_config(write_config(tmp_path))
+    patterns = enumerate_patterns(build_tree(3, 2), 1, cap=10_000, seed=cfg.seed)
+    odd = sum(sum(map(len, p.stragglers.values())) % 2 for p in patterns)
+    assert 0 < odd < len(patterns) == 256
+    buf = io.StringIO()
+    assert cmd_verify(cfg, out=buf) == 1
+    assert buf.getvalue().startswith(f"FAIL: recovery {256 - odd}/256 patterns exact")
 
 
 def test_verify_reports_failed_code_construction(tmp_path, monkeypatch):

@@ -239,6 +239,82 @@ def test_sgd_point_weights_are_the_survivors_indicator():
     assert np.array_equal(weights.point_weights(c), expected)
 
 
+def _loop_weights(tree, B, straggling, resilience):
+    """The coefficient pass of one round as a per-parent loop, the reference
+    for `worker_weights`: `straggling` is (num_parents, n)."""
+    n, need = tree.n, tree.n - resilience
+    weight = [0.0] * (1 + tree.num_workers)  # layer-major, master at 0
+    weight[0] = 1.0
+    for k, lagging in enumerate(straggling.tolist()):  # a parent's weight is final
+        c = weight[k]
+        if not c:
+            continue
+        # surplus survivors: keep the lowest child indices
+        survivors = tuple(j for j, lag in enumerate(lagging) if not lag)[:need]
+        row = engine._combining_row(B, survivors)
+        for j in survivors:
+            weight[k * n + 1 + j] = c * row[j]
+    return np.array(weight[1:])
+
+
+def _random_straggling(tree, rounds, most, rng):
+    """A (rounds, num_parents, n) array with up to `most` stragglers in
+    every row, so some parents keep surplus survivors."""
+    shape = (rounds, tree.num_parents, tree.n)
+    rank = rng.random(shape).argsort(axis=-1).argsort(axis=-1)
+    return rank < rng.integers(0, most + 1, shape[:-1] + (1,))
+
+
+@st.composite
+def _pass_cases(draw):
+    n, L = draw(
+        st.one_of(
+            st.sampled_from([(4, 5), (20, 1)]),  # train's deepest and widest trees
+            st.tuples(st.integers(1, 4), st.integers(1, 5)),
+            st.tuples(st.integers(5, 20), st.just(1)),
+        )
+    )
+    s = draw(st.integers(0, min(n - 1, 5)))
+    coded = draw(st.booleans())
+    resilience = draw(st.integers(0, s if coded else n - 1))
+    return n, L, s, coded, resilience, draw(st.integers(1, 3)), draw(st.integers(0, 2**16))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(case=_pass_cases())
+def test_batched_pass_equals_the_per_parent_loop(case):
+    """One pass over a (rounds, parents, n) batch, and over a single
+    (parents, n) round, equals the loop round by round (signed zeros
+    aside), stragglers under internal parents zeroing whole subtrees."""
+    n, L, s, coded, resilience, rounds, seed = case
+    rng = np.random.default_rng(seed)
+    tree = build_tree(n, L)
+    B = build_encoding(n, s if coded else 0, seed % 7)
+    straggling = _random_straggling(tree, rounds, resilience, rng)
+    expected = np.array([_loop_weights(tree, B, x, resilience) for x in straggling])
+    got = engine.worker_weights(tree, B, straggling, resilience)
+    assert got.shape == (rounds, tree.num_workers)
+    assert np.all(got == expected)
+    assert np.all(engine.worker_weights(tree, B, straggling[0], resilience) == expected[0])
+
+
+@pytest.mark.parametrize(
+    "s, resilience, lagging",
+    [(1, 1, [(), (66,), (63,)]), (0, 3, [(), (64, 66, 69), (1, 63, 68)])],
+    ids=["coded", "uncoded-quorum"],
+)
+def test_survivor_bitmasks_do_not_wrap_past_62_children(s, resilience, lagging):
+    """Stragglers at child positions 63 and up, where a 64-bit mask would
+    lose or sign-extend their bits."""
+    tree = build_tree(70, 1)
+    B = build_encoding(70, s, 0)
+    straggling = np.zeros((len(lagging), 1, 70), dtype=bool)
+    for t, positions in enumerate(lagging):
+        straggling[t, 0, list(positions)] = True
+    expected = np.array([_loop_weights(tree, B, x, resilience) for x in straggling])
+    assert np.all(engine.worker_weights(tree, B, straggling, resilience) == expected)
+
+
 @pytest.mark.parametrize("n, L, s", [(3, 2, 1), (2, 3, 0), (4, 5, 1)])
 def test_worker_weights_has_one_entry_per_worker(n, L, s):
     tree = build_tree(n, L)
@@ -315,6 +391,18 @@ def test_codes_with_different_seeds_share_no_rows(monkeypatch):
     ]
     rows = [engine._combining_row(B, (0, 2)) for B in (first, second)]
     assert not np.array_equal(rows[0], rows[1])
+
+
+def test_a_batch_decodes_in_order_of_first_appearance(monkeypatch):
+    """Round 0 combines children 0 and 1 everywhere; round 1's master then
+    combines 1 and 2, and its first child 0 and 2."""
+    calls = _count_decodes(monkeypatch)
+    tree = build_tree(3, 2)
+    B = build_encoding(3, 1, seed=0)
+    straggling = np.zeros((2, tree.num_parents, 3), dtype=bool)
+    straggling[1, 0, 0] = straggling[1, 1, 1] = True
+    engine.worker_weights(tree, B, straggling, 1)
+    assert [F for _, F in calls] == [(0, 1), (1, 2), (0, 2)]
 
 
 def test_cached_row_is_the_decode_row_and_read_only():

@@ -337,6 +337,30 @@ def test_both_linear_rounds_match_the_per_slice_round(monkeypatch, scheme, topo,
         assert row.sim_time == clock
 
 
+@pytest.mark.parametrize("scheme, topo, d", [
+    ("cr", dict(n=3, L=2, s=1), 150),
+    ("sgd", dict(N=6, S=2), 60),
+])
+@pytest.mark.parametrize("loss", ["linear", "logistic"])
+def test_gd_run_past_one_coefficient_pass(scheme, topo, d, loss):
+    """More iterations than one chunk of straggler draws and weights: theta
+    within 1e-12 relative of the per-slice round at every iteration, the
+    simulated clock to the bit."""
+    dataset, _ = generate_synthetic(d, 3, seed=4)
+    if loss == "logistic":
+        pts = dataset.points.copy()
+        pts[:, -1] = pts[:, -1] > 0
+        dataset = Dataset(points=pts)
+    lam_max = float(np.linalg.eigvalsh(dataset.features.T @ dataset.features).max())
+    lat = LatencyConfig(a=0.05, mu=20.0, t_c=1.0, d=float(d), seed=3)
+    config = GDConfig(scheme=scheme, iterations=engine._PASS_CHUNK + 6, step_size=1.0 / lam_max,
+                      lam=0.01, loss=loss, seed=3, latency=lat, **topo)
+    trace = gd_run(dataset, config)
+    for row, (theta, clock) in zip(trace, _reference_gd(dataset, config), strict=True):
+        assert np.max(np.abs(row.theta - theta)) <= 1e-12 * np.max(np.abs(theta))
+        assert row.sim_time == clock
+
+
 @pytest.mark.parametrize("scheme, topo", [
     ("cr", dict(n=4, L=3, s=2)),
     ("gc", dict(N=8, S=3)),
@@ -351,7 +375,7 @@ def test_each_iteration_draws_one_uniform_block(monkeypatch, scheme, topo):
     real_weights = engine.worker_weights
     monkeypatch.setattr(
         engine, "worker_weights",
-        lambda tree, B, straggling, s: rows.append((straggling.copy(), s))
+        lambda tree, B, straggling, s: rows.extend((row.copy(), s) for row in straggling)
         or real_weights(tree, B, straggling, s),
     )
     if scheme == "cr":
@@ -390,7 +414,7 @@ def test_stragglers_are_not_the_clocks_fastest_workers(monkeypatch, scheme, topo
     real_weights = engine.worker_weights
     monkeypatch.setattr(
         engine, "worker_weights",
-        lambda tree, B, straggling, s: rows.append(straggling.copy())
+        lambda tree, B, straggling, s: rows.extend(row.copy() for row in straggling)
         or real_weights(tree, B, straggling, s),
     )
     seed, T, d = 0, 6, 60  # a multiple of both granularities, 20 and 12
