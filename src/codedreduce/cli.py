@@ -4,7 +4,7 @@ Subcommands:
     validate        check a config against every scheme constraint
     train           run gradient descent per scheme, write trace CSVs
     latency         Monte Carlo iteration times per scheme, with envelopes
-    verify          exhaustive straggler-recovery and code-validity suites
+    verify          recovery (a seeded sample beyond 10,000 patterns), codes, load
     transport-demo  one coded round as real processes, with failures
 
 All outputs are deterministic given the config and seed.
@@ -13,6 +13,7 @@ All outputs are deterministic given the config and seed.
 from __future__ import annotations
 
 import argparse
+import configparser
 import csv
 import sys
 from dataclasses import replace
@@ -134,12 +135,13 @@ def cmd_latency(cfg: ExperimentConfig, out=None) -> int:
 
 
 def cmd_verify(cfg: ExperimentConfig, out=None) -> int:
-    """Exhaustive recovery over straggler patterns, code validity and equal
-    load.  A pattern recovers exactly when every block of points weighs 1
-    (to 1e-9) in the round's output, read with no gradient computed from the
-    coefficient pass and the block-weight map, one pass per chunk of
-    patterns.  `build_encoding` returns only a code whose every survivor
-    set decodes, so code validity is reported from its construction."""
+    """Recovery over every straggler pattern (a seeded sample of 10,000
+    beyond that many), code validity and equal load.  A pattern recovers
+    exactly when every block of points weighs 1 (to 1e-9) in the round's
+    output, read with no gradient computed from the coefficient pass and
+    the block-weight map, one pass per chunk of `enumerate_patterns` rows.
+    `build_encoding` returns only a code whose every survivor set decodes,
+    so code validity is reported from its construction."""
     out = out if out is not None else sys.stdout
     cfg = _validated(cfg, out, builds_tree=True)[0]
     if cfg is None:
@@ -157,8 +159,7 @@ def cmd_verify(cfg: ExperimentConfig, out=None) -> int:
     patterns = enumerate_patterns(tree, cfg.s, cap=10_000, seed=cfg.seed)
     bad = 0
     for start in range(0, len(patterns), engine._PASS_CHUNK):
-        chunk = patterns[start : start + engine._PASS_CHUNK]
-        straggling = np.stack([pattern.positions(tree, cfg.s) for pattern in chunk])
+        straggling = patterns[start : start + engine._PASS_CHUNK]
         c = engine.worker_weights(tree, B, straggling, cfg.s)
         # exact recovery: every block, so every point, weighs 1
         error = np.abs(assignment.block_weights(c) - 1.0).max(axis=-1)
@@ -234,7 +235,11 @@ def main(argv=None) -> int:
         choices=["validate", "train", "latency", "verify", "transport-demo"],
     )
     args = parser.parse_args(argv)
-    cfg = load_config(args.config, seed=args.seed, trials=args.trials, out=args.out)
+    try:
+        cfg = load_config(args.config, seed=args.seed, trials=args.trials, out=args.out)
+    except (OSError, ValueError, configparser.Error) as err:
+        print(f"INVALID: {err}")
+        return 1
     handler = {
         "validate": cmd_validate,
         "train": cmd_train,

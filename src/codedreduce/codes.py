@@ -79,6 +79,8 @@ class EncodingMatrix:
         entries = np.asarray(self.entries, dtype=float)
         if entries.shape != (self.n, self.n):
             raise ValueError(f"expected shape {(self.n, self.n)}, got {entries.shape}")
+        if not np.all(np.isfinite(entries)):
+            raise ValueError("entries must be finite, got nan or inf")
         for i in range(self.n):
             outside = np.ones(self.n, dtype=bool)
             outside[list(_support(i, self.s, self.n))] = False

@@ -83,9 +83,13 @@ def load_config(path, seed=None, trials=None, out=None) -> ExperimentConfig:
         raise FileNotFoundError(f"config file {path} not found or unreadable")
 
     def get(section, key, cast, default=None):
-        if parser.has_option(section, key):
-            return cast(parser.get(section, key))
-        return default
+        if not parser.has_option(section, key):
+            return default
+        raw = parser.get(section, key)
+        try:
+            return cast(raw)
+        except ValueError:
+            raise ValueError(f"[{section}] {key} must be {cast.__name__}, got {raw!r}") from None
 
     schemes = tuple(
         tok.strip().lower()

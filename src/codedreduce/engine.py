@@ -33,7 +33,7 @@ import numpy as np
 from .allocation import Assignment, WeightedSlice, cr_allocate
 from .codes import EncodingMatrix, build_encoding, decode_row
 from .latency import scheme_tree
-from .topology import MASTER, NodeId, RegularTree, StragglerPattern
+from .topology import MASTER, NodeId, RegularTree, StragglerPattern, check_tolerance
 
 __all__ = [
     "GradientOracle",
@@ -97,15 +97,15 @@ def worker_weights(
 
     `straggling` is a (..., tree.num_parents, n) boolean array, row k of a
     round marking the straggling child positions of the layer-major parent
-    k (see `StragglerPattern.positions`), with at most `resilience` per row;
-    the result is (..., tree.num_workers).  Each parent combines its first
-    n - resilience surviving children with its combining row, so
-    c_master = 1 and c_child = c_parent * row[position], multiplied root
-    first.  A worker no parent combines, or one below it, weighs 0 (or -0).
-    A parent's answering children are one bitmask; the rows are looked up
-    once per distinct bitmask, in order of first appearance (round, then
-    layer-major parent), and each survivor set is decoded once per code,
-    the sets of parents whose weight is 0 included.
+    k (as `topology.enumerate_patterns` gives them), with at most
+    `resilience` per row; the result is (..., tree.num_workers).  Each
+    parent combines its first n - resilience surviving children with its
+    combining row, so c_master = 1 and c_child = c_parent * row[position],
+    multiplied root first.  A worker no parent combines, or one below it,
+    weighs 0 (or -0).  A parent's answering children are one bitmask; the
+    rows are looked up once per distinct bitmask, in order of first
+    appearance (round, then layer-major parent), and each survivor set is
+    decoded once per code, the sets of parents whose weight is 0 included.
     """
     n, L = tree.n, tree.L
     batch = straggling.shape[:-2]
@@ -128,12 +128,13 @@ def cr_execute(
     tree: RegularTree,
     assignment: Assignment,
     B: EncodingMatrix,
-    pattern: StragglerPattern,
+    pattern: StragglerPattern | np.ndarray,
     oracle: GradientOracle,
     theta: np.ndarray,
     resilience: int | None = None,
 ) -> np.ndarray:
     """One aggregation round over the tree; returns the aggregated gradient.
+    `pattern` is a `StragglerPattern` or a row of `enumerate_patterns`.
 
     Every parent waits for n - `resilience` children (default: the code's s)
     and combines the first that survive in child-index order; the master
@@ -147,7 +148,11 @@ def cr_execute(
         resilience = assignment.s
     if not 0 <= resilience < tree.n:
         raise ValueError(f"need 0 <= resilience < n, got n={tree.n}, resilience={resilience}")
-    straggling = pattern.positions(tree, resilience)
+    if isinstance(pattern, StragglerPattern):
+        straggling = pattern.positions(tree, resilience)
+    else:
+        straggling = np.asarray(pattern, dtype=bool)
+        check_tolerance(tree.layer_major_nodes(), straggling.sum(axis=-1).tolist(), resilience)
     weight = worker_weights(tree, B, straggling, resilience)
     nodes = tree.layer_major_nodes()
     combined = np.flatnonzero(weight)

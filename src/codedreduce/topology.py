@@ -22,6 +22,7 @@ __all__ = [
     "RegularTree",
     "StragglerPattern",
     "build_tree",
+    "check_tolerance",
     "enumerate_patterns",
 ]
 
@@ -136,42 +137,37 @@ def _layout(n: int, L: int) -> tuple[tuple[int, ...], tuple[NodeId, ...]]:
     return offsets, nodes
 
 
+def check_tolerance(parents, counts, s: int) -> None:
+    """The straggler bound: counts[k] children straggle under parents[k], at
+    most `s` each.  Raises ValueError naming the first parent over it."""
+    for parent, count in zip(parents, counts):
+        if count > s:
+            raise ValueError(f"parent {parent} has {count} stragglers, tolerance is {s}")
+
+
 @dataclass(frozen=True)
 class StragglerPattern:
-    """Per-parent choice of straggling children (at most `s` under each parent)."""
+    """A straggler pattern named by node: each parent's straggling children
+    (at most `s` under each parent)."""
 
     stragglers: Mapping[NodeId, frozenset[NodeId]]
-
-    def per_parent(self, parent: NodeId) -> frozenset[NodeId]:
-        return self.stragglers.get(parent, frozenset())
 
     def positions(self, tree: RegularTree, s: int) -> np.ndarray:
         """The pattern as a (tree.num_parents, n) boolean array whose row k
         marks the straggling child positions of the layer-major parent k.
         Raises ValueError for a node outside the tree, a straggler that is
         not its parent's child, or more than `s` stragglers under a parent."""
-        n, L = tree.n, tree.L
-        offsets = _layout(n, L)[0]
-        flat = [False] * (offsets[L] * n)
+        out = np.zeros((tree.num_parents, tree.n), dtype=bool)
         for parent, kids in self.stragglers.items():
-            layer, index = parent.layer, parent.index
-            if not (0 <= layer <= L and 1 <= index <= offsets[layer + 1] - offsets[layer]):
-                tree._check(parent)
-            first = n * (index - 1) + 1  # index of the parent's first child
-            bad = [
-                k for k in kids
-                if layer == L or k.layer != layer + 1 or not 0 <= k.index - first < n
-            ]
+            siblings = tree.children(parent)
+            bad = [k for k in kids if k not in siblings]
             if bad:
                 raise ValueError(f"{sorted(bad, key=str)} are not children of {parent}")
-            if len(kids) > s:
-                raise ValueError(
-                    f"parent {parent} has {len(kids)} stragglers, tolerance is {s}"
-                )
-            base = (offsets[layer] + index - 1) * n - first  # + child index = flat slot
-            for k in kids:
-                flat[base + k.index] = True
-        return np.array(flat, dtype=bool).reshape(offsets[L], n)
+            check_tolerance([parent], [len(kids)], s)
+            if kids:  # a leaf may map to no stragglers; it has no row
+                row = tree.layer_offset(parent.layer) + parent.index - 1
+                out[row, [siblings.index(k) for k in kids]] = True
+        return out
 
 
 def build_tree(n: int, L: int) -> RegularTree:
@@ -179,43 +175,30 @@ def build_tree(n: int, L: int) -> RegularTree:
     return RegularTree(n=n, L=L)
 
 
-def enumerate_patterns(
-    tree: RegularTree, s: int, cap: int, seed: int = 0
-) -> list[StragglerPattern]:
-    """All per-parent straggler patterns with at most `s` stragglers per parent.
-
-    When the full count exceeds `cap`, returns a seeded uniform sample of
-    `cap` patterns instead, always containing the all-empty pattern and the
-    all-maximal one (lowest-indexed `s` children straggling at every parent).
+def enumerate_patterns(tree: RegularTree, s: int, cap: int, seed: int = 0) -> np.ndarray:
+    """All straggler patterns with at most `s` stragglers per parent, as a
+    read-only (count, tree.num_parents, n) boolean array of
+    `StragglerPattern.positions` rows: each parent's choices by size, then
+    `itertools.combinations`, and one choice per parent in
+    `itertools.product` order.  Beyond `cap` patterns, a seeded sample of
+    `cap`: all-empty, all-maximal (the lowest `s` children at every parent),
+    then uniform choices per parent.
     """
     if not 0 <= s < tree.n:
         raise ValueError(f"straggler tolerance must satisfy 0 <= s < n, got s={s}")
-    parents = list(tree.parents())
-    # Per-parent choices as 0-based sibling-position tuples, shared by all parents.
-    position_choices: list[tuple[int, ...]] = []
-    for size in range(s + 1):
-        position_choices.extend(itertools.combinations(range(tree.n), size))
-    per_parent = sum(comb(tree.n, size) for size in range(s + 1))
-    total = per_parent ** len(parents)
-
-    def make(choice_ids: tuple[int, ...]) -> StragglerPattern:
-        mapping = {}
-        for parent, cid in zip(parents, choice_ids):
-            kids = tree.children(parent)
-            positions = position_choices[cid]
-            if positions:
-                mapping[parent] = frozenset(kids[p] for p in positions)
-        return StragglerPattern(mapping)
-
-    if total <= cap:
-        return [make(ids) for ids in itertools.product(range(per_parent), repeat=len(parents))]
-
-    rng = np.random.default_rng(seed)
-    empty = make((0,) * len(parents))
-    maximal_id = position_choices.index(tuple(range(s)))
-    maximal = make((maximal_id,) * len(parents))
-    out = [empty, maximal][:cap]
-    while len(out) < cap:
-        ids = tuple(int(c) for c in rng.integers(0, per_parent, size=len(parents)))
-        out.append(make(ids))
-    return out
+    if cap < 1:
+        raise ValueError(f"pattern cap must be >= 1, got cap={cap}")
+    n, P = tree.n, tree.num_parents
+    combos = [c for size in range(s + 1) for c in itertools.combinations(range(n), size)]
+    choices, k = np.array([[j in c for j in range(n)] for c in combos]), len(combos)
+    if k**P <= cap:
+        # mixed radix: the last parent's choice varies fastest, as in product
+        radix = np.array([k**e for e in range(P - 1, -1, -1)], dtype=np.int64)
+        patterns = choices[np.arange(k**P)[:, None] // radix % k]
+    else:
+        maximal = sum(comb(n, size) for size in range(s))  # choice (0, ..., s-1)
+        draws = np.random.default_rng(seed).integers(0, k, size=(max(cap - 2, 0), P))
+        extremes = np.repeat(choices[[0, maximal], None], P, axis=1)
+        patterns = np.concatenate([extremes, choices[draws]])[:cap]
+    patterns.setflags(write=False)
+    return patterns

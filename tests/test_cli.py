@@ -1,5 +1,6 @@
 import csv
 import io
+import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 
@@ -256,11 +257,31 @@ def test_verify_counts_every_pattern_that_misses(tmp_path, monkeypatch):
     monkeypatch.setattr(cli.engine, "worker_weights", off)
     cfg = load_config(write_config(tmp_path))
     patterns = enumerate_patterns(build_tree(3, 2), 1, cap=10_000, seed=cfg.seed)
-    odd = sum(sum(map(len, p.stragglers.values())) % 2 for p in patterns)
+    odd = int(np.count_nonzero(patterns.sum(axis=(1, 2)) % 2))
     assert 0 < odd < len(patterns) == 256
     buf = io.StringIO()
     assert cmd_verify(cfg, out=buf) == 1
     assert buf.getvalue().startswith(f"FAIL: recovery {256 - odd}/256 patterns exact")
+
+
+def test_verify_memory_stays_bounded_on_a_deep_tree(tmp_path):
+    """10,000 sampled patterns of the 341-parent (4,5) tree: the command's
+    traced peak stays under 100 MiB (the patterns take 13.6 MB as one
+    boolean array)."""
+    path = write_config(tmp_path, schemes="cr", d=124)
+    path.write_text(path.read_text().replace("n = 3\nL = 2\n", "n = 4\nL = 5\n"))
+    cfg = load_config(path)
+    assert (cfg.n, cfg.L, cfg.s) == (4, 5, 1)
+    buf = io.StringIO()
+    tracemalloc.start()
+    try:
+        code = cmd_verify(cfg, out=buf)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert buf.getvalue().startswith("PASS: recovery 10000/10000 patterns exact on (4,5)-tree")
+    assert peak < 100 * 2**20
 
 
 def test_verify_reports_failed_code_construction(tmp_path, monkeypatch):
@@ -283,9 +304,19 @@ def test_main_entry_point(tmp_path, capsys):
     assert out.startswith("OK:")
 
 
-def test_main_rejects_missing_config(tmp_path):
+def test_main_rejects_missing_config(tmp_path, capsys):
     with pytest.raises(FileNotFoundError):
-        main(["--config", str(tmp_path / "nope.ini"), "validate"])
+        load_config(tmp_path / "nope.ini")
+    assert main(["--config", str(tmp_path / "nope.ini"), "validate"]) == 1
+    out = capsys.readouterr().out
+    assert out.startswith("INVALID: config file") and "nope.ini" in out
+
+
+def test_main_reports_a_malformed_config_value(tmp_path, capsys):
+    path = write_config(tmp_path)
+    path.write_text(path.read_text().replace("n = 3\n", "n = three\n"))
+    assert main(["--config", str(path), "validate"]) == 1
+    assert capsys.readouterr().out == "INVALID: [tree] n must be int, got 'three'\n"
 
 
 @pytest.mark.transport

@@ -125,6 +125,16 @@ def test_support_violation_rejected_by_constructor():
         EncodingMatrix(n=3, s=1, entries=dense)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_entries_rejected_by_constructor(reference_b, bad):
+    """A nan or inf on row 0's support would reach LAPACK in decode_row and
+    validate_code; the constructor refuses it."""
+    entries = reference_b.entries.copy()
+    entries[0, 0] = bad
+    with pytest.raises(ValueError, match="finite"):
+        EncodingMatrix(n=3, s=1, entries=entries)
+
+
 def test_gives_up_after_eight_attempts(monkeypatch):
     calls = []
 

@@ -94,6 +94,30 @@ def test_unrecoverable_pattern_names_parent(reference_b):
         )
 
 
+def test_cr_execute_takes_a_row_of_positions(reference_b):
+    """A pattern named by node and its row of positions round alike, and
+    are refused alike with the same message."""
+    tree = build_tree(3, 2)
+    assignment = cr_allocate(tree, 1, 15, B=reference_b)
+    oracle, theta = identity_oracle_for(15), np.zeros(1)
+    pattern = StragglerPattern(
+        {MASTER: frozenset({NodeId(1, 2)}), NodeId(1, 3): frozenset({NodeId(2, 9)})}
+    )
+    by_node = engine.cr_execute(tree, assignment, reference_b, pattern, oracle, theta)
+    row = pattern.positions(tree, 1)
+    assert np.array_equal(engine.cr_execute(tree, assignment, reference_b, row, oracle, theta), by_node)
+    too_many = StragglerPattern({NodeId(1, 2): frozenset({NodeId(2, 4), NodeId(2, 5)})})
+    messages = []
+    for given in (too_many, too_many.positions(tree, 2)):
+        with pytest.raises(ValueError) as err:
+            engine.cr_execute(tree, assignment, reference_b, given, oracle, theta)
+        messages.append(str(err.value))
+    assert messages == ["parent 1.2 has 2 stragglers, tolerance is 1"] * 2
+    for shape in [(3, 3), (5, 3), (4, 2)]:  # the tree has 4 parents of 3 children
+        with pytest.raises(ValueError):
+            engine.cr_execute(tree, assignment, reference_b, np.zeros(shape, bool), oracle, theta)
+
+
 def test_only_decoded_messages_are_computed(reference_b):
     """A straggler's subtree and any surplus survivor cost no oracle call."""
     calls = []
@@ -121,7 +145,7 @@ def _nested_round(parent, tree, assignment, B, pattern, oracle, theta, resilienc
     gradient plus, for an internal child, its own nested decode."""
     need = tree.n - resilience
     kids = tree.children(parent)
-    straggling = pattern.per_parent(parent)
+    straggling = pattern.stragglers.get(parent, frozenset())
     survivors = [pos for pos, c in enumerate(kids) if c not in straggling][:need]
     if B.s:
         coefficients = engine.decode_row(B, survivors).coefficients
@@ -222,8 +246,8 @@ def test_full_gradient_schemes_weigh_every_point_once(scheme, topo, resilience, 
     tree, quorum_s, coded_s = scheme_tree(scheme, topo, resilience)
     B = build_encoding(tree.n, coded_s, 0)
     weights = cr_allocate(tree, coded_s, d, B=B)
-    for pattern in enumerate_patterns(tree, quorum_s, cap=200, seed=1):
-        c = engine.worker_weights(tree, B, pattern.positions(tree, quorum_s), quorum_s)
+    for straggling in enumerate_patterns(tree, quorum_s, cap=200, seed=1):
+        c = engine.worker_weights(tree, B, straggling, quorum_s)
         assert np.max(np.abs(weights.point_weights(c) - 1.0)) <= 1e-9
 
 
@@ -370,8 +394,8 @@ def test_each_survivor_set_is_decoded_once_per_code(monkeypatch):
     B = build_encoding(3, 1, seed=0)
     patterns = enumerate_patterns(tree, 1, cap=1000, seed=1)
     assert len(patterns) == 1000
-    for pattern in patterns:
-        engine.worker_weights(tree, B, pattern.positions(tree, 1), 1)
+    for straggling in patterns:
+        engine.worker_weights(tree, B, straggling, 1)
     survivor_sets = [F for _, F in calls]
     assert len(survivor_sets) <= comb(3, 2)
     assert len(set(survivor_sets)) == len(survivor_sets)

@@ -1,3 +1,6 @@
+import itertools
+from math import comb
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,6 +11,7 @@ from codedreduce.topology import (
     NodeId,
     StragglerPattern,
     build_tree,
+    check_tolerance,
     enumerate_patterns,
 )
 
@@ -67,14 +71,14 @@ def test_exhaustive_pattern_count():
     patterns = enumerate_patterns(tree, s=1, cap=10_000)
     # 4 parents, each with 1 empty + 3 singleton choices
     assert len(patterns) == (1 + 3) ** 4 == 256
-    assert len({tuple(sorted((str(k), tuple(sorted(map(str, v)))) for k, v in p.stragglers.items())) for p in patterns}) == 256
+    assert len({p.tobytes() for p in patterns}) == 256
 
 
 def test_zero_tolerance_single_pattern():
     tree = build_tree(5, 2)
     patterns = enumerate_patterns(tree, s=0, cap=10)
     assert len(patterns) == 1
-    assert patterns[0].stragglers == {}
+    assert not patterns[0].any()
 
 
 def test_sampled_patterns_include_extremes():
@@ -82,14 +86,83 @@ def test_sampled_patterns_include_extremes():
     # (1 + 3 + 3)^4 = 2401 > 100 triggers sampling
     patterns = enumerate_patterns(tree, s=2, cap=100, seed=5)
     assert len(patterns) == 100
-    assert patterns[0].stragglers == {}
+    assert not patterns[0].any()
     maximal = patterns[1]
-    for parent in tree.parents():
-        assert len(maximal.per_parent(parent)) == 2
+    assert maximal.sum(axis=1).tolist() == [2] * len(list(tree.parents()))
     for p in patterns:
-        p.positions(tree, s=2)
+        check_tolerance(tree.parents(), p.sum(axis=1), s=2)
     again = enumerate_patterns(tree, s=2, cap=100, seed=5)
-    assert [p.stragglers for p in again] == [p.stragglers for p in patterns]
+    assert np.array_equal(again, patterns)
+
+
+def _reference_patterns(tree, s, cap, seed=0):
+    """`enumerate_patterns` as `StragglerPattern` objects, one per-parent
+    loop and one random draw per sampled pattern: the reference for the
+    position array."""
+    parents = list(tree.parents())
+    position_choices = []
+    for size in range(s + 1):
+        position_choices.extend(itertools.combinations(range(tree.n), size))
+    per_parent = sum(comb(tree.n, size) for size in range(s + 1))
+    total = per_parent ** len(parents)
+
+    def make(choice_ids):
+        mapping = {}
+        for parent, cid in zip(parents, choice_ids):
+            kids = tree.children(parent)
+            positions = position_choices[cid]
+            if positions:
+                mapping[parent] = frozenset(kids[p] for p in positions)
+        return StragglerPattern(mapping)
+
+    if total <= cap:
+        return [make(ids) for ids in itertools.product(range(per_parent), repeat=len(parents))]
+    rng = np.random.default_rng(seed)
+    maximal_id = position_choices.index(tuple(range(s)))
+    out = [make((0,) * len(parents)), make((maximal_id,) * len(parents))][:cap]
+    while len(out) < cap:
+        ids = tuple(int(c) for c in rng.integers(0, per_parent, size=len(parents)))
+        out.append(make(ids))
+    return out
+
+
+@pytest.mark.parametrize(
+    "n, L, s, cap, seed",
+    [
+        (3, 2, 1, 10_000, 0),  # the full product, 256 patterns
+        (2, 3, 1, 10_000, 0),  # the full product, 3^7 patterns
+        (3, 2, 2, 100, 5),  # a sample
+        (4, 3, 2, 500, 11),  # a sample, 11 choices per parent
+        (4, 5, 0, 10, 0),  # s = 0: one choice for each of 341 parents
+        (3, 3, 1, 1, 3),
+        (3, 3, 1, 2, 3),
+        (3, 3, 1, 10_000, 3),  # verify's tree and cap
+    ],
+)
+def test_pattern_array_equals_the_pattern_objects(n, L, s, cap, seed):
+    tree = build_tree(n, L)
+    patterns = enumerate_patterns(tree, s, cap, seed)
+    expected = np.stack([p.positions(tree, s) for p in _reference_patterns(tree, s, cap, seed)])
+    assert patterns.dtype == bool
+    assert patterns.shape == (len(expected), tree.num_parents, n)
+    assert not patterns.flags.writeable
+    assert np.array_equal(patterns, expected)
+
+
+@pytest.mark.parametrize("cap", [0, -1])
+def test_pattern_cap_below_one_is_refused(cap):
+    with pytest.raises(ValueError, match="cap must be >= 1"):
+        enumerate_patterns(build_tree(3, 2), 1, cap)
+
+
+def test_check_tolerance_names_the_first_parent_over_it():
+    tree = build_tree(3, 2)
+    straggling = np.zeros((4, 3), dtype=bool)
+    straggling[2, :2] = straggling[3, :] = True
+    with pytest.raises(ValueError) as err:
+        check_tolerance(tree.parents(), straggling.sum(axis=1), 1)
+    assert str(err.value) == "parent 1.2 has 2 stragglers, tolerance is 1"
+    check_tolerance(tree.parents(), straggling.sum(axis=1), 3)
 
 
 def test_pattern_validation_rejects_foreign_children():
