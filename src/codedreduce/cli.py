@@ -190,23 +190,14 @@ def cmd_transport_demo(cfg: ExperimentConfig, out=None) -> int:
         return 1
     tree = build_tree(cfg.n, cfg.L)
     rng = np.random.default_rng(cfg.seed)
-    victims: set = set()
-
-    def subtree_dead(node) -> bool:
-        while node.layer > 0:
-            if node in victims:
-                return True
-            node = tree.parent(node)
-        return False
-
-    for parent in tree.parents():
-        if parent.layer > 0 and subtree_dead(parent):
-            continue
+    victims, orphans = set(), set()
+    for parent in tree.parents():  # layer-major: a parent's fate is settled before its children's
         kids = tree.children(parent)
-        victims.add(kids[int(rng.integers(tree.n))])
-    # A dead internal node loses its whole subtree; skip starting orphans.
-    doomed = {w for w in tree.workers() if subtree_dead(w)}
-    plan = FailurePlan(never_start=frozenset(doomed))
+        if parent in victims or parent in orphans:  # a dead node loses its whole subtree
+            orphans.update(kids)
+        else:
+            victims.add(kids[int(rng.integers(tree.n))])
+    plan = FailurePlan(never_start=frozenset(victims | orphans))  # orphans are not started
     spec = OracleSpec(kind="identity", d=cfg.d, p=cfg.d)
     tcfg = TransportConfig(
         tree=tree, s=cfg.s, oracle=spec, theta=np.zeros(cfg.d), deadline=cfg.deadline,

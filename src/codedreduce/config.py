@@ -170,6 +170,11 @@ def validate_config(cfg: ExperimentConfig, builds_tree: bool = False) -> list[st
             )
     if cfg.trials < 1:
         problems.append(f"trials must be >= 1, got {cfg.trials}")
+    # numpy's seeding refuses a negative seed
+    if cfg.seed < 0:
+        problems.append(f"experiment seed must be >= 0, got {cfg.seed}")
+    if cfg.data_kind == "synthetic" and cfg.data_seed < 0:
+        problems.append(f"synthetic data seed must be >= 0, got {cfg.data_seed}")
     # GDConfig and LatencyConfig own the GD and timing rules
     for scheme in cfg.schemes:
         try:

@@ -253,7 +253,7 @@ def gd_run(
     iteration, one coefficient pass, one block-weight call and, for the Gram
     round, one stacked contraction, then the chunk's steps.  When a timing
     model is configured, per-iteration completion times, RAR's by its ring,
-    accumulate into the trace's simulated clock.
+    accumulate into the trace's simulated clock, drawn once per chunk.
     """
     scheme = config.scheme
     rng = np.random.default_rng(np.random.SeedSequence(config.seed).spawn(1)[0])
@@ -286,20 +286,24 @@ def gd_run(
             return X.T @ (np.repeat(w_b, k) * residual(X, y, theta))
 
     T = config.iterations
-    clock = [0.0] * T
-    if config.latency is not None:  # iteration t takes trial t's round time
-        times = _batch_completions(scheme, topo, config.latency, resilience, range(1, T + 1))
-        clock = np.cumsum(times).tolist()
     theta = np.zeros(p)
     trace: list[TraceRow] = []
     chunk = engine._PASS_CHUNK  # iterations per straggler draw and coefficient pass
+    carry = 0.0  # the simulated time at the end of the previous chunk
     for start in range(0, T, chunk):
-        straggling = np.zeros((min(chunk, T - start), tree.num_parents, tree.n), dtype=bool)
+        steps = range(start + 1, min(start + chunk, T) + 1)
+        clock = [0.0] * len(steps)
+        if config.latency is not None:  # iteration t takes trial t's round time
+            times = _batch_completions(scheme, topo, config.latency, resilience, steps)
+            # carry leads the sum, so the clock is bit-identical to one cumsum over all T
+            clock = np.cumsum(np.concatenate(([carry], times)))[1:].tolist()
+            carry = clock[-1]
+        straggling = np.zeros((len(steps), tree.num_parents, tree.n), dtype=bool)
         if quorum_s:  # each parent's quorum_s lowest uniforms straggle
             lowest = np.argpartition(rng.random(straggling.shape), quorum_s - 1, axis=-1)
             np.put_along_axis(straggling, lowest[..., :quorum_s], True, axis=-1)
         c = engine.worker_weights(tree, B, straggling, quorum_s)
-        for t, w in enumerate(rounds(assignment.block_weights(c)), start + 1):
+        for t, w, sim_time in zip(steps, rounds(assignment.block_weights(c)), clock):
             g = gradient(w, theta)
             new_theta = theta - config.step(t) * (g + config.lam * theta)
             rer = _squared_ratio(new_theta - theta, theta)
@@ -310,7 +314,7 @@ def gd_run(
             )
             theta = new_theta
             trace.append(
-                TraceRow(iteration=t, theta=theta.copy(), rer=rer, ner=ner, sim_time=clock[t - 1])
+                TraceRow(iteration=t, theta=theta.copy(), rer=rer, ner=ner, sim_time=sim_time)
             )
     return trace
 

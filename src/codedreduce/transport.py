@@ -25,6 +25,7 @@ import json
 import multiprocessing as mp
 import os
 import selectors
+import signal
 import socket
 import struct
 import threading
@@ -163,8 +164,9 @@ class FailurePlan:
 class NodeReport:
     node: str
     # ok | discarded | timeout | connect_failed | killed | error, where
-    # connect_failed means the parent was gone before the model arrived and
-    # error that the node raised; detail says why
+    # connect_failed means the parent was gone before the model arrived,
+    # killed the failure plan or a signal, and error that the node raised
+    # or exited without a report; detail says why
     status: str
     received_from: list
     missing: list
@@ -190,23 +192,23 @@ def _collect_gradients(
     kids: tuple[NodeId, ...],
     need: int,
     deadline_at: float,
-) -> tuple[dict[int, np.ndarray], bool]:
+) -> tuple[dict[int, np.ndarray], str]:
     """Gather the first `need` gradients from the child links, keyed by
     position (arrival order wins), then close every link.  A link that
     breaks, or whose gradient names a node other than its child in `kids`,
-    counts as that child failing.  Returns (payloads, timed_out)."""
+    counts as that child failing.  It stops at the quorum, at the deadline,
+    or once every link has delivered or failed.  Returns (payloads,
+    short_of_quorum), the reason it stopped short of the quorum or ""."""
     sel = selectors.DefaultSelector()
     for pos, conn in enumerate(down):
         sel.register(conn, selectors.EVENT_READ, pos)
     got: dict[int, np.ndarray] = {}
-    timed_out = False
     try:
-        while len(got) < need:
+        while len(got) < need and sel.get_map():
             budget = deadline_at - time.monotonic()
             if budget <= 0:
-                timed_out = True
                 break
-            for key, _ in sel.select(timeout=min(budget, 0.25)):
+            for key, _ in sel.select(timeout=budget):
                 try:
                     msg = read_message(key.fileobj)
                 except (OSError, ValueError):
@@ -217,11 +219,13 @@ def _collect_gradients(
                 sender = None if msg is None else NodeId(msg.sender_layer, msg.sender_index)
                 if sender == kids[key.data] and len(got) < need:
                     got[key.data] = msg.payload
+        reason = "deadline passed" if sel.get_map() else "no child link left"
+        short_of_quorum = "" if len(got) >= need else reason
     finally:
         sel.close()
         for conn in down:
             conn.close()  # late arrivals are dropped with the link
-    return got, timed_out
+    return got, short_of_quorum
 
 
 def run_node(
@@ -235,26 +239,21 @@ def run_node(
     out_path: str,
     die_before_send: bool = False,
 ) -> None:
-    """Body of one node process; writes a JSON report before exiting.
+    """Body of one node process: one JSON report, written in the `finally`.
 
     `up` is the link to the parent (None at the master) and `down` the
-    links to the children in position order (empty at a leaf).  A worker
-    whose parent is gone before the model arrives reports connect_failed;
-    any other exception is reported as error, with its type and text, and
-    re-raised.  The master (layer 0) only aggregates and writes the
-    recovered gradient to `out_path` as a one-line CSV vector.  Exit codes:
-    0 ok/discarded, 1 error, 3 planned death, 4 timeout, 5 connectivity
-    failure.
+    links to the children in position order (empty at a leaf).  Each outcome
+    sets the status where it becomes known and returns.  The running total,
+    local term plus decoded children, goes up the link, or at the master to
+    `out_path` as a one-line CSV vector.  The process then exits with code 0
+    at once; an exception is reported as error, with its type and text, and
+    re-raised (exit code 1).
     """
-    run_path = Path(run_dir)
-    tree, s = cfg.tree, cfg.s
-    need = tree.n - s
-    is_master = node == MASTER
+    need = cfg.tree.n - cfg.s
     report = NodeReport(node=str(node), status="error", received_from=[], missing=[])
     try:
         deadline_at = time.monotonic() + cfg.deadline
-
-        if is_master:
+        if up is None:
             theta = np.asarray(cfg.theta, dtype=float)
         else:
             try:
@@ -263,17 +262,14 @@ def run_node(
                 if model_msg.msg_type != MSG_MODEL:
                     raise ValueError(f"expected model broadcast, got type {model_msg.msg_type}")
             except (OSError, ValueError) as err:
-                report.status = "connect_failed"
-                report.detail = str(err)
-                _write_report(run_path, report)
-                os._exit(5)
+                report.status, report.detail = "connect_failed", str(err)
+                return
             theta = model_msg.payload
 
         if die_before_send:
             report.status = "killed"
             report.detail = "failure plan: died after model handshake"
-            _write_report(run_path, report)
-            os._exit(3)
+            return
 
         model_bytes = encode_message(MSG_MODEL, node, theta)
         for conn in down:
@@ -281,50 +277,43 @@ def run_node(
                 conn.sendall(model_bytes)
             except OSError:
                 pass  # that child is already gone; its link reads as failed
-        oracle = cfg.oracle.build()
-        local = None if is_master else oracle(theta, shard)
+        total = 0.0 if up is None else cfg.oracle.build()(theta, shard)
 
-        if not down:
-            message = encode_message(MSG_GRADIENT, node, local)
-        else:
-            kids = tree.children(node)
-            got, timed_out = _collect_gradients(down, kids, need, deadline_at)
+        if down:
+            kids = cfg.tree.children(node)
+            got, short_of_quorum = _collect_gradients(down, kids, need, deadline_at)
             report.received_from = [str(kids[pos]) for pos in sorted(got)]
             report.missing = [str(kid) for pos, kid in enumerate(kids) if pos not in got]
-            if timed_out:
+            if short_of_quorum:
                 report.status = "timeout"
                 report.detail = (
-                    f"parent {node} got {len(got)}/{need} gradient messages "
-                    f"within {cfg.deadline}s; missing children {report.missing}"
+                    f"parent {node} got {len(got)}/{need} gradient messages, {short_of_quorum}"
+                    f" (deadline {cfg.deadline}s); missing children {report.missing}"
                 )
-                _write_report(run_path, report)
-                os._exit(4)
+                return
             positions = tuple(sorted(got))  # child-position order, as in the engine
             row = _combining_row(B, positions)
-            combined = sum(row[pos] * got[pos] for pos in positions)
-            if is_master:
-                Path(out_path).write_text(",".join(repr(float(v)) for v in combined) + "\n")
-                report.status = "ok"
-                _write_report(run_path, report)
-                return
-            message = encode_message(MSG_GRADIENT, node, combined + local)
+            total = total + sum(row[pos] * got[pos] for pos in positions)
 
+        if up is None:
+            Path(out_path).write_text(",".join(repr(float(v)) for v in total) + "\n")
+            report.status = "ok"
+            return
         try:
-            up.sendall(message)
+            up.sendall(encode_message(MSG_GRADIENT, node, total))
             report.status = "ok"
         except OSError as err:
             # Parent reached quorum without us and closed the link.
-            report.status = "discarded"
-            report.detail = f"upward send failed: {err}"
-        _write_report(run_path, report)
+            report.status, report.detail = "discarded", f"upward send failed: {err}"
     except Exception as err:
-        report.status = "error"
-        report.detail = f"{type(err).__name__}: {err}"
-        _write_report(run_path, report)
+        report.status, report.detail = "error", f"{type(err).__name__}: {err}"
         raise
     finally:
         for conn in filter(None, (up, *down)):
             conn.close()
+        _write_report(Path(run_dir), report)
+        if report.status != "error":
+            os._exit(0)
 
 
 def orchestrate(cfg: TransportConfig, run_dir, plan: FailurePlan = FailurePlan()):
@@ -334,7 +323,8 @@ def orchestrate(cfg: TransportConfig, run_dir, plan: FailurePlan = FailurePlan()
     A node's link ends go to its own process only, and the orchestrator
     closes its copies right after that start; the ends of a node that never
     starts are closed before the join, so its parent's and children's reads
-    fail at once instead of waiting out the deadline."""
+    fail at once instead of waiting out the deadline.  A started node that
+    left no report gets one from its exit code: killed by a signal, else error."""
     run_path = Path(run_dir)
     run_path.mkdir(parents=True, exist_ok=True)
     for stale in run_path.glob("node_*.json"):
@@ -397,6 +387,14 @@ def orchestrate(cfg: TransportConfig, run_dir, plan: FailurePlan = FailurePlan()
     for path in sorted(run_path.glob("node_*.json")):
         payload = json.loads(path.read_text())
         reports[payload["node"]] = NodeReport(**payload)
+    for name, code in ((str(node), proc.exitcode) for node, proc in procs.items()):
+        if name not in reports:  # terminated, or died before writing one
+            if (code or 0) < 0:
+                status, detail = "killed", f"terminated by {signal.Signals(-code).name}"
+            else:
+                status, detail = "error", f"exited with code {code}"
+            reports[name] = NodeReport(name, status, [], [], f"{detail}, no report")
+            _write_report(run_path, reports[name])
     timed_out = sorted(
         (r.node for r in reports.values() if r.status == "timeout"),
         key=lambda name: tuple(int(tok) for tok in name.split(".")),

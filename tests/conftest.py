@@ -37,3 +37,14 @@ def _no_process_outside_transport(request, monkeypatch):
             raise AssertionError("a test without the transport mark started a process")
 
         monkeypatch.setattr(multiprocessing.process.BaseProcess, "start", refuse)
+
+
+@pytest.fixture(autouse=True)
+def _no_process_left_alive():
+    """A test that leaves a child process running fails."""
+    yield
+    left = multiprocessing.active_children()
+    for proc in left:
+        proc.kill()
+        proc.join()
+    assert not left, f"the test left processes alive: {[proc.name for proc in left]}"

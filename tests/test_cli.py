@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from codedreduce import cli
+from codedreduce.allocation import granularity
 from codedreduce.cli import cmd_latency, cmd_train, cmd_validate, cmd_verify, main
 from codedreduce.codes import CodeConstructionError
 from codedreduce.config import load_config, validate_config
@@ -319,6 +320,20 @@ def test_main_reports_a_malformed_config_value(tmp_path, capsys):
     assert capsys.readouterr().out == "INVALID: [tree] n must be int, got 'three'\n"
 
 
+@pytest.mark.parametrize("command", ["validate", "train", "latency", "verify", "transport-demo"])
+@pytest.mark.parametrize(
+    "seed_flag, data_seed, headline",
+    [(["--seed", "-1"], "1", "experiment seed"), ([], "-1", "data seed")],
+    ids=["experiment-seed", "data-seed"],
+)
+def test_main_refuses_a_negative_seed(tmp_path, capsys, command, seed_flag, data_seed, headline):
+    path = write_config(tmp_path)
+    path.write_text(path.read_text().replace("p = 8\nseed = 1\n", f"p = 8\nseed = {data_seed}\n"))
+    assert main(["--config", str(path), *seed_flag, command]) == 1
+    out = capsys.readouterr().out
+    assert out.startswith("INVALID:") and f"{headline} must be >= 0, got -1" in out
+
+
 @pytest.mark.transport
 def test_transport_demo_round_trip(tmp_path):
     path = write_config(tmp_path, schemes="cr", d=15)
@@ -345,6 +360,47 @@ def test_transport_demo_builds_the_code_of_its_seed(tmp_path, monkeypatch):
     assert cli.cmd_transport_demo(cfg, out=buf) == 1
     assert "FAIL: stubbed round" in buf.getvalue()
     assert [tcfg.alloc_seed for tcfg in seen] == [7]
+
+
+def _victims_by_upward_walk(tree, seed):
+    """The demo's failure plan as first written, the reference: a parent
+    whose path to the master passes a victim is dead and loses no child of
+    its own; a node is not started when that path, itself included, does."""
+    rng = np.random.default_rng(seed)
+    victims = set()
+
+    def subtree_dead(node) -> bool:
+        while node.layer > 0:
+            if node in victims:
+                return True
+            node = tree.parent(node)
+        return False
+
+    for parent in tree.parents():
+        if parent.layer > 0 and subtree_dead(parent):
+            continue
+        victims.add(tree.children(parent)[int(rng.integers(tree.n))])
+    return victims, {w for w in tree.workers() if subtree_dead(w)}
+
+
+@pytest.mark.parametrize("n, L", [(n, L) for n in range(2, 6) for L in range(1, 5)])
+def test_transport_demo_kills_as_the_upward_walk_does(tmp_path, monkeypatch, n, L):
+    plans = []
+
+    def capture(tcfg, run_dir, plan):
+        plans.append(plan)
+        return RunReport(False, None, "stubbed round", {}, [])
+
+    monkeypatch.setattr(cli, "orchestrate", capture)
+    base = load_config(write_config(tmp_path, schemes="cr"))
+    for seed in range(20):
+        cfg = replace(base, n=n, L=L, d=granularity(n, L, 1), seed=seed)
+        buf = io.StringIO()
+        assert cli.cmd_transport_demo(cfg, out=buf) == 1
+        victims, never_start = _victims_by_upward_walk(build_tree(n, L), seed)
+        killing = f"killing {len(victims)} nodes: {sorted(str(v) for v in victims)}\n"
+        assert buf.getvalue().startswith(killing)
+        assert plans[-1].never_start == never_start
 
 
 def test_readme_config_example_loads(tmp_path):

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -359,6 +361,44 @@ def test_gd_run_past_one_coefficient_pass(scheme, topo, d, loss):
     for row, (theta, clock) in zip(trace, _reference_gd(dataset, config), strict=True):
         assert np.max(np.abs(row.theta - theta)) <= 1e-12 * np.max(np.abs(theta))
         assert row.sim_time == clock
+
+
+@pytest.mark.parametrize("scheme, topo", [
+    ("cr", dict(n=3, L=2, s=1)),
+    ("gc", dict(N=12, S=3)),
+    ("rar", dict(N=12, S=3)),
+    ("sgd", dict(N=12, S=3)),
+])
+def test_gd_clock_drawn_per_chunk_is_the_whole_block_sum(scheme, topo):
+    """The clock drawn one chunk of trials at a time, over three chunks and
+    a part, equals one cumsum over the block of all T trials, to the bit."""
+    T = 3 * engine._PASS_CHUNK + 5
+    dataset, _ = generate_synthetic(60, 3, seed=4)
+    lat = LatencyConfig(a=0.05, mu=20.0, t_c=1.0, d=60.0, seed=5)
+    config = GDConfig(scheme=scheme, iterations=T, step_size=1e-3, seed=5, latency=lat, **topo)
+    if scheme == "cr":
+        block, resilience = build_tree(3, 2), 1
+    else:
+        block, resilience = 12, 3
+    whole = np.cumsum(_batch_completions(scheme, block, lat, resilience, range(1, T + 1)))
+    assert [row.sim_time for row in gd_run(dataset, config)] == whole.tolist()
+
+
+def test_gd_clock_memory_does_not_grow_with_the_iterations():
+    """640 iterations on the 1,364-worker (4,5) tree: the traced peak stays
+    under 8 MiB (20.2 MiB with all 640 trials drawn as one block)."""
+    d = granularity(4, 5, 1)
+    dataset, _ = generate_synthetic(d, 3, seed=1)
+    lat = LatencyConfig(a=0.05, mu=20.0, t_c=1.0, d=float(d), seed=0)
+    config = GDConfig(scheme="cr", iterations=640, step_size=1e-6, n=4, L=5, s=1, latency=lat)
+    tracemalloc.start()
+    try:
+        trace = gd_run(dataset, config)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(trace) == 640 and trace[-1].sim_time > trace[0].sim_time > 0
+    assert peak < 8 * 2**20
 
 
 @pytest.mark.parametrize("scheme, topo", [

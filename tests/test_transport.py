@@ -100,13 +100,18 @@ def test_overloaded_parent_aborts_and_is_named(tmp_path):
     spec = OracleSpec(kind="identity", d=15, p=15)
     cfg = TransportConfig(tree=tree, s=1, oracle=spec, theta=np.zeros(15), deadline=4.0)
     plan = FailurePlan(never_start=frozenset({NodeId(1, 1), NodeId(1, 2)}))
+    start = time.monotonic()
     report = orchestrate(cfg, tmp_path / "run", plan)
+    elapsed = time.monotonic() - start
     assert not report.ok
     assert report.timed_out_parents == ["0.1"]
     assert "0.1" in report.error
     master = report.node_reports["0.1"]
     assert master.status == "timeout"
     assert set(master.missing) == {"1.1", "1.2"}
+    # once 1.3 has answered no child link is left, so the master stops waiting
+    assert "no child link left" in master.detail
+    assert elapsed < cfg.deadline / 2
 
 
 def test_timed_kill_is_tolerated(tmp_path):
@@ -117,6 +122,10 @@ def test_timed_kill_is_tolerated(tmp_path):
     report = orchestrate(cfg, tmp_path / "run", plan)
     assert report.ok, report.error
     np.testing.assert_allclose(report.gradient, np.ones(15), atol=1e-9)
+    # terminated before it could write a report, 1.3 gets one from the orchestrator
+    assert len(report.node_reports) == len(list((tmp_path / "run").glob("node_*.json"))) == 13
+    assert report.node_reports["1.3"].status == "killed"
+    assert "SIGTERM" in report.node_reports["1.3"].detail
 
 
 def test_subtree_loss_times_out_locally_but_run_succeeds(tmp_path):
@@ -124,11 +133,16 @@ def test_subtree_loss_times_out_locally_but_run_succeeds(tmp_path):
     spec = OracleSpec(kind="identity", d=15, p=15)
     cfg = TransportConfig(tree=tree, s=1, oracle=spec, theta=np.zeros(15), deadline=5.0)
     plan = FailurePlan(never_start=frozenset({NodeId(2, 1), NodeId(2, 2)}))
+    start = time.monotonic()
     report = orchestrate(cfg, tmp_path / "run", plan)
+    elapsed = time.monotonic() - start
     assert report.ok, report.error
     np.testing.assert_allclose(report.gradient, np.ones(15), atol=1e-9)
     assert report.timed_out_parents == ["1.1"]
     assert report.node_reports["1.1"].status == "timeout"
+    # 2.3 answered and 2.1, 2.2 never started: 1.1 has no link left to wait on
+    assert "no child link left" in report.node_reports["1.1"].detail
+    assert elapsed < cfg.deadline / 2
 
 
 def test_orphaned_subtree_does_not_hold_the_round(tmp_path):
@@ -165,6 +179,32 @@ def test_parent_keys_gradients_by_link_and_drops_a_mislabelled_one(wrong_sender)
     assert sorted(got) == [1, 2]
     for pos in got:
         np.testing.assert_array_equal(got[pos], np.full(3, float(pos)))
+
+
+@pytest.mark.parametrize(
+    "close_all, cause", [(True, "no child link left"), (False, "deadline passed")]
+)
+def test_collect_stops_short_of_quorum_when_no_link_is_left_or_the_deadline_passes(
+    close_all, cause
+):
+    kids = build_tree(3, 2).children(NodeId(1, 1))
+    pairs = [socket.socketpair() for _ in kids]
+    down = tuple(parent_end for parent_end, _ in pairs)
+    try:
+        pairs[0][1].sendall(encode_message(MSG_GRADIENT, kids[0], np.ones(3)))
+        for _, child_end in pairs[: 3 if close_all else 2]:
+            child_end.close()
+        start = time.monotonic()
+        got, short_of_quorum = _collect_gradients(down, kids, 2, start + 0.5)
+        elapsed = time.monotonic() - start
+    finally:
+        for pair in pairs:
+            for end in pair:
+                end.close()
+    assert sorted(got) == [0]
+    assert short_of_quorum == cause
+    # with every link answered or failed it returns at once, else at the deadline
+    assert (elapsed < 0.25) if close_all else (elapsed >= 0.5)
 
 
 def _run_node_late(node, *args, **kwargs):
