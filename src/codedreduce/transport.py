@@ -1,4 +1,4 @@
-"""One coded aggregation round as real local processes over TCP.
+"""One coded aggregation round as real local processes over socket pairs.
 
 Wire format (all integers little-endian):
 
@@ -9,9 +9,10 @@ Wire format (all integers little-endian):
     payload_len  u32      (number of doubles)
     payload      payload_len * 8 bytes, IEEE-754 doubles
 
-The tree is fixed, so the orchestrator connects one localhost TCP pair per
+The tree is fixed, so the orchestrator makes one connected socket pair per
 tree edge before any node starts and hands each node its parent end and its
-child ends; no node process opens a socket of its own.  A parent sends the
+child ends; no node process opens a socket of its own, and a send to a
+parent that has closed its end fails at once.  A parent sends the
 current model down every child link as soon as it has it, computes its own
 coded gradient, collects the first n-s gradient messages (later arrivals
 are dropped with the links), combines them with the decode row of the
@@ -31,6 +32,7 @@ import struct
 import threading
 import time
 from dataclasses import dataclass, field
+from math import isfinite
 from pathlib import Path
 from typing import Mapping
 
@@ -122,6 +124,8 @@ class OracleSpec:
         kinds = ("identity", *_RESIDUALS)
         if self.kind not in kinds:
             raise ValueError(f"unknown oracle kind {self.kind!r}, expected one of {kinds}")
+        if self.kind != "identity" and self.p < 1:
+            raise ValueError(f"oracle kind {self.kind!r} needs p >= 1 features, got p={self.p}")
 
     def build(self):
         if self.kind == "identity":
@@ -147,6 +151,10 @@ class TransportConfig:
     deadline: float = 30.0
     alloc_seed: int = 0
 
+    def __post_init__(self) -> None:
+        if not (isfinite(self.deadline) and self.deadline > 0):
+            raise ValueError(f"transport deadline must be finite and positive, got {self.deadline}")
+
 
 @dataclass(frozen=True)
 class FailurePlan:
@@ -164,7 +172,8 @@ class FailurePlan:
 class NodeReport:
     node: str
     # ok | discarded | timeout | connect_failed | killed | error, where
-    # connect_failed means the parent was gone before the model arrived,
+    # discarded means the parent closed the link without using the gradient,
+    # connect_failed that the parent was gone before the model arrived,
     # killed the failure plan or a signal, and error that the node raised
     # or exited without a report; detail says why
     status: str
@@ -303,7 +312,7 @@ def run_node(
             up.sendall(encode_message(MSG_GRADIENT, node, total))
             report.status = "ok"
         except OSError as err:
-            # Parent reached quorum without us and closed the link.
+            # Parent stopped waiting without us and closed the link.
             report.status, report.detail = "discarded", f"upward send failed: {err}"
     except Exception as err:
         report.status, report.detail = "error", f"{type(err).__name__}: {err}"
@@ -324,12 +333,20 @@ def orchestrate(cfg: TransportConfig, run_dir, plan: FailurePlan = FailurePlan()
     closes its copies right after that start; the ends of a node that never
     starts are closed before the join, so its parent's and children's reads
     fail at once instead of waiting out the deadline.  A started node that
-    left no report gets one from its exit code: killed by a signal, else error."""
+    left no report gets one from its exit code: killed by a signal, else error.
+    A child that reports ok but that its parent lists as missing is
+    rewritten as discarded.  A plan naming a node outside the tree is
+    refused before any link or process is made."""
+    tree = cfg.tree
+    for node in (*plan.never_start, *plan.die_before_send, *plan.kill_after):
+        if not tree.contains(node):
+            raise ValueError(
+                f"failure plan names node {node}, not in the ({tree.n},{tree.L})-regular tree"
+            )
     run_path = Path(run_dir)
     run_path.mkdir(parents=True, exist_ok=True)
     for stale in run_path.glob("node_*.json"):
         stale.unlink()
-    tree = cfg.tree
     B = build_encoding(tree.n, cfg.s, cfg.alloc_seed)
     assignment = cr_allocate(tree, cfg.s, cfg.oracle.d, B=B)
     out_path = run_path / "master_gradient.csv"
@@ -338,15 +355,10 @@ def orchestrate(cfg: TransportConfig, run_dir, plan: FailurePlan = FailurePlan()
 
     ctx = mp.get_context("spawn")
     procs = {}
-    ends, edges = [], {}  # every link end made; worker -> its parent link's ends
+    edges = {}  # worker -> its parent link's (parent end, child end)
     try:
-        with socket.create_server(("127.0.0.1", 0)) as server:
-            for worker in tree.workers():
-                ends.append(socket.create_connection(server.getsockname()))
-                ends.append(server.accept()[0])
-                edges[worker] = (ends[-1], ends[-2])  # (parent end, child end)
-                for end in edges[worker]:
-                    end.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+        for worker in tree.workers():
+            edges[worker] = socket.socketpair()
         for node in [MASTER] + list(tree.workers()):
             if node in plan.never_start:
                 continue
@@ -364,8 +376,9 @@ def orchestrate(cfg: TransportConfig, run_dir, plan: FailurePlan = FailurePlan()
             for end in filter(None, (up, *down)):  # the node holds its own copies
                 end.close()
     finally:
-        for end in ends:  # and those of nodes that never start
-            end.close()
+        for pair in edges.values():  # and those of nodes that never start
+            for end in pair:
+                end.close()
 
     timers = []
     for node, delay in plan.kill_after.items():
@@ -395,6 +408,13 @@ def orchestrate(cfg: TransportConfig, run_dir, plan: FailurePlan = FailurePlan()
                 status, detail = "error", f"exited with code {code}"
             reports[name] = NodeReport(name, status, [], [], f"{detail}, no report")
             _write_report(run_path, reports[name])
+    for parent in reports.values():
+        outcome = "timed out" if parent.status == "timeout" else "decoded"
+        for child in (reports.get(name) for name in parent.missing):
+            if child is not None and child.status == "ok":  # sent, but never read
+                child.status = "discarded"
+                child.detail = f"parent {parent.node} {outcome} without its gradient"
+                _write_report(run_path, child)
     timed_out = sorted(
         (r.node for r in reports.values() if r.status == "timeout"),
         key=lambda name: tuple(int(tok) for tok in name.split(".")),

@@ -67,7 +67,14 @@ def engine_reference(tree, s, spec, theta, pattern=None):
     )
 
 
-def test_round_without_failures_matches_engine(tmp_path):
+def _no_network(*_args, **_kwargs):
+    raise AssertionError("the orchestrator opened a network socket")
+
+
+def test_round_without_failures_matches_engine(tmp_path, monkeypatch):
+    # every tree edge is a socket pair: the round needs no listener or connection
+    monkeypatch.setattr(socket, "create_server", _no_network)
+    monkeypatch.setattr(socket, "create_connection", _no_network)
     tree = build_tree(3, 2)
     spec = OracleSpec(kind="linear", d=60, p=4, data_seed=2)
     theta = np.array([0.5, -1.0, 2.0, 0.25])
@@ -78,6 +85,11 @@ def test_round_without_failures_matches_engine(tmp_path):
     scale = np.max(np.abs(expected))
     assert np.max(np.abs(report.gradient - expected)) / scale <= 1e-9
     assert report.node_reports["0.1"].status == "ok"
+    # each parent decodes on n-s = 2 children, and the one it drops says so
+    missing = [report.node_reports[str(parent)].missing for parent in tree.parents()]
+    assert [len(names) for names in missing] == [1] * tree.num_parents
+    discarded = {r.node for r in report.node_reports.values() if r.status == "discarded"}
+    assert discarded == {name for names in missing for name in names}
 
 
 def test_one_failure_per_parent_still_recovers(tmp_path):

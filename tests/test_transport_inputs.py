@@ -1,0 +1,52 @@
+"""Transport inputs refused where they are written, before any link or
+process is made.  These tests carry no transport mark, so the conftest
+guard fails any of them that starts a process."""
+
+import math
+
+import numpy as np
+import pytest
+
+from codedreduce.topology import NodeId, build_tree
+from codedreduce.transport import FailurePlan, OracleSpec, TransportConfig, orchestrate
+
+
+def _config(**overrides):
+    kwargs = dict(
+        tree=build_tree(3, 1),
+        s=1,
+        oracle=OracleSpec(kind="identity", d=3, p=3),
+        theta=np.zeros(3),
+        deadline=5.0,
+    )
+    return TransportConfig(**{**kwargs, **overrides})
+
+
+@pytest.mark.parametrize(
+    "plan",
+    [
+        FailurePlan(never_start=frozenset({NodeId(3, 1)})),
+        FailurePlan(die_before_send=frozenset({NodeId(3, 1)})),
+        FailurePlan(kill_after={NodeId(3, 1): 0.5}),
+        FailurePlan(die_before_send=frozenset({NodeId(1, 4)})),
+    ],
+    ids=["never_start", "die_before_send", "kill_after", "index_past_layer"],
+)
+def test_orchestrate_refuses_a_plan_node_outside_the_tree(tmp_path, plan):
+    stray = next(iter((*plan.never_start, *plan.die_before_send, *plan.kill_after)))
+    with pytest.raises(ValueError, match=f"failure plan names node {stray}, not in the"):
+        orchestrate(_config(), tmp_path / "run", plan)
+    assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize("deadline", [math.nan, math.inf, 0.0, -1.0])
+def test_transport_config_refuses_a_deadline_that_is_not_finite_and_positive(deadline):
+    with pytest.raises(ValueError, match="transport deadline must be finite and positive"):
+        _config(deadline=deadline)
+
+
+@pytest.mark.parametrize("kind", ["linear", "logistic"])
+@pytest.mark.parametrize("p", [0, -1])
+def test_oracle_spec_refuses_a_data_kind_without_features(kind, p):
+    with pytest.raises(ValueError, match=f"needs p >= 1 features, got p={p}"):
+        OracleSpec(kind=kind, d=6, p=p)
