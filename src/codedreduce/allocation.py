@@ -204,11 +204,6 @@ class Assignment:
         )
         return sums.reshape(c.shape[:-1] + (d0,))
 
-    def point_weights(self, c: np.ndarray) -> np.ndarray:
-        """The per-point weights w, (..., d): each block's weight repeated
-        over its k points."""
-        return np.repeat(self.block_weights(c), self._k, axis=-1)
-
 
 def cr_allocate(tree: RegularTree, s: int, d: int, B: EncodingMatrix) -> Assignment:
     """Allocate d points across the tree; every worker ends with exactly r*d.

@@ -3,7 +3,7 @@
 Wire format (all integers little-endian):
 
     magic        4 bytes, b"CRD1"
-    msg_type     1 byte   (0 = model broadcast, 1 = coded gradient, 2 = shutdown)
+    msg_type     1 byte   (0 = model broadcast, 1 = coded gradient)
     sender_layer u16
     sender_index u32
     payload_len  u32      (number of doubles)
@@ -12,12 +12,13 @@ Wire format (all integers little-endian):
 The tree is fixed, so the orchestrator makes one connected socket pair per
 tree edge before any node starts and hands each node its parent end and its
 child ends; no node process opens a socket of its own, and a send to a
-parent that has closed its end fails at once.  A parent sends the
-current model down every child link as soon as it has it, computes its own
-coded gradient, collects the first n-s gradient messages (later arrivals
-are dropped with the links), combines them with the decode row of the
-realized survivor set, adds its local term, and sends the result to its
-own parent.  The master writes the recovered gradient to a CSV file.
+parent that has closed its end fails at once.  The orchestrator is the
+master's parent: it writes the model into the master's link before any node
+starts and reads the recovered gradient from it.  Every node reads the model
+from its parent, sends it down every child link, computes its own coded
+gradient, collects the first n-s gradient messages (later arrivals are
+dropped with the links), combines them with the decode row of the realized
+survivor set, adds its local term, and sends the result to its parent.
 """
 
 from __future__ import annotations
@@ -48,7 +49,6 @@ __all__ = [
     "MAGIC",
     "MSG_MODEL",
     "MSG_GRADIENT",
-    "MSG_SHUTDOWN",
     "WireMessage",
     "OracleSpec",
     "TransportConfig",
@@ -65,7 +65,6 @@ __all__ = [
 MAGIC = b"CRD1"
 MSG_MODEL = 0
 MSG_GRADIENT = 1
-MSG_SHUTDOWN = 2
 
 _HEADER = struct.Struct("<4sBHII")
 
@@ -154,6 +153,12 @@ class TransportConfig:
     def __post_init__(self) -> None:
         if not (isfinite(self.deadline) and self.deadline > 0):
             raise ValueError(f"transport deadline must be finite and positive, got {self.deadline}")
+        theta, kind, p = np.asarray(self.theta), self.oracle.kind, self.oracle.p
+        if kind != "identity" and not (theta.shape == (p,) and np.isfinite(theta).all()):
+            raise ValueError(
+                f"theta for the {kind} oracle must be a finite vector of shape ({p},),"
+                f" got {theta!r}"
+            )
 
 
 @dataclass(frozen=True)
@@ -161,11 +166,16 @@ class FailurePlan:
     """never_start: the process is not launched at all; die_before_send: it
     starts, reads the model (its parent queues it on the link however late
     the child starts), then dies before computing; kill_after: the
-    orchestrator terminates it that many seconds in."""
+    orchestrator terminates it that many (finite, >= 0) seconds in."""
 
     never_start: frozenset = frozenset()
     die_before_send: frozenset = frozenset()
     kill_after: Mapping = field(default_factory=dict)
+
+    def __post_init__(self) -> None:
+        bad = {str(node): t for node, t in self.kill_after.items() if not (isfinite(t) and t >= 0)}
+        if bad:
+            raise ValueError(f"kill_after delays must be finite and >= 0, got {bad}")
 
 
 @dataclass
@@ -204,7 +214,7 @@ def _collect_gradients(
 ) -> tuple[dict[int, np.ndarray], str]:
     """Gather the first `need` gradients from the child links, keyed by
     position (arrival order wins), then close every link.  A link that
-    breaks, or whose gradient names a node other than its child in `kids`,
+    breaks, or whose message is not a gradient naming its child in `kids`,
     counts as that child failing.  It stops at the quorum, at the deadline,
     or once every link has delivered or failed.  Returns (payloads,
     short_of_quorum), the reason it stopped short of the quorum or ""."""
@@ -222,10 +232,9 @@ def _collect_gradients(
                     msg = read_message(key.fileobj)
                 except (OSError, ValueError):
                     msg = None
-                if msg is not None and msg.msg_type != MSG_GRADIENT:
-                    continue
                 sel.unregister(key.fileobj)
-                sender = None if msg is None else NodeId(msg.sender_layer, msg.sender_index)
+                gradient = msg is not None and msg.msg_type == MSG_GRADIENT
+                sender = NodeId(msg.sender_layer, msg.sender_index) if gradient else None
                 if sender == kids[key.data] and len(got) < need:
                     got[key.data] = msg.payload
         reason = "deadline passed" if sel.get_map() else "no child link left"
@@ -242,42 +251,37 @@ def run_node(
     cfg: TransportConfig,
     shard: tuple,
     B: EncodingMatrix,
-    up: socket.socket | None,
+    up: socket.socket,
     down: tuple[socket.socket, ...],
     run_dir: str,
-    out_path: str,
     die_before_send: bool = False,
 ) -> None:
     """Body of one node process: one JSON report, written in the `finally`.
 
-    `up` is the link to the parent (None at the master) and `down` the
-    links to the children in position order (empty at a leaf).  Each outcome
-    sets the status where it becomes known and returns.  The running total,
-    local term plus decoded children, goes up the link, or at the master to
-    `out_path` as a one-line CSV vector.  The process then exits with code 0
-    at once; an exception is reported as error, with its type and text, and
-    re-raised (exit code 1).
+    `up` is the link to the parent (at the master, to the orchestrator) and
+    `down` the links to the children in position order (empty at a leaf).
+    Each outcome sets the status where it becomes known and returns.  The
+    model is read from `up`; the running total, local term (0.0 for an
+    empty shard, as at the master) plus decoded children, goes back up it.
+    The process then exits with code 0 at once; an exception is reported
+    as error, with its type and text, and re-raised (exit code 1).
     """
     need = cfg.tree.n - cfg.s
     report = NodeReport(node=str(node), status="error", received_from=[], missing=[])
     try:
         deadline_at = time.monotonic() + cfg.deadline
-        if up is None:
-            theta = np.asarray(cfg.theta, dtype=float)
-        else:
-            try:
-                up.settimeout(cfg.deadline)
-                model_msg = read_message(up)
-                if model_msg.msg_type != MSG_MODEL:
-                    raise ValueError(f"expected model broadcast, got type {model_msg.msg_type}")
-            except (OSError, ValueError) as err:
-                report.status, report.detail = "connect_failed", str(err)
-                return
-            theta = model_msg.payload
+        try:
+            up.settimeout(cfg.deadline)
+            model_msg = read_message(up)
+            if model_msg.msg_type != MSG_MODEL:
+                raise ValueError(f"expected model broadcast, got type {model_msg.msg_type}")
+        except (OSError, ValueError) as err:
+            report.status, report.detail = "connect_failed", str(err)
+            return
+        theta = model_msg.payload
 
         if die_before_send:
-            report.status = "killed"
-            report.detail = "failure plan: died after model handshake"
+            report.status, report.detail = "killed", "failure plan: died after model handshake"
             return
 
         model_bytes = encode_message(MSG_MODEL, node, theta)
@@ -286,7 +290,7 @@ def run_node(
                 conn.sendall(model_bytes)
             except OSError:
                 pass  # that child is already gone; its link reads as failed
-        total = 0.0 if up is None else cfg.oracle.build()(theta, shard)
+        total = cfg.oracle.build()(theta, shard) if shard else 0.0
 
         if down:
             kids = cfg.tree.children(node)
@@ -304,10 +308,6 @@ def run_node(
             row = _combining_row(B, positions)
             total = total + sum(row[pos] * got[pos] for pos in positions)
 
-        if up is None:
-            Path(out_path).write_text(",".join(repr(float(v)) for v in total) + "\n")
-            report.status = "ok"
-            return
         try:
             up.sendall(encode_message(MSG_GRADIENT, node, total))
             report.status = "ok"
@@ -318,7 +318,7 @@ def run_node(
         report.status, report.detail = "error", f"{type(err).__name__}: {err}"
         raise
     finally:
-        for conn in filter(None, (up, *down)):
+        for conn in (up, *down):
             conn.close()
         _write_report(Path(run_dir), report)
         if report.status != "error":
@@ -327,16 +327,18 @@ def run_node(
 
 def orchestrate(cfg: TransportConfig, run_dir, plan: FailurePlan = FailurePlan()):
     """Connect every tree edge, spawn one process per node, apply the
-    failure plan, and collect the master's output plus every node's report.
+    failure plan, and collect the master's gradient plus every node's report.
 
-    A node's link ends go to its own process only, and the orchestrator
-    closes its copies right after that start; the ends of a node that never
-    starts are closed before the join, so its parent's and children's reads
-    fail at once instead of waiting out the deadline.  A started node that
-    left no report gets one from its exit code: killed by a signal, else error.
-    A child that reports ok but that its parent lists as missing is
-    rewritten as discarded.  A plan naming a node outside the tree is
-    refused before any link or process is made."""
+    The orchestrator is the master's parent: it writes the model into the
+    master's link before any node starts, then reads the master's gradient
+    from it by the join deadline and writes `master_gradient.csv` on receipt.
+    A node's link ends go to its own process only: the orchestrator closes
+    its copies right after that start, and those of a node that never starts
+    before the read, so the reads across that node's links fail at once.  A
+    started node that left no report gets one from its exit code: killed by a
+    signal, else error.  A child that reports ok but that its parent lists as
+    missing is rewritten as discarded.  A plan naming a node outside the tree
+    is refused before any link or process is made."""
     tree = cfg.tree
     for node in (*plan.never_start, *plan.die_before_send, *plan.kill_after):
         if not tree.contains(node):
@@ -350,44 +352,55 @@ def orchestrate(cfg: TransportConfig, run_dir, plan: FailurePlan = FailurePlan()
     B = build_encoding(tree.n, cfg.s, cfg.alloc_seed)
     assignment = cr_allocate(tree, cfg.s, cfg.oracle.d, B=B)
     out_path = run_path / "master_gradient.csv"
-    if out_path.exists():
-        out_path.unlink()
+    out_path.unlink(missing_ok=True)
 
-    ctx = mp.get_context("spawn")
     procs = {}
-    edges = {}  # worker -> its parent link's (parent end, child end)
-    try:
-        for worker in tree.workers():
-            edges[worker] = socket.socketpair()
-        for node in [MASTER] + list(tree.workers()):
-            if node in plan.never_start:
-                continue
-            shard = assignment.local[node] if node != MASTER else ()
-            up = edges[node][1] if node != MASTER else None
-            down = tuple(edges[kid][0] for kid in tree.children(node))
-            proc = ctx.Process(
-                target=run_node,
-                args=(node, cfg, shard, B, up, down, str(run_path), str(out_path)),
-                kwargs={"die_before_send": node in plan.die_before_send},
-                name=f"node-{node}",
-            )
-            proc.start()
-            procs[node] = proc
-            for end in filter(None, (up, *down)):  # the node holds its own copies
-                end.close()
-    finally:
-        for pair in edges.values():  # and those of nodes that never start
-            for end in pair:
+    top, bottom = socket.socketpair()  # the orchestrator's link to the master
+    edges = {MASTER: (top, bottom)}  # node -> its parent link's (parent end, child end)
+    with top:
+        try:
+            for worker in tree.workers():
+                edges[worker] = socket.socketpair()
+            model = encode_message(MSG_MODEL, MASTER, cfg.theta)
+            top.setblocking(False)
+            sent = top.send(model)  # the link's buffer holds it until the master reads
+            for node, (_, up) in edges.items():
+                if node in plan.never_start:
+                    continue
+                shard = assignment.local[node] if node != MASTER else ()
+                down = tuple(edges[kid][0] for kid in tree.children(node))
+                proc = mp.get_context("spawn").Process(
+                    target=run_node,
+                    args=(node, cfg, shard, B, up, down, str(run_path)),
+                    kwargs={"die_before_send": node in plan.die_before_send},
+                    name=f"node-{node}",
+                )
+                proc.start()
+                procs[node] = proc
+                for end in (up, *down):  # the node holds its own copies
+                    end.close()
+        finally:  # and those of nodes that never start
+            for end in {end for pair in edges.values() for end in pair} - {top}:
                 end.close()
 
-    timers = []
-    for node, delay in plan.kill_after.items():
-        if node in procs:
-            timer = threading.Timer(delay, procs[node].terminate)
-            timer.start()
-            timers.append(timer)
+        timers = []
+        for node, delay in plan.kill_after.items():
+            if node in procs:
+                timer = threading.Timer(delay, procs[node].terminate)
+                timer.start()
+                timers.append(timer)
 
-    join_deadline = time.monotonic() + cfg.deadline + 20.0
+        join_deadline = time.monotonic() + cfg.deadline + 20.0
+        try:
+            top.settimeout(join_deadline - time.monotonic())
+            top.sendall(model[sent:])  # any part of the model the buffer did not take
+            msg = read_message(top)
+        except (OSError, ValueError):
+            msg = None
+    gradient = msg.payload if msg is not None and msg.msg_type == MSG_GRADIENT else None
+    if gradient is not None:
+        out_path.write_text(",".join(repr(float(v)) for v in gradient) + "\n")
+
     for proc in procs.values():
         proc.join(timeout=max(0.1, join_deadline - time.monotonic()))
         if proc.is_alive():
@@ -396,10 +409,8 @@ def orchestrate(cfg: TransportConfig, run_dir, plan: FailurePlan = FailurePlan()
     for timer in timers:
         timer.cancel()
 
-    reports = {}
-    for path in sorted(run_path.glob("node_*.json")):
-        payload = json.loads(path.read_text())
-        reports[payload["node"]] = NodeReport(**payload)
+    paths = sorted(run_path.glob("node_*.json"))
+    reports = {r.node: r for r in (NodeReport(**json.loads(path.read_text())) for path in paths)}
     for name, code in ((str(node), proc.exitcode) for node, proc in procs.items()):
         if name not in reports:  # terminated, or died before writing one
             if (code or 0) < 0:
@@ -421,8 +432,7 @@ def orchestrate(cfg: TransportConfig, run_dir, plan: FailurePlan = FailurePlan()
         reverse=True,  # deepest parent first: the root cause of a cascade
     )
 
-    if out_path.exists():
-        gradient = np.array([float(tok) for tok in out_path.read_text().strip().split(",")])
+    if gradient is not None:
         return RunReport(True, gradient, "", reports, timed_out)
     if timed_out:
         error = f"aborted: parent {timed_out[0]} timed out waiting for its children"

@@ -230,7 +230,7 @@ def test_point_weights_match_the_identity_round(case):
     assignment = cr_allocate(tree, B.s, granularity(n, L, B.s), B=B)
     pattern = _random_pattern(tree, resilience, rng)
     c = engine.worker_weights(tree, B, pattern.positions(tree, resilience), resilience)
-    w = assignment.point_weights(c)
+    w = np.repeat(assignment.block_weights(c), assignment.block_size, axis=-1)
     oracle = identity_oracle_for(assignment.d)
     ref = engine.cr_execute(tree, assignment, B, pattern, oracle, np.zeros(1), resilience)
     assert np.max(np.abs(w - ref)) <= 1e-12 * max(1.0, np.max(np.abs(ref)))
@@ -248,7 +248,8 @@ def test_full_gradient_schemes_weigh_every_point_once(scheme, topo, resilience, 
     weights = cr_allocate(tree, coded_s, d, B=B)
     for straggling in enumerate_patterns(tree, quorum_s, cap=200, seed=1):
         c = engine.worker_weights(tree, B, straggling, quorum_s)
-        assert np.max(np.abs(weights.point_weights(c) - 1.0)) <= 1e-9
+        w = np.repeat(weights.block_weights(c), weights.block_size, axis=-1)
+        assert np.max(np.abs(w - 1.0)) <= 1e-9
 
 
 def test_sgd_point_weights_are_the_survivors_indicator():
@@ -260,7 +261,8 @@ def test_sgd_point_weights_are_the_survivors_indicator():
     c = engine.worker_weights(tree, B, pattern.positions(tree, quorum_s), quorum_s)
     expected = np.ones(d)
     expected[3:6] = expected[12:15] = 0.0  # workers 1.2 and 1.5 hold 3 points each
-    assert np.array_equal(weights.point_weights(c), expected)
+    w = np.repeat(weights.block_weights(c), weights.block_size, axis=-1)
+    assert np.array_equal(w, expected)
 
 
 def _loop_weights(tree, B, straggling, resilience):

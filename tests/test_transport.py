@@ -8,12 +8,11 @@ from codedreduce import engine, transport
 from codedreduce.allocation import cr_allocate
 from codedreduce.codes import build_encoding
 from codedreduce.ml import generate_synthetic, make_oracle
-from codedreduce.topology import NodeId, StragglerPattern, build_tree
+from codedreduce.topology import MASTER, NodeId, StragglerPattern, build_tree
 from codedreduce.transport import (
     MAGIC,
     MSG_GRADIENT,
     MSG_MODEL,
-    MSG_SHUTDOWN,
     FailurePlan,
     OracleSpec,
     TransportConfig,
@@ -34,7 +33,7 @@ def test_wire_round_trip_random_payloads():
     for _ in range(25):
         payload = rng.standard_normal(int(rng.integers(1, 64)))
         sender = NodeId(int(rng.integers(0, 5)), int(rng.integers(1, 100)))
-        mtype = int(rng.choice([MSG_MODEL, MSG_GRADIENT, MSG_SHUTDOWN]))
+        mtype = int(rng.choice([MSG_MODEL, MSG_GRADIENT]))
         blob = encode_message(mtype, sender, payload)
         assert blob[:4] == MAGIC
         msg = decode_message(blob)
@@ -84,6 +83,9 @@ def test_round_without_failures_matches_engine(tmp_path, monkeypatch):
     expected = engine_reference(tree, 1, spec, theta)
     scale = np.max(np.abs(expected))
     assert np.max(np.abs(report.gradient - expected)) / scale <= 1e-9
+    # the file holds the master's gradient message, bit for bit
+    written = np.loadtxt(tmp_path / "run" / "master_gradient.csv", delimiter=",")
+    np.testing.assert_array_equal(written, report.gradient)
     assert report.node_reports["0.1"].status == "ok"
     # each parent decodes on n-s = 2 children, and the one it drops says so
     missing = [report.node_reports[str(parent)].missing for parent in tree.parents()]
@@ -193,6 +195,24 @@ def test_parent_keys_gradients_by_link_and_drops_a_mislabelled_one(wrong_sender)
         np.testing.assert_array_equal(got[pos], np.full(3, float(pos)))
 
 
+def test_parent_treats_a_message_that_is_not_a_gradient_as_its_child_failing():
+    kids = build_tree(3, 2).children(NodeId(1, 1))
+    pairs = [socket.socketpair() for _ in kids]
+    down = tuple(parent_end for parent_end, _ in pairs)
+    try:
+        for pos, ((_, child_end), kid) in enumerate(zip(pairs, kids)):
+            mtype = MSG_MODEL if pos == 0 else MSG_GRADIENT
+            child_end.sendall(encode_message(mtype, kid, np.full(3, float(pos))))
+        got, short_of_quorum = _collect_gradients(down, kids, 3, time.monotonic() + 5.0)
+    finally:
+        for pair in pairs:
+            for end in pair:
+                end.close()
+    # the model-typed message ends child 0's link, so no link is left short of 3
+    assert sorted(got) == [1, 2]
+    assert short_of_quorum == "no child link left"
+
+
 @pytest.mark.parametrize(
     "close_all, cause", [(True, "no child link left"), (False, "deadline passed")]
 )
@@ -271,3 +291,35 @@ def test_a_node_that_raises_reports_error(tmp_path, monkeypatch):
     assert failed.status == "error"
     assert failed.detail.startswith("AttributeError: ")
     assert report.node_reports["1.1"].missing == ["2.1"]
+
+
+def test_a_master_that_never_starts_ends_the_round_at_once(tmp_path):
+    tree = build_tree(3, 2)
+    spec = OracleSpec(kind="identity", d=15, p=15)
+    cfg = TransportConfig(tree=tree, s=1, oracle=spec, theta=np.zeros(15), deadline=10.0)
+    start = time.monotonic()
+    report = orchestrate(cfg, tmp_path / "run", FailurePlan(never_start=frozenset({MASTER})))
+    elapsed = time.monotonic() - start
+    assert not report.ok
+    assert report.gradient is None
+    assert report.error == "aborted: master produced no output"
+    assert not (tmp_path / "run" / "master_gradient.csv").exists()
+    assert str(MASTER) not in report.node_reports
+    for child in tree.children(MASTER):
+        assert report.node_reports[str(child)].status == "connect_failed"
+    # both ends of the master's link are closed, so the orchestrator's read of
+    # the master's gradient fails at once instead of waiting out the deadline
+    assert elapsed < cfg.deadline / 2
+
+
+def test_a_model_larger_than_the_link_buffer_still_reaches_the_master(tmp_path):
+    # 40,002 doubles are 320 kB, more than a socket pair buffers before the
+    # master starts reading, so the rest is sent once the nodes have started
+    tree = build_tree(3, 1)
+    d = 40_002
+    spec = OracleSpec(kind="identity", d=d, p=d)
+    cfg = TransportConfig(tree=tree, s=1, oracle=spec, theta=np.zeros(d), deadline=10.0)
+    report = orchestrate(cfg, tmp_path / "run")
+    assert report.ok, report.error
+    np.testing.assert_allclose(report.gradient, np.ones(d), atol=1e-9)
+    assert report.node_reports["0.1"].status == "ok"

@@ -50,3 +50,26 @@ def test_transport_config_refuses_a_deadline_that_is_not_finite_and_positive(dea
 def test_oracle_spec_refuses_a_data_kind_without_features(kind, p):
     with pytest.raises(ValueError, match=f"needs p >= 1 features, got p={p}"):
         OracleSpec(kind=kind, d=6, p=p)
+
+
+@pytest.mark.parametrize("delay", [math.nan, math.inf, -1.0])
+def test_failure_plan_refuses_a_kill_delay_that_is_not_finite_and_non_negative(delay):
+    with pytest.raises(ValueError, match=r"kill_after delays must be finite and >= 0, got \{'1.2'"):
+        FailurePlan(kill_after={NodeId(1, 2): delay})
+
+
+@pytest.mark.parametrize("kind", ["linear", "logistic"])
+@pytest.mark.parametrize(
+    "theta",
+    [np.zeros(3), np.zeros(5), np.zeros((4, 1)), np.array([0.0, math.nan, 0.0, 0.0]),
+     np.array([math.inf, 0.0, 0.0, 0.0])],
+    ids=["short", "long", "column", "nan", "inf"],
+)
+def test_transport_config_refuses_a_theta_that_is_not_a_finite_p_vector(kind, theta):
+    with pytest.raises(ValueError, match=rf"theta for the {kind} oracle must be a finite vector"):
+        _config(oracle=OracleSpec(kind=kind, d=6, p=4), theta=theta)
+
+
+def test_transport_config_takes_a_finite_p_vector_and_any_identity_theta():
+    _config(oracle=OracleSpec(kind="linear", d=6, p=4), theta=np.array([0.5, -1.0, 2.0, 0.25]))
+    _config(oracle=OracleSpec(kind="identity", d=3, p=3), theta=np.zeros(1))
