@@ -133,7 +133,8 @@ def validate_config(cfg: ExperimentConfig, builds_tree: bool = False) -> list[st
     schemes (`builds_tree`), as `verify` and `transport-demo` do.
     `RegularTree`, `r_cr` and `scheme_tree` refuse a bad tree or tolerance,
     and d must be a multiple of the granularity of each distinct (tree,
-    coded s)."""
+    coded s).  `experiment.out` must be a directory or a path that one can
+    be made at."""
     problems: list[str] = []
     if cfg.data_kind not in ("synthetic", "csv"):
         problems.append(f"data kind must be synthetic or csv, got {cfg.data_kind!r}")
@@ -184,4 +185,7 @@ def validate_config(cfg: ExperimentConfig, builds_tree: bool = False) -> list[st
                 problems.append(str(err))
     if not (isfinite(cfg.deadline) and cfg.deadline > 0):
         problems.append(f"transport deadline must be finite and positive, got {cfg.deadline}")
+    existing = next(path for path in (cfg.out, *cfg.out.parents) if path.exists())
+    if not existing.is_dir():
+        problems.append(f"experiment.out {cfg.out} cannot be a directory: {existing} is not one")
     return problems

@@ -3,7 +3,9 @@
 A tree with fan-out ``n`` and ``L`` worker layers has a master at the root
 and ``N = n + n^2 + ... + n^L`` workers.  Nodes are addressed as
 ``(layer, index)`` with the master at ``(0, 1)`` and 1-based indices within
-each layer, so parent/child relations are pure arithmetic.
+each layer.  One cached layer-major table per (n, L), the master first and
+then each layer in index order, answers every tree query: the children of
+the node at position k are the entries k*n + 1 .. k*n + n.
 """
 
 from __future__ import annotations
@@ -59,42 +61,20 @@ class RegularTree:
         """Total worker count N = n + n^2 + ... + n^L."""
         return len(_layout(self.n, self.L)[1]) - 1
 
-    def layer_size(self, layer: int) -> int:
-        if not 0 <= layer <= self.L:
-            raise ValueError(f"layer {layer} outside [0, {self.L}]")
-        return 1 if layer == 0 else self.n**layer
-
-    def contains(self, node: NodeId) -> bool:
-        return 0 <= node.layer <= self.L and 1 <= node.index <= self.layer_size(node.layer)
-
-    def _check(self, node: NodeId) -> None:
-        if not self.contains(node):
-            raise ValueError(f"node {node} not in ({self.n},{self.L})-regular tree")
-
-    def is_leaf(self, node: NodeId) -> bool:
-        self._check(node)
-        return node.layer == self.L
+    def contains(self, node: object) -> bool:
+        """Whether `node` is a `NodeId` of this tree; False for anything else."""
+        return (
+            isinstance(node, NodeId)
+            and 0 <= node.layer <= self.L
+            and 1 <= node.index <= self.n**node.layer
+        )
 
     def children(self, node: NodeId) -> tuple[NodeId, ...]:
         """Children of `node`, in index order; empty for leaves."""
-        self._check(node)
-        if node.layer == self.L:
-            return ()
-        base = self.n * (node.index - 1)
-        return tuple(NodeId(node.layer + 1, base + j) for j in range(1, self.n + 1))
-
-    def parent(self, node: NodeId) -> NodeId:
-        self._check(node)
-        if node == MASTER:
-            raise ValueError("master has no parent")
-        return NodeId(node.layer - 1, (node.index - 1) // self.n + 1)
-
-    def child_position(self, node: NodeId) -> int:
-        """0-based position of a worker among its siblings."""
-        self._check(node)
-        if node == MASTER:
-            raise ValueError("master has no siblings")
-        return (node.index - 1) % self.n
+        if not self.contains(node):
+            raise ValueError(f"node {node} not in ({self.n},{self.L})-regular tree")
+        k = self.layer_offset(node.layer) + node.index - 1
+        return self.layer_major_nodes()[k * self.n + 1 : (k + 1) * self.n + 1]
 
     def layer_offset(self, layer: int) -> int:
         """Number of nodes above `layer` (0..L+1).  In layer-major order, with
@@ -112,11 +92,6 @@ class RegularTree:
     def layer_major_nodes(self) -> tuple[NodeId, ...]:
         """Every node in layer-major order, the master at 0."""
         return _layout(self.n, self.L)[1]
-
-    def layer_nodes(self, layer: int) -> tuple[NodeId, ...]:
-        size = self.layer_size(layer)
-        offsets, nodes = _layout(self.n, self.L)
-        return nodes[offsets[layer] : offsets[layer] + size]
 
     def workers(self) -> Iterator[NodeId]:
         """All workers in layer-major order (layer 1 first)."""

@@ -337,8 +337,8 @@ def orchestrate(cfg: TransportConfig, run_dir, plan: FailurePlan = FailurePlan()
     before the read, so the reads across that node's links fail at once.  A
     started node that left no report gets one from its exit code: killed by a
     signal, else error.  A child that reports ok but that its parent lists as
-    missing is rewritten as discarded.  A plan naming a node outside the tree
-    is refused before any link or process is made."""
+    missing is rewritten as discarded.  A plan entry that is not a `NodeId` of
+    the tree is refused before any link or process is made."""
     tree = cfg.tree
     for node in (*plan.never_start, *plan.die_before_send, *plan.kill_after):
         if not tree.contains(node):

@@ -13,7 +13,7 @@ from codedreduce.cli import cmd_latency, cmd_train, cmd_validate, cmd_verify, ma
 from codedreduce.codes import CodeConstructionError
 from codedreduce.config import load_config, validate_config
 from codedreduce.ml import gd_run, generate_synthetic, load_dataset_csv
-from codedreduce.topology import build_tree, enumerate_patterns
+from codedreduce.topology import NodeId, build_tree, enumerate_patterns
 from codedreduce.transport import RunReport
 
 BASE_INI = """
@@ -334,6 +334,21 @@ def test_main_refuses_a_negative_seed(tmp_path, capsys, command, seed_flag, data
     assert out.startswith("INVALID:") and f"{headline} must be >= 0, got -1" in out
 
 
+@pytest.mark.parametrize("command", ["train", "latency", "transport-demo"])
+@pytest.mark.parametrize("below", ["", "sub"], ids=["file", "under-a-file"])
+def test_main_refuses_an_out_that_is_a_file(tmp_path, capsys, command, below):
+    """Refused before anything is written; the conftest guard fails the
+    test if transport-demo starts a process."""
+    taken = tmp_path / "taken"
+    taken.write_text("keep\n")
+    out = taken / below
+    assert main(["--config", str(write_config(tmp_path)), "--out", str(out), command]) == 1
+    printed = capsys.readouterr().out
+    assert printed == f"INVALID: experiment.out {out} cannot be a directory: {taken} is not one\n"
+    assert taken.read_text() == "keep\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["exp.ini", "taken"]
+
+
 @pytest.mark.transport
 def test_transport_demo_round_trip(tmp_path):
     path = write_config(tmp_path, schemes="cr", d=15)
@@ -373,7 +388,7 @@ def _victims_by_upward_walk(tree, seed):
         while node.layer > 0:
             if node in victims:
                 return True
-            node = tree.parent(node)
+            node = NodeId(node.layer - 1, (node.index - 1) // tree.n + 1)  # its parent
         return False
 
     for parent in tree.parents():

@@ -155,7 +155,7 @@ def _nested_round(parent, tree, assignment, B, pattern, oracle, theta, resilienc
     for pos in survivors:
         child = kids[pos]
         m = oracle(theta, assignment.local[child])
-        if not tree.is_leaf(child):
+        if child.layer < tree.L:  # an internal child
             m = m + _nested_round(child, tree, assignment, B, pattern, oracle, theta, resilience)
         out += coefficients[pos] * m
     return out

@@ -210,8 +210,9 @@ def test_one_layer_major_layout_names_every_node(n, L):
     (and no offset outside layers 0..L+1), and the simulator's compute
     events named str(w) for each worker w."""
     tree = RegularTree(n, L)
-    layers = [tree.layer_nodes(layer) for layer in range(1, L + 1)]
-    assert tree.layer_major_nodes() == (MASTER, *(w for layer in layers for w in layer))
+    nodes = tree.layer_major_nodes()
+    layers = [nodes[tree.layer_offset(j) : tree.layer_offset(j + 1)] for j in range(1, L + 1)]
+    assert nodes == (MASTER, *(w for layer in layers for w in layer))
     for layer in range(1, L + 1):
         assert layers[layer - 1] == tuple(NodeId(layer, i) for i in range(1, n**layer + 1))
     for layer in range(L + 2):

@@ -36,14 +36,30 @@ def test_children_formula():
     assert tree.children(NodeId(2, 5)) == ()
 
 
-def test_parent_inverts_children():
-    tree = build_tree(4, 3)
-    for parent in tree.parents():
-        for pos, child in enumerate(tree.children(parent)):
-            assert tree.parent(child) == parent
-            assert tree.child_position(child) == pos
-    for leaf in tree.layer_nodes(tree.L):
-        assert tree.is_leaf(leaf)
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(n=st.integers(1, 5), L=st.integers(1, 4))
+def test_children_are_the_table_entries_of_each_parent(n, L):
+    """The children of the layer-major parent k are table entries
+    k*n + 1 .. k*n + n, a leaf has none, and the parents' children in order
+    are the workers; `contains` is table membership, and `children` refuses
+    what it refuses."""
+    tree = build_tree(n, L)
+    table = tree.layer_major_nodes()
+    for k, parent in enumerate(tree.parents()):
+        assert tree.children(parent) == table[k * n + 1 : k * n + n + 1]
+    for leaf in table[tree.num_parents :]:
+        assert leaf.layer == L
+        assert tree.children(leaf) == ()
+    kids = [kid for parent in tree.parents() for kid in tree.children(parent)]
+    assert kids == list(tree.workers())
+    # every layer -1 .. L + 1 and index 0 .. n**layer + 1, then a str and a tuple
+    grid = [NodeId(j, i) for j in range(-1, L + 2) for i in range(n ** min(max(j, 0), L) + 2)]
+    assert [node for node in grid if tree.contains(node)] == sorted(table)
+    assert not tree.contains("1.1") and not tree.contains((1, 1))
+    for node in [node for node in grid if not tree.contains(node)] + ["1.1", (1, 1)]:
+        with pytest.raises(ValueError) as err:
+            tree.children(node)
+        assert str(err.value) == f"node {node} not in ({n},{L})-regular tree"
 
 
 def test_path_tree_is_a_chain():
@@ -51,7 +67,8 @@ def test_path_tree_is_a_chain():
     node = MASTER
     for _ in range(5):
         (node,) = tree.children(node)
-    assert tree.is_leaf(node)
+    assert node.layer == tree.L
+    assert tree.children(node) == ()
 
 
 def test_workers_layer_major_order():
@@ -219,7 +236,8 @@ def _reference_positions(pattern, tree, s):
     n = tree.n
     out = np.zeros((tree.num_parents, n), dtype=bool)
     for parent, kids in pattern.stragglers.items():
-        tree._check(parent)
+        if not tree.contains(parent):
+            raise ValueError(f"node {parent} not in ({n},{tree.L})-regular tree")
         first = n * (parent.index - 1) + 1
         bad = [
             k for k in kids

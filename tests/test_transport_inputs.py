@@ -3,6 +3,7 @@ process is made.  These tests carry no transport mark, so the conftest
 guard fails any of them that starts a process."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -29,12 +30,19 @@ def _config(**overrides):
         FailurePlan(die_before_send=frozenset({NodeId(3, 1)})),
         FailurePlan(kill_after={NodeId(3, 1): 0.5}),
         FailurePlan(die_before_send=frozenset({NodeId(1, 4)})),
+        FailurePlan(never_start=frozenset({"1.1"})),
+        FailurePlan(kill_after={"1.1": 0.5}),
+        FailurePlan(die_before_send=frozenset({(1, 1)})),
     ],
-    ids=["never_start", "die_before_send", "kill_after", "index_past_layer"],
+    ids=[
+        "never_start", "die_before_send", "kill_after", "index_past_layer",
+        "str_never_start", "str_kill_after", "tuple_die_before_send",
+    ],
 )
 def test_orchestrate_refuses_a_plan_node_outside_the_tree(tmp_path, plan):
     stray = next(iter((*plan.never_start, *plan.die_before_send, *plan.kill_after)))
-    with pytest.raises(ValueError, match=f"failure plan names node {stray}, not in the"):
+    message = f"failure plan names node {stray}, not in the (3,1)-regular tree"
+    with pytest.raises(ValueError, match=re.escape(message)):
         orchestrate(_config(), tmp_path / "run", plan)
     assert not (tmp_path / "run").exists()
 
