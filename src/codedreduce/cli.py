@@ -205,7 +205,11 @@ def cmd_transport_demo(cfg: ExperimentConfig, out=None) -> int:
     )
     cfg.out.mkdir(parents=True, exist_ok=True)
     print(f"killing {len(victims)} nodes: {sorted(str(v) for v in victims)}", file=out)
-    report = orchestrate(tcfg, cfg.out / "transport_demo", plan)
+    try:
+        report = orchestrate(tcfg, cfg.out / "transport_demo", plan)
+    except ValueError as err:
+        print(f"INVALID: {err}", file=out)
+        return 1
     if not report.ok:
         print(f"FAIL: {report.error}", file=out)
         return 1

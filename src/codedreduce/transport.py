@@ -19,10 +19,16 @@ from its parent, sends it down every child link, computes its own coded
 gradient, collects the first n-s gradient messages (later arrivals are
 dropped with the links), combines them with the decode row of the realized
 survivor set, adds its local term, and sends the result to its parent.
+
+Each node is a fork of one single-threaded fork server that has already
+imported this module, so a node starts in milliseconds rather than paying
+for a fresh interpreter and numpy; where there is no fork server (Windows)
+nodes are spawned.
 """
 
 from __future__ import annotations
 
+import atexit
 import json
 import multiprocessing as mp
 import os
@@ -67,6 +73,11 @@ MSG_MODEL = 0
 MSG_GRADIENT = 1
 
 _HEADER = struct.Struct("<4sBHII")
+
+# A node whose pid differs from this one runs a module that another process
+# imported: the fork server's preload took.
+_IMPORTED_IN = os.getpid()
+_START_METHOD = "forkserver" if "forkserver" in mp.get_all_start_methods() else "spawn"
 
 
 @dataclass(frozen=True)
@@ -166,7 +177,8 @@ class FailurePlan:
     """never_start: the process is not launched at all; die_before_send: it
     starts, reads the model (its parent queues it on the link however late
     the child starts), then dies before computing; kill_after: the
-    orchestrator terminates it that many (finite, >= 0) seconds in."""
+    orchestrator terminates it that many (finite, >= 0) seconds after it
+    starts it."""
 
     never_start: frozenset = frozenset()
     die_before_send: frozenset = frozenset()
@@ -190,6 +202,9 @@ class NodeReport:
     received_from: list
     missing: list
     detail: str = ""
+    # the node ran a module it did not import itself (a preloaded fork);
+    # false for a report the orchestrator writes for the node
+    preloaded: bool = False
 
 
 @dataclass
@@ -202,8 +217,12 @@ class RunReport:
 
 
 def _write_report(run_dir: Path, report: NodeReport) -> None:
+    """Write the report whole or not at all: a node terminated while writing
+    leaves only a `.part` file, and the orchestrator reports it killed."""
     path = run_dir / f"node_{report.node.replace('.', '_')}.json"
-    path.write_text(json.dumps(report.__dict__))
+    part = path.with_name(path.name + ".part")
+    part.write_text(json.dumps(report.__dict__))
+    os.replace(part, path)
 
 
 def _collect_gradients(
@@ -267,7 +286,10 @@ def run_node(
     as error, with its type and text, and re-raised (exit code 1).
     """
     need = cfg.tree.n - cfg.s
-    report = NodeReport(node=str(node), status="error", received_from=[], missing=[])
+    report = NodeReport(
+        node=str(node), status="error", received_from=[], missing=[],
+        preloaded=os.getpid() != _IMPORTED_IN,
+    )
     try:
         deadline_at = time.monotonic() + cfg.deadline
         try:
@@ -325,8 +347,59 @@ def run_node(
             os._exit(0)
 
 
+def _node_context():
+    """The multiprocessing context nodes start from: a running fork server
+    that has imported this module, or spawn where there is none.
+
+    Python 3.11's `multiprocessing.forkserver.main` imports the preload list
+    without applying the parent's `sys.path` and swallows the ImportError, so
+    a caller that put this package on `sys.path` itself, without exporting
+    PYTHONPATH, would get a server that preloaded nothing, and every node
+    would import the package again.  PYTHONPATH therefore names the package
+    root while the server starts, and is restored right after.  The server
+    exits only once it reads EOF on its alive pipe, which would be after this
+    process has exited; it is stopped at interpreter exit instead, so no
+    process outlives the caller."""
+    ctx = mp.get_context(_START_METHOD)
+    if _START_METHOD != "forkserver":
+        return ctx
+    from multiprocessing import forkserver
+
+    old = os.environ.get("PYTHONPATH")
+    root = str(Path(__file__).resolve().parents[1])
+    os.environ["PYTHONPATH"] = root if old is None else os.pathsep.join((root, old))
+    try:
+        forkserver.set_forkserver_preload([__name__])
+        forkserver.ensure_running()
+    finally:
+        if old is None:
+            del os.environ["PYTHONPATH"]
+        else:
+            os.environ["PYTHONPATH"] = old
+    stop = forkserver._forkserver._stop
+    atexit.unregister(stop)  # registered once, however many rounds run
+    atexit.register(stop)
+    return ctx
+
+
+def _read_master_gradient(top: socket.socket, rest: bytes) -> np.ndarray | None:
+    """Send `rest`, the part of the model the master's link did not buffer,
+    then read the master's gradient message from the link.  None when the
+    link fails or closes first, or the message is not a gradient.  With
+    nothing left to send nothing is sent: a fast round can end and the
+    master close its end first, and even an empty send to a closed peer
+    raises, while the gradient it buffered can still be read."""
+    try:
+        if rest:
+            top.sendall(rest)
+        msg = read_message(top)
+    except (OSError, ValueError):
+        return None
+    return msg.payload if msg.msg_type == MSG_GRADIENT else None
+
+
 def orchestrate(cfg: TransportConfig, run_dir, plan: FailurePlan = FailurePlan()):
-    """Connect every tree edge, spawn one process per node, apply the
+    """Connect every tree edge, start one process per node, apply the
     failure plan, and collect the master's gradient plus every node's report.
 
     The orchestrator is the master's parent: it writes the model into the
@@ -337,8 +410,10 @@ def orchestrate(cfg: TransportConfig, run_dir, plan: FailurePlan = FailurePlan()
     before the read, so the reads across that node's links fail at once.  A
     started node that left no report gets one from its exit code: killed by a
     signal, else error.  A child that reports ok but that its parent lists as
-    missing is rewritten as discarded.  A plan entry that is not a `NodeId` of
-    the tree is refused before any link or process is made."""
+    missing, or whose parent never decoded (killed, error, timeout or
+    connect_failed), is rewritten as discarded.  A plan entry that is not a
+    `NodeId` of the tree, and a `run_dir` that names a file or a path below
+    one, are refused with a ValueError before any link or process is made."""
     tree = cfg.tree
     for node in (*plan.never_start, *plan.die_before_send, *plan.kill_after):
         if not tree.contains(node):
@@ -346,15 +421,19 @@ def orchestrate(cfg: TransportConfig, run_dir, plan: FailurePlan = FailurePlan()
                 f"failure plan names node {node}, not in the ({tree.n},{tree.L})-regular tree"
             )
     run_path = Path(run_dir)
+    existing = next(path for path in (run_path, *run_path.parents) if path.exists())
+    if not existing.is_dir():
+        raise ValueError(f"run_dir {run_path} cannot be a directory: {existing} is not one")
     run_path.mkdir(parents=True, exist_ok=True)
-    for stale in run_path.glob("node_*.json"):
+    for stale in run_path.glob("node_*.json*"):
         stale.unlink()
     B = build_encoding(tree.n, cfg.s, cfg.alloc_seed)
     assignment = cr_allocate(tree, cfg.s, cfg.oracle.d, B=B)
     out_path = run_path / "master_gradient.csv"
     out_path.unlink(missing_ok=True)
 
-    procs = {}
+    ctx = _node_context()
+    procs, timers = {}, []
     top, bottom = socket.socketpair()  # the orchestrator's link to the master
     edges = {MASTER: (top, bottom)}  # node -> its parent link's (parent end, child end)
     with top:
@@ -369,7 +448,7 @@ def orchestrate(cfg: TransportConfig, run_dir, plan: FailurePlan = FailurePlan()
                     continue
                 shard = assignment.local[node] if node != MASTER else ()
                 down = tuple(edges[kid][0] for kid in tree.children(node))
-                proc = mp.get_context("spawn").Process(
+                proc = ctx.Process(
                     target=run_node,
                     args=(node, cfg, shard, B, up, down, str(run_path)),
                     kwargs={"die_before_send": node in plan.die_before_send},
@@ -377,27 +456,18 @@ def orchestrate(cfg: TransportConfig, run_dir, plan: FailurePlan = FailurePlan()
                 )
                 proc.start()
                 procs[node] = proc
+                if node in plan.kill_after:  # armed before its children start
+                    timers.append(threading.Timer(plan.kill_after[node], proc.terminate))
+                    timers[-1].start()
                 for end in (up, *down):  # the node holds its own copies
                     end.close()
         finally:  # and those of nodes that never start
             for end in {end for pair in edges.values() for end in pair} - {top}:
                 end.close()
 
-        timers = []
-        for node, delay in plan.kill_after.items():
-            if node in procs:
-                timer = threading.Timer(delay, procs[node].terminate)
-                timer.start()
-                timers.append(timer)
-
         join_deadline = time.monotonic() + cfg.deadline + 20.0
-        try:
-            top.settimeout(join_deadline - time.monotonic())
-            top.sendall(model[sent:])  # any part of the model the buffer did not take
-            msg = read_message(top)
-        except (OSError, ValueError):
-            msg = None
-    gradient = msg.payload if msg is not None and msg.msg_type == MSG_GRADIENT else None
+        top.settimeout(join_deadline - time.monotonic())
+        gradient = _read_master_gradient(top, model[sent:])
     if gradient is not None:
         out_path.write_text(",".join(repr(float(v)) for v in gradient) + "\n")
 
@@ -419,13 +489,21 @@ def orchestrate(cfg: TransportConfig, run_dir, plan: FailurePlan = FailurePlan()
                 status, detail = "error", f"exited with code {code}"
             reports[name] = NodeReport(name, status, [], [], f"{detail}, no report")
             _write_report(run_path, reports[name])
-    for parent in reports.values():
-        outcome = "timed out" if parent.status == "timeout" else "decoded"
-        for child in (reports.get(name) for name in parent.missing):
-            if child is not None and child.status == "ok":  # sent, but never read
-                child.status = "discarded"
-                child.detail = f"parent {parent.node} {outcome} without its gradient"
-                _write_report(run_path, child)
+    parent_of = {str(kid): str(node) for node in tree.parents() for kid in tree.children(node)}
+    for child in reports.values():
+        parent = reports.get(parent_of.get(child.node))
+        if child.status != "ok" or parent is None:
+            continue
+        if child.node in parent.missing:  # sent, but never read
+            outcome = "timed out" if parent.status == "timeout" else "decoded"
+            child.detail = f"parent {parent.node} {outcome} without its gradient"
+        elif parent.status in ("killed", "error", "timeout", "connect_failed"):
+            # read, or left in the buffer of a parent that then died
+            child.detail = f"parent {parent.node} never decoded (it reports {parent.status})"
+        else:
+            continue
+        child.status = "discarded"
+        _write_report(run_path, child)
     timed_out = sorted(
         (r.node for r in reports.values() if r.status == "timeout"),
         key=lambda name: tuple(int(tok) for tok in name.split(".")),

@@ -349,6 +349,19 @@ def test_main_refuses_an_out_that_is_a_file(tmp_path, capsys, command, below):
     assert sorted(p.name for p in tmp_path.iterdir()) == ["exp.ini", "taken"]
 
 
+def test_transport_demo_refuses_a_run_dir_that_is_a_file(tmp_path, capsys):
+    """`<out>/transport_demo` a file under an `<out>` directory: refused by
+    the round before any process starts (the conftest guard)."""
+    out = tmp_path / "results"
+    out.mkdir()
+    (out / "transport_demo").write_text("")
+    assert main(["--config", str(write_config(tmp_path, schemes="cr", d=15)), "transport-demo"]) == 1
+    last = capsys.readouterr().out.splitlines()[-1]
+    run_dir = out / "transport_demo"
+    assert last == f"INVALID: run_dir {run_dir} cannot be a directory: {run_dir} is not one"
+    assert sorted(p.name for p in out.iterdir()) == ["transport_demo"]
+
+
 @pytest.mark.transport
 def test_transport_demo_round_trip(tmp_path):
     path = write_config(tmp_path, schemes="cr", d=15)

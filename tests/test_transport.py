@@ -1,3 +1,5 @@
+import multiprocessing.forkserver
+import os
 import socket
 import time
 
@@ -140,6 +142,29 @@ def test_timed_kill_is_tolerated(tmp_path):
     assert len(report.node_reports) == len(list((tmp_path / "run").glob("node_*.json"))) == 13
     assert report.node_reports["1.3"].status == "killed"
     assert "SIGTERM" in report.node_reports["1.3"].detail
+    # a child that sent into 1.3's buffer before the kill was never decoded
+    for kid in tree.children(NodeId(1, 3)):
+        assert report.node_reports[str(kid)].status != "ok"
+
+
+def test_every_node_runs_the_module_its_fork_server_preloaded(tmp_path, monkeypatch):
+    """With no PYTHONPATH exported, as under perfbench/run.py, a fork server
+    that the round starts itself still imports this package once."""
+    forked = transport._START_METHOD == "forkserver"
+    if forked:
+        multiprocessing.forkserver._forkserver._stop()
+    monkeypatch.delenv("PYTHONPATH", raising=False)
+    tree = build_tree(3, 2)
+    spec = OracleSpec(kind="identity", d=15, p=15)
+    cfg = TransportConfig(tree=tree, s=1, oracle=spec, theta=np.zeros(15), deadline=5.0)
+    report = orchestrate(cfg, tmp_path / "run")
+    assert report.ok, report.error
+    assert "PYTHONPATH" not in os.environ
+    assert len(report.node_reports) == 13
+    # every node wrote its own report; under spawn each imports the module itself
+    assert {name: r.preloaded for name, r in report.node_reports.items()} == {
+        name: forked for name in report.node_reports
+    }
 
 
 def test_subtree_loss_times_out_locally_but_run_succeeds(tmp_path):

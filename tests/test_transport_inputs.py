@@ -1,15 +1,26 @@
 """Transport inputs refused where they are written, before any link or
-process is made.  These tests carry no transport mark, so the conftest
-guard fails any of them that starts a process."""
+process is made, and the orchestrator's exchange with the master on a bare
+socket pair.  These tests carry no transport mark, so the conftest guard
+fails any of them that starts a process."""
 
 import math
 import re
+import socket
 
 import numpy as np
 import pytest
 
-from codedreduce.topology import NodeId, build_tree
-from codedreduce.transport import FailurePlan, OracleSpec, TransportConfig, orchestrate
+from codedreduce.topology import MASTER, NodeId, build_tree
+from codedreduce.transport import (
+    MSG_GRADIENT,
+    MSG_MODEL,
+    FailurePlan,
+    OracleSpec,
+    TransportConfig,
+    _read_master_gradient,
+    encode_message,
+    orchestrate,
+)
 
 
 def _config(**overrides):
@@ -81,3 +92,37 @@ def test_transport_config_refuses_a_theta_that_is_not_a_finite_p_vector(kind, th
 def test_transport_config_takes_a_finite_p_vector_and_any_identity_theta():
     _config(oracle=OracleSpec(kind="linear", d=6, p=4), theta=np.array([0.5, -1.0, 2.0, 0.25]))
     _config(oracle=OracleSpec(kind="identity", d=3, p=3), theta=np.zeros(1))
+
+
+@pytest.mark.parametrize("below", ["", "sub"], ids=["file", "under-a-file"])
+def test_orchestrate_refuses_a_run_dir_that_is_a_file(tmp_path, below):
+    taken = tmp_path / "taken"
+    taken.write_text("keep\n")
+    run_dir = taken / below
+    message = f"run_dir {run_dir} cannot be a directory: {taken} is not one"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        orchestrate(_config(), run_dir)
+    assert taken.read_text() == "keep\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["taken"]
+
+
+@pytest.mark.parametrize(
+    "reply, expected",
+    [(encode_message(MSG_GRADIENT, MASTER, [1.0, -2.5, 3.0]), [1.0, -2.5, 3.0]),
+     (encode_message(MSG_MODEL, MASTER, [1.0]), None),
+     (b"", None)],
+    ids=["gradient", "not-a-gradient", "no-message"],
+)
+def test_the_master_gradient_is_read_after_the_master_has_closed_its_link(reply, expected):
+    """A fast round can end before the orchestrator reads: the master has
+    buffered its message and closed its end, and nothing is left to send."""
+    top, bottom = socket.socketpair()
+    with top:
+        with bottom:
+            bottom.sendall(reply)
+        top.settimeout(5.0)
+        gradient = _read_master_gradient(top, b"")
+    if expected is None:
+        assert gradient is None
+    else:
+        np.testing.assert_array_equal(gradient, expected)
