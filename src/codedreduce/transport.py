@@ -13,12 +13,14 @@ The tree is fixed, so the orchestrator makes one connected socket pair per
 tree edge before any node starts and hands each node its parent end and its
 child ends; no node process opens a socket of its own, and a send to a
 parent that has closed its end fails at once.  The orchestrator is the
-master's parent: it writes the model into the master's link before any node
-starts and reads the recovered gradient from it.  Every node reads the model
-from its parent, sends it down every child link, computes its own coded
-gradient, collects the first n-s gradient messages (later arrivals are
-dropped with the links), combines them with the decode row of the realized
-survivor set, adds its local term, and sends the result to its parent.
+master's parent and handles that link with a parent's own code: once every
+node has started it sends the model in a single blocking send, and it
+collects the recovered gradient as a parent collects its children's.  Every
+node reads the model from its parent, sends it down every child link,
+computes its own coded gradient, collects the first n-s gradient messages
+(later arrivals are dropped with the links), combines them with the decode
+row of the realized survivor set, adds its local term, and sends the result
+to its parent.
 
 Each node is a fork of one single-threaded fork server that has already
 imported this module, so a node starts in milliseconds rather than paying
@@ -225,6 +227,17 @@ def _write_report(run_dir: Path, report: NodeReport) -> None:
     os.replace(part, path)
 
 
+def _send_model(down: tuple[socket.socket, ...], sender: NodeId, theta) -> None:
+    """Send the model down every child link; a child that is already gone
+    is skipped, and its link reads as failed when gradients are collected."""
+    model_bytes = encode_message(MSG_MODEL, sender, theta)
+    for conn in down:
+        try:
+            conn.sendall(model_bytes)
+        except OSError:
+            pass
+
+
 def _collect_gradients(
     down: tuple[socket.socket, ...],
     kids: tuple[NodeId, ...],
@@ -306,12 +319,7 @@ def run_node(
             report.status, report.detail = "killed", "failure plan: died after model handshake"
             return
 
-        model_bytes = encode_message(MSG_MODEL, node, theta)
-        for conn in down:
-            try:
-                conn.sendall(model_bytes)
-            except OSError:
-                pass  # that child is already gone; its link reads as failed
+        _send_model(down, node, theta)
         total = cfg.oracle.build()(theta, shard) if shard else 0.0
 
         if down:
@@ -358,12 +366,13 @@ def _node_context():
     would import the package again.  PYTHONPATH therefore names the package
     root while the server starts, and is restored right after.  The server
     exits only once it reads EOF on its alive pipe, which would be after this
-    process has exited; it is stopped at interpreter exit instead, so no
-    process outlives the caller."""
+    process has exited; it is stopped at interpreter exit instead, and then
+    the resource tracker that `ensure_running` brought up, so no process
+    outlives the caller."""
     ctx = mp.get_context(_START_METHOD)
     if _START_METHOD != "forkserver":
         return ctx
-    from multiprocessing import forkserver
+    from multiprocessing import forkserver, resource_tracker
 
     old = os.environ.get("PYTHONPATH")
     root = str(Path(__file__).resolve().parents[1])
@@ -376,44 +385,33 @@ def _node_context():
             del os.environ["PYTHONPATH"]
         else:
             os.environ["PYTHONPATH"] = old
-    stop = forkserver._forkserver._stop
-    atexit.unregister(stop)  # registered once, however many rounds run
-    atexit.register(stop)
+    # atexit runs last-registered first: the server, which holds the
+    # tracker's pipe, exits before the tracker is stopped
+    for stop in (resource_tracker._resource_tracker._stop, forkserver._forkserver._stop):
+        atexit.unregister(stop)  # registered once, however many rounds run
+        atexit.register(stop)
     return ctx
-
-
-def _read_master_gradient(top: socket.socket, rest: bytes) -> np.ndarray | None:
-    """Send `rest`, the part of the model the master's link did not buffer,
-    then read the master's gradient message from the link.  None when the
-    link fails or closes first, or the message is not a gradient.  With
-    nothing left to send nothing is sent: a fast round can end and the
-    master close its end first, and even an empty send to a closed peer
-    raises, while the gradient it buffered can still be read."""
-    try:
-        if rest:
-            top.sendall(rest)
-        msg = read_message(top)
-    except (OSError, ValueError):
-        return None
-    return msg.payload if msg.msg_type == MSG_GRADIENT else None
 
 
 def orchestrate(cfg: TransportConfig, run_dir, plan: FailurePlan = FailurePlan()):
     """Connect every tree edge, start one process per node, apply the
     failure plan, and collect the master's gradient plus every node's report.
 
-    The orchestrator is the master's parent: it writes the model into the
-    master's link before any node starts, then reads the master's gradient
-    from it by the join deadline and writes `master_gradient.csv` on receipt.
-    A node's link ends go to its own process only: the orchestrator closes
-    its copies right after that start, and those of a node that never starts
-    before the read, so the reads across that node's links fail at once.  A
+    The orchestrator is the master's parent: once every node has started it
+    sends the model down the master's link with `_send_model`, in one
+    blocking send, so the master cannot answer before it has read the whole
+    model; it then collects the master's gradient with `_collect_gradients`
+    by the join deadline and writes `master_gradient.csv` on receipt.  A
+    node's link ends go to its own process only: the orchestrator closes its
+    copies right after that start, and those of a node that never starts
+    before the send, so the reads across that node's links fail at once.  A
     started node that left no report gets one from its exit code: killed by a
-    signal, else error.  A child that reports ok but that its parent lists as
-    missing, or whose parent never decoded (killed, error, timeout or
-    connect_failed), is rewritten as discarded.  A plan entry that is not a
-    `NodeId` of the tree, and a `run_dir` that names a file or a path below
-    one, are refused with a ValueError before any link or process is made."""
+    signal, else error.  One rule decides discarded: a child that reports ok
+    stays ok only when its parent reports ok or discarded and lists it in
+    `received_from`; otherwise `detail` names the parent and its status.  The
+    code, the allocation, a plan entry that is not a `NodeId` of the tree,
+    and a `run_dir` that names a file or a path below one are checked before
+    `run_dir` is touched or any link or process is made."""
     tree = cfg.tree
     for node in (*plan.never_start, *plan.die_before_send, *plan.kill_after):
         if not tree.contains(node):
@@ -424,11 +422,11 @@ def orchestrate(cfg: TransportConfig, run_dir, plan: FailurePlan = FailurePlan()
     existing = next(path for path in (run_path, *run_path.parents) if path.exists())
     if not existing.is_dir():
         raise ValueError(f"run_dir {run_path} cannot be a directory: {existing} is not one")
+    B = build_encoding(tree.n, cfg.s, cfg.alloc_seed)
+    assignment = cr_allocate(tree, cfg.s, cfg.oracle.d, B=B)
     run_path.mkdir(parents=True, exist_ok=True)
     for stale in run_path.glob("node_*.json*"):
         stale.unlink()
-    B = build_encoding(tree.n, cfg.s, cfg.alloc_seed)
-    assignment = cr_allocate(tree, cfg.s, cfg.oracle.d, B=B)
     out_path = run_path / "master_gradient.csv"
     out_path.unlink(missing_ok=True)
 
@@ -440,9 +438,6 @@ def orchestrate(cfg: TransportConfig, run_dir, plan: FailurePlan = FailurePlan()
         try:
             for worker in tree.workers():
                 edges[worker] = socket.socketpair()
-            model = encode_message(MSG_MODEL, MASTER, cfg.theta)
-            top.setblocking(False)
-            sent = top.send(model)  # the link's buffer holds it until the master reads
             for node, (_, up) in edges.items():
                 if node in plan.never_start:
                     continue
@@ -467,7 +462,8 @@ def orchestrate(cfg: TransportConfig, run_dir, plan: FailurePlan = FailurePlan()
 
         join_deadline = time.monotonic() + cfg.deadline + 20.0
         top.settimeout(join_deadline - time.monotonic())
-        gradient = _read_master_gradient(top, model[sent:])
+        _send_model((top,), MASTER, cfg.theta)
+        gradient = _collect_gradients((top,), (MASTER,), 1, join_deadline)[0].get(0)
     if gradient is not None:
         out_path.write_text(",".join(repr(float(v)) for v in gradient) + "\n")
 
@@ -494,15 +490,10 @@ def orchestrate(cfg: TransportConfig, run_dir, plan: FailurePlan = FailurePlan()
         parent = reports.get(parent_of.get(child.node))
         if child.status != "ok" or parent is None:
             continue
-        if child.node in parent.missing:  # sent, but never read
-            outcome = "timed out" if parent.status == "timeout" else "decoded"
-            child.detail = f"parent {parent.node} {outcome} without its gradient"
-        elif parent.status in ("killed", "error", "timeout", "connect_failed"):
-            # read, or left in the buffer of a parent that then died
-            child.detail = f"parent {parent.node} never decoded (it reports {parent.status})"
-        else:
+        if parent.status in ("ok", "discarded") and child.node in parent.received_from:
             continue
         child.status = "discarded"
+        child.detail = f"parent {parent.node} reports {parent.status} without decoding its gradient"
         _write_report(run_path, child)
     timed_out = sorted(
         (r.node for r in reports.values() if r.status == "timeout"),

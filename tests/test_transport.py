@@ -1,7 +1,12 @@
 import multiprocessing.forkserver
 import os
+import select
+import signal
 import socket
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -181,6 +186,10 @@ def test_subtree_loss_times_out_locally_but_run_succeeds(tmp_path):
     assert report.node_reports["1.1"].status == "timeout"
     # 2.3 answered and 2.1, 2.2 never started: 1.1 has no link left to wait on
     assert "no child link left" in report.node_reports["1.1"].detail
+    # 1.1 timed out holding 2.3's gradient, so that gradient was never used
+    assert report.node_reports["1.1"].received_from == ["2.3"]
+    assert report.node_reports["2.3"].status == "discarded"
+    assert report.node_reports["2.3"].detail.startswith("parent 1.1 reports timeout")
     assert elapsed < cfg.deadline / 2
 
 
@@ -200,8 +209,9 @@ def test_orphaned_subtree_does_not_hold_the_round(tmp_path):
     assert elapsed < cfg.deadline / 2
 
 
+@pytest.mark.parametrize("closed", [False, True], ids=["open", "closed-after-send"])
 @pytest.mark.parametrize("wrong_sender", [NodeId(2, 2), NodeId(9, 1)], ids=["sibling", "stranger"])
-def test_parent_keys_gradients_by_link_and_drops_a_mislabelled_one(wrong_sender):
+def test_parent_keys_gradients_by_link_and_drops_a_mislabelled_one(wrong_sender, closed):
     kids = build_tree(3, 2).children(NodeId(1, 1))  # 2.1, 2.2, 2.3
     pairs = [socket.socketpair() for _ in kids]
     down = tuple(parent_end for parent_end, _ in pairs)
@@ -209,6 +219,8 @@ def test_parent_keys_gradients_by_link_and_drops_a_mislabelled_one(wrong_sender)
         senders = (wrong_sender, *kids[1:])
         for pos, ((_, child_end), sender) in enumerate(zip(pairs, senders)):
             child_end.sendall(encode_message(MSG_GRADIENT, sender, np.full(3, float(pos))))
+            if closed:  # a fast child has sent and gone before collection starts
+                child_end.close()
         got, timed_out = _collect_gradients(down, kids, 2, time.monotonic() + 5.0)
     finally:
         for pair in pairs:
@@ -316,6 +328,68 @@ def test_a_node_that_raises_reports_error(tmp_path, monkeypatch):
     assert failed.status == "error"
     assert failed.detail.startswith("AttributeError: ")
     assert report.node_reports["1.1"].missing == ["2.1"]
+
+
+def _run_node_killed_holding_gradients(node, *args, **kwargs):
+    """run_node with node 1.1 killing itself once every child's gradient
+    waits on its link, before it reads any; spawned nodes import it from
+    this module by name."""
+    if node == NodeId(1, 1):
+
+        def die_holding(down, *_args):
+            for conn in down:
+                select.select([conn], [], [], 10.0)
+            os.kill(os.getpid(), signal.SIGKILL)
+
+        transport._collect_gradients = die_holding
+    run_node(node, *args, **kwargs)
+
+
+def test_children_of_a_parent_killed_holding_their_gradients_are_discarded(
+    tmp_path, monkeypatch
+):
+    monkeypatch.setattr(transport, "run_node", _run_node_killed_holding_gradients)
+    tree = build_tree(3, 2)
+    spec = OracleSpec(kind="identity", d=15, p=15)
+    cfg = TransportConfig(tree=tree, s=1, oracle=spec, theta=np.zeros(15), deadline=5.0)
+    report = orchestrate(cfg, tmp_path / "run")
+    assert report.ok, report.error
+    np.testing.assert_allclose(report.gradient, np.ones(15), atol=1e-9)
+    assert report.node_reports["1.1"].status == "killed"
+    for kid in ("2.1", "2.2", "2.3"):
+        assert report.node_reports[kid].status == "discarded"
+        assert report.node_reports[kid].detail.startswith("parent 1.1 reports killed")
+
+
+def test_no_multiprocessing_helper_outlives_its_caller(tmp_path):
+    """The fork server and the resource tracker it brings up are both gone
+    once a process that ran a round has exited."""
+    script = (
+        "import sys\n"
+        "from multiprocessing import forkserver, resource_tracker\n"
+        "import numpy as np\n"
+        "from codedreduce.topology import build_tree\n"
+        "from codedreduce.transport import OracleSpec, TransportConfig, orchestrate\n"
+        "spec = OracleSpec(kind='identity', d=3, p=3)\n"
+        "cfg = TransportConfig(tree=build_tree(3, 1), s=1, oracle=spec, theta=np.zeros(3))\n"
+        "assert orchestrate(cfg, sys.argv[1]).ok\n"
+        "print(forkserver._forkserver._forkserver_pid, resource_tracker._resource_tracker._pid)\n"
+    )
+    src = str(Path(transport.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    # the helpers inherit stdout, so it goes to a file: a pipe would be read
+    # until they exit, and the check would wait for what it should catch
+    out = tmp_path / "pids.txt"
+    with out.open("w") as stdout:
+        subprocess.run(
+            [sys.executable, "-c", script, str(tmp_path / "run")],
+            stdout=stdout, env=env, check=True, timeout=60,
+        )
+    pids = [int(tok) for tok in out.read_text().split() if tok != "None"]
+    assert len(pids) == (2 if transport._START_METHOD == "forkserver" else 0)
+    for pid in pids:
+        with pytest.raises(ProcessLookupError):
+            os.kill(pid, 0)
 
 
 def test_a_master_that_never_starts_ends_the_round_at_once(tmp_path):

@@ -1,26 +1,16 @@
 """Transport inputs refused where they are written, before any link or
-process is made, and the orchestrator's exchange with the master on a bare
-socket pair.  These tests carry no transport mark, so the conftest guard
+process is made.  These tests carry no transport mark, so the conftest guard
 fails any of them that starts a process."""
 
 import math
 import re
-import socket
 
 import numpy as np
 import pytest
 
-from codedreduce.topology import MASTER, NodeId, build_tree
-from codedreduce.transport import (
-    MSG_GRADIENT,
-    MSG_MODEL,
-    FailurePlan,
-    OracleSpec,
-    TransportConfig,
-    _read_master_gradient,
-    encode_message,
-    orchestrate,
-)
+from codedreduce.allocation import AllocationError
+from codedreduce.topology import NodeId, build_tree
+from codedreduce.transport import FailurePlan, OracleSpec, TransportConfig, orchestrate
 
 
 def _config(**overrides):
@@ -107,22 +97,23 @@ def test_orchestrate_refuses_a_run_dir_that_is_a_file(tmp_path, below):
 
 
 @pytest.mark.parametrize(
-    "reply, expected",
-    [(encode_message(MSG_GRADIENT, MASTER, [1.0, -2.5, 3.0]), [1.0, -2.5, 3.0]),
-     (encode_message(MSG_MODEL, MASTER, [1.0]), None),
-     (b"", None)],
-    ids=["gradient", "not-a-gradient", "no-message"],
+    "overrides, error",
+    [
+        (dict(tree=build_tree(3, 2), oracle=OracleSpec(kind="identity", d=61, p=61)),
+         AllocationError),
+        (dict(s=3), ValueError),
+    ],
+    ids=["allocation", "code"],
 )
-def test_the_master_gradient_is_read_after_the_master_has_closed_its_link(reply, expected):
-    """A fast round can end before the orchestrator reads: the master has
-    buffered its message and closed its end, and nothing is left to send."""
-    top, bottom = socket.socketpair()
-    with top:
-        with bottom:
-            bottom.sendall(reply)
-        top.settimeout(5.0)
-        gradient = _read_master_gradient(top, b"")
-    if expected is None:
-        assert gradient is None
-    else:
-        np.testing.assert_array_equal(gradient, expected)
+def test_a_refused_round_leaves_the_run_dir_as_it_found_it(tmp_path, overrides, error):
+    old = tmp_path / "old"
+    old.mkdir()
+    (old / "node_1_1.json").write_text('{"node": "1.1"}\n')
+    (old / "master_gradient.csv").write_text("1.0,2.0\n")
+    before = {path.name: path.read_bytes() for path in old.iterdir()}
+    with pytest.raises(error):
+        orchestrate(_config(**overrides), old)
+    assert {path.name: path.read_bytes() for path in old.iterdir()} == before
+    with pytest.raises(error):
+        orchestrate(_config(**overrides), tmp_path / "new")
+    assert not (tmp_path / "new").exists()
