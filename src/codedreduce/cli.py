@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import configparser
 import csv
+import itertools
 import sys
 from dataclasses import replace
 
@@ -141,7 +142,8 @@ def cmd_verify(cfg: ExperimentConfig, out=None) -> int:
     output, read with no gradient computed from the coefficient pass and
     the block-weight map, one pass per chunk of `enumerate_patterns` rows.
     `build_encoding` returns only a code whose every survivor set decodes,
-    so code validity is reported from its construction."""
+    so code validity is reported from its construction, with the worst
+    condition number of B_F over the code's survivor sets F."""
     out = out if out is not None else sys.stdout
     cfg = _validated(cfg, out, builds_tree=True)[0]
     if cfg is None:
@@ -170,7 +172,9 @@ def cmd_verify(cfg: ExperimentConfig, out=None) -> int:
         f"on ({cfg.n},{cfg.L})-tree, s={cfg.s}, d={d}",
         file=out,
     )
-    print(f"PASS: {validity}", file=out)
+    survivor_sets = np.array(list(itertools.combinations(range(cfg.n), cfg.n - cfg.s)))
+    cond = float(np.linalg.cond(B.entries[survivor_sets]).max())
+    print(f"PASS: {validity}, worst condition number {cond:.4g}", file=out)
 
     load = assignment.points_per_node
     equal = all(slice_count(assignment.local[node]) == load for node in tree.workers())

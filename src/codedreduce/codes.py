@@ -6,12 +6,30 @@ the ``B[i]``-weighted combination of the ``n`` data partitions; a parent that
 hears back from any ``n - s`` workers recovers the plain sum by solving for
 a combining row ``a`` with ``a @ B = 1``.
 
-Construction: draw an ``s x n`` matrix ``H`` whose columns sum to zero
-(first ``n - 1`` columns standard normal, last the negated sum).  Each row of
-``B`` gets a leading 1 on its first support column and the remaining ``s``
-entries from the linear system that puts the row in the null space of ``H``.
-Since the all-ones vector is also in that null space, any ``n - s`` rows
-almost surely span it.
+Construction: each row of ``B`` gets a leading 1 on its first support column
+and the remaining ``s`` entries from the linear system that puts the row in
+the null space of an ``s x n`` matrix ``H`` with ``H @ 1 = 0``.  The rows
+exist when any ``s`` columns of ``H`` are independent, and the code is MDS
+(any ``n - s`` rows span the null space, so their span holds the all-ones
+vector) when no ``n - s`` rows are dependent.  ``H`` depends on (n, s):
+
+- s >= 1 and n + s odd: the cos/sin rows of the DFT at the s consecutive
+  frequencies centred on n/2, a set closed under conjugation that misses 0;
+  at frequency n/2 the row is cos(pi j).  By the BCH bound any s columns are
+  independent.  The null space is shift-invariant, so row 0 is solved and
+  row i is row 0 rolled by i: B is circulant bit for bit, the cyclic MDS
+  code of Raviv, Tamo, Tandon and Dimakis.  A dependency c @ B = 0 has its
+  spectrum on the s frequencies only, so it vanishes on the n - s
+  consecutive others and, by the BCH bound again, has at least n - s + 1
+  nonzeros: no n - s rows are dependent.
+- s = 1 and n odd: H = (1, ..., 1, -(n - 1)).  The one dependency among the
+  n rows is c = (1, ..., 1, -1/(n - 1)), which has no zero, so no n - 1 rows
+  are dependent.
+- n + s even and s >= 2, where no real DFT code of this shape exists:
+  Tandon et al.'s seeded draw, the first n - 1 columns standard normal and
+  the last their negated sum, which is MDS almost surely.
+
+Every code is validated over all its survivor sets before it is returned.
 """
 
 from __future__ import annotations
@@ -19,6 +37,7 @@ from __future__ import annotations
 import itertools
 import warnings
 from dataclasses import dataclass, field
+from math import comb
 
 import numpy as np
 
@@ -103,35 +122,90 @@ class DecodeRow:
     survivor_set: frozenset[int]
 
 
-def _try_build(n: int, s: int, seed: int) -> EncodingMatrix:
-    rng = np.random.default_rng(seed)
-    H = np.empty((s, n))
-    H[:, : n - 1] = rng.standard_normal((s, n - 1))
-    H[:, n - 1] = -H[:, : n - 1].sum(axis=1)
+def _rolls(n: int) -> np.ndarray:
+    """Index matrix with ``row0[_rolls(n)][i] == np.roll(row0, i)``."""
+    return (np.arange(n)[None, :] - np.arange(n)[:, None]) % n
+
+
+def _is_circulant(entries: np.ndarray) -> bool:
+    """True iff every row is row 0 rolled, bit for bit."""
+    return bool(np.array_equal(entries, entries[0][_rolls(len(entries))]))
+
+
+def _from_parity(H: np.ndarray, circulant: bool) -> EncodingMatrix:
+    """The code whose rows lie in the null space of the s x n matrix ``H``.
+
+    Row i has a leading 1 on column i and the s solved entries that put it
+    in the null space on the rest of its window.  A circulant code solves
+    row 0 only and rolls it.  A zero inside a support window would break
+    the equal-load placement downstream, so it raises ``LinAlgError`` like
+    a singular solve.
+    """
+    s, n = H.shape
     B = np.zeros((n, n))
-    for i in range(n):
-        cols = _support(i, s, n)
+    for i in range(1 if circulant else n):
+        cols = list(_support(i, s, n))
         B[i, cols[0]] = 1.0
-        x = np.linalg.solve(H[:, list(cols[1:])], -H[:, cols[0]])
-        B[i, list(cols[1:])] = x
+        B[i, cols[1:]] = np.linalg.solve(H[:, cols[1:]], -H[:, cols[0]])
+    if circulant:
+        B = B[0][_rolls(n)]
     for i in range(n):
         if np.any(B[i, list(_support(i, s, n))] == 0.0):
-            # A zero inside a support window would break the equal-load
-            # placement downstream; measure-zero, treat like a singular draw.
             raise np.linalg.LinAlgError("zero entry on support")
     return EncodingMatrix(n=n, s=s, entries=B)
 
 
-def build_encoding(n: int, s: int, seed: int) -> EncodingMatrix:
-    """Generate an encoding matrix for (n, s) from a seeded normal draw.
+def _try_build(n: int, s: int, seed: int) -> EncodingMatrix:
+    """Tandon et al.'s code: H's first n - 1 columns standard normal, its
+    last the negated sum, so its columns sum to zero."""
+    rng = np.random.default_rng(seed)
+    H = np.empty((s, n))
+    H[:, : n - 1] = rng.standard_normal((s, n - 1))
+    H[:, n - 1] = -H[:, : n - 1].sum(axis=1)
+    return _from_parity(H, circulant=False)
 
-    Singular intermediate systems (a measure-zero event) trigger a redraw
-    with seed+1; gives up after 8 attempts.
+
+def _deterministic_build(n: int, s: int) -> EncodingMatrix:
+    """The seed-free code for s >= 1 with n + s odd (circulant DFT) or
+    s = 1 with n odd (H = (1, ..., 1, -(n - 1)))."""
+    if (n + s) % 2 == 0:
+        H = np.ones((1, n))
+        H[0, -1] = 1.0 - n
+        return _from_parity(H, circulant=False)
+    j = np.arange(n)
+    rows = []
+    for f in range((n - s + 1) // 2, (n + 1) // 2):  # the frequencies below n/2
+        rows += [np.cos(2 * np.pi * f * j / n), np.sin(2 * np.pi * f * j / n)]
+    if n % 2 == 0:
+        rows.append((-1.0) ** j)  # frequency n/2: cos(pi j)
+    return _from_parity(np.array(rows), circulant=True)
+
+
+def build_encoding(n: int, s: int, seed: int) -> EncodingMatrix:
+    """A validated encoding matrix for (n, s).
+
+    - s = 0: the identity.
+    - s >= 1 and n + s odd: the circulant DFT code, seed-free.
+    - s = 1 and n odd: the code of H = (1, ..., 1, -(n - 1)), seed-free.
+    - n + s even and s >= 2: the seeded Gaussian code; a singular draw or
+      one that fails validation is redrawn with seed+1, and the build gives
+      up with ``CodeConstructionError`` after 8 attempts.
+
+    ``seed`` is ignored unless the code is the seeded one, or a seed-free
+    code fails its zero-on-support check or its validation and the build
+    falls back to the seeded draws (no seed-free code with n <= 22 does).
     """
     if not 0 <= s < n:
         raise ValueError(f"need 0 <= s < n, got n={n}, s={s}")
     if s == 0:
         return EncodingMatrix(n=n, s=0, entries=np.eye(n))
+    if (n + s) % 2 or s == 1:
+        try:
+            B = _deterministic_build(n, s)
+        except np.linalg.LinAlgError:
+            B = None
+        if B is not None and validate_code(B):
+            return B
     for attempt in range(_MAX_ATTEMPTS):
         try:
             B = _try_build(n, s, seed + attempt)
@@ -173,6 +247,43 @@ def decode_row(B: EncodingMatrix, survivors) -> DecodeRow:
     return DecodeRow(coefficients=full, survivor_set=frozenset(F))
 
 
+def _orbit_representatives(n: int, s: int) -> list[tuple[int, ...]]:
+    """One survivor set per rotation orbit, by straggler set.
+
+    The representative's straggler s-subset has the least bitmask over its
+    n rotations.  That rotation holds straggler 0 (rolling a set without 0
+    down by one halves its mask), so only the sets with 0 are candidates.
+    The representatives come in the scan order of their straggler sets.
+    """
+    if s == 0:
+        return [tuple(range(n))]
+    rest = itertools.chain.from_iterable(itertools.combinations(range(1, n), s - 1))
+    count = comb(n - 1, s - 1)
+    stragglers = np.zeros((count, s), dtype=int)
+    stragglers[:, 1:] = np.fromiter(rest, dtype=int).reshape(count, s - 1)
+    bits = stragglers.astype(object) if n >= 63 else stragglers  # int64 masks hold 62 bits
+    masks = least = (1 << bits).sum(axis=1)
+    for r in range(1, n):
+        least = np.minimum(least, ((masks << r) | (masks >> (n - r))) & ((1 << n) - 1))
+    keep = stragglers[masks == least]
+    alive = np.ones((len(keep), n), dtype=bool)
+    alive[np.arange(len(keep))[:, None], keep] = False
+    return list(map(tuple, np.nonzero(alive)[1].reshape(len(keep), n - s).tolist()))
+
+
+def _orbit(F: tuple[int, ...], n: int) -> set[tuple[int, ...]]:
+    return {tuple(sorted((f + r) % n for f in F)) for r in range(n)}
+
+
+def _decided_residual(B: EncodingMatrix, F) -> float:
+    """decode_row's verdict on F, its warning silenced: the max-norm
+    residual of its row, or DecodeError."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        row = decode_row(B, F)
+    return float(np.max(np.abs(row.coefficients @ B.entries - 1.0)))
+
+
 def find_decode_failure(B: EncodingMatrix):
     """First survivor set of size n-s that cannot decode, or None if all can.
 
@@ -186,16 +297,29 @@ def find_decode_failure(B: EncodingMatrix):
     whose solve is singular, is re-decided by ``decode_row`` in scan order,
     so the verdict and the first failure are those of a per-set sweep.
 
+    When B is circulant bit for bit, row i is row 0 rolled by i, so
+    ``B_{F+r}`` is ``B_F`` with its columns rolled by r: the set F + r
+    decodes with F's row rolled by r, to the same residual.  The screen then
+    runs on one set per rotation orbit (776 of the 15,504 sets at (20, 5)),
+    and a representative it flags has its whole orbit re-decided by
+    ``decode_row``, merged with the other flagged orbits in scan order, so
+    the verdict and the first failure are again those of a per-set sweep.
+
     A sweep that passes sends at most one UserWarning: when its worst
     residual is above the ill-conditioning threshold, naming the residual
     and its survivor set.
     """
     n, k = B.n, B.n - B.s
+    circulant = _is_circulant(B.entries)
     V = np.linalg.svd(B.entries)[2][:k].T
     BV, target = B.entries @ V, V.sum(axis=0)[:, None]
     screen = DECODE_TOL / np.sqrt(n)
     worst, worst_set = 0.0, None
-    sets = itertools.combinations(range(n), k)
+    flagged = []  # survivor sets left to decode_row, circulant codes only
+    if circulant:
+        sets = iter(_orbit_representatives(n, B.s))
+    else:
+        sets = itertools.combinations(range(n), k)
     while chunk := list(itertools.islice(sets, _SWEEP_CHUNK)):
         F = np.array(chunk)
         rows = np.zeros((len(F), n))
@@ -207,16 +331,24 @@ def find_decode_failure(B: EncodingMatrix):
         except np.linalg.LinAlgError:
             residual = np.full(len(F), np.inf)
         for i in np.flatnonzero(~(residual <= screen)):  # NaN is flagged too
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore")
-                try:
-                    row = decode_row(B, chunk[i])
-                except DecodeError as err:
-                    return err.survivors, err.residual
-            residual[i] = np.max(np.abs(row.coefficients @ B.entries - 1.0))
+            if circulant:  # decided below, with its whole orbit
+                flagged += _orbit(chunk[i], n)
+                residual[i] = 0.0
+                continue
+            try:
+                residual[i] = _decided_residual(B, chunk[i])
+            except DecodeError as err:
+                return err.survivors, err.residual
         i = int(np.argmax(residual))
         if residual[i] > worst:
             worst, worst_set = float(residual[i]), chunk[i]
+    for F in sorted(flagged):
+        try:
+            residual = _decided_residual(B, F)
+        except DecodeError as err:
+            return err.survivors, err.residual
+        if residual > worst:
+            worst, worst_set = residual, F
     if worst > _WARN_RESIDUAL:
         warnings.warn(
             f"worst decode residual {worst:.3e}, for survivors {list(worst_set)}, "

@@ -1,5 +1,6 @@
 import csv
 import io
+import re
 import tracemalloc
 from dataclasses import replace
 from pathlib import Path
@@ -244,6 +245,32 @@ def test_verify_exhaustive_recovery(tmp_path):
     text = buf.getvalue()
     assert "256/256" in text
     assert text.count("PASS") == 3
+
+
+@pytest.mark.parametrize("seed", [7, 1888246863])
+def test_verify_passes_on_the_benchmark_config_at_seeds_that_drew_bad_codes(
+    tmp_path, capsys, seed
+):
+    """The seed-free (3,1) code recovers every pattern; a Gaussian code drawn
+    from these seeds was valid but too ill-conditioned for 1e-9 over three
+    coded layers."""
+    config = Path(__file__).resolve().parent.parent / "perfbench/configs/verify.ini"
+    argv = ["--config", str(config), "--seed", str(seed), "--out", str(tmp_path), "verify"]
+    assert main(argv) == 0
+    assert capsys.readouterr().out.startswith("PASS: recovery 10000/10000 patterns exact")
+
+
+def test_verify_prints_the_worst_condition_number(tmp_path):
+    cfg = load_config(write_config(tmp_path))
+    buf = io.StringIO()
+    assert cmd_verify(cfg, out=buf) == 0
+    match = re.search(
+        r"PASS: code validity for \(n=3, s=1\), all survivor sets, "
+        r"worst condition number (\S+)\n",
+        buf.getvalue(),
+    )
+    assert match, buf.getvalue()
+    assert np.isfinite(float(match.group(1))) and float(match.group(1)) >= 1.0
 
 
 def test_verify_counts_every_pattern_that_misses(tmp_path, monkeypatch):

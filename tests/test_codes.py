@@ -144,7 +144,7 @@ def test_gives_up_after_eight_attempts(monkeypatch):
 
     monkeypatch.setattr(codes, "_try_build", always_singular)
     with pytest.raises(CodeConstructionError):
-        build_encoding(5, 2, seed=100)
+        build_encoding(6, 2, seed=100)
     assert calls == [100 + k for k in range(8)]
 
 
@@ -161,8 +161,21 @@ def _reference_failure(B):
 
 
 def _sweep_case(kind, n, s, seed):
-    """A code the sweeps must agree on; only "built" comes from construction."""
+    """A code the sweeps must agree on; "built" and "dft" come from construction."""
     rng = np.random.default_rng(seed)
+    if kind in ("dft", "circulant"):
+        if s == 0 or (n + s) % 2 == 0:
+            s = s - 1 if s >= 2 else s + 1  # an (n, s) with a seed-free code
+        B = codes._deterministic_build(n, s)
+        if kind == "dft":
+            return B
+        # A random row 0 on the cyclic support, 1e-10 to 1e-6 from the DFT code's,
+        # rolled exactly: some orbits pass the screen, some are flagged and
+        # pass decode_row, some fail.
+        row = B.entries[0].copy()
+        nudge = 10 ** rng.uniform(-10, -6) * rng.standard_normal(s + 1)
+        row[list(codes._support(0, s, n))] += nudge
+        return EncodingMatrix(n=n, s=s, entries=row[codes._rolls(n)])
     if kind == "identity":
         return EncodingMatrix(n=n, s=1, entries=np.eye(n))
     if kind == "random":
@@ -188,7 +201,11 @@ def _sweep_case(kind, n, s, seed):
 
 @st.composite
 def _sweep_cases(draw):
-    kind = draw(st.sampled_from(["built", "random", "perturbed", "identity", "equal_rows"]))
+    kind = draw(
+        st.sampled_from(
+            ["built", "random", "perturbed", "identity", "equal_rows", "dft", "circulant"]
+        )
+    )
     n = draw(st.integers(2, 12))
     s = draw(st.integers(0, n - 1))
     return kind, n, s, draw(st.integers(0, 2**16))
@@ -200,6 +217,8 @@ def _sweep_cases(draw):
 @example(case=("equal_rows", 8, 2, 0))
 @example(case=("perturbed", 12, 5, 1))
 @example(case=("built", 12, 6, 2))
+@example(case=("dft", 20, 5, 0))
+@example(case=("circulant", 12, 3, 4))
 def test_batched_sweep_matches_per_set_sweep(case):
     try:
         B = _sweep_case(*case)
@@ -208,6 +227,51 @@ def test_batched_sweep_matches_per_set_sweep(case):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         assert find_decode_failure(B) == _reference_failure(B)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(n=st.integers(1, 12), data=st.data())
+def test_orbit_representatives_cover_every_survivor_set_once(n, data):
+    s = data.draw(st.integers(0, n - 1))
+    covered = [
+        F
+        for rep in codes._orbit_representatives(n, s)
+        for F in sorted({tuple(sorted((f + r) % n for f in rep)) for r in range(n)})
+    ]
+    assert sorted(covered) == list(itertools.combinations(range(n), n - s))
+
+
+@pytest.mark.parametrize("n,s,orbits", [(20, 5, 776), (24, 5, 1771)])
+def test_orbit_representative_counts(n, s, orbits):
+    assert len(codes._orbit_representatives(n, s)) == orbits
+
+
+def test_dft_code_is_seed_free_circulant_and_well_conditioned(monkeypatch):
+    swept = []
+    real = codes._orbit_representatives
+
+    def spy(n, s):
+        swept.append((n, s))
+        return real(n, s)
+
+    monkeypatch.setattr(codes, "_orbit_representatives", spy)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        B = build_encoding(20, 5, seed=0)
+    assert caught == []  # worst residual under 1e-10
+    assert swept == [(20, 5)]  # validated one survivor set per orbit
+    assert B.entries.tobytes() == build_encoding(20, 5, seed=5).entries.tobytes()
+    for i in range(B.n):
+        assert B.entries[i].tobytes() == np.roll(B.entries[0], i).tobytes()
+
+
+def test_odd_n_with_one_straggler_builds_the_all_ones_parity_code():
+    """H = (1, 1, -2): each row's window is in its null space."""
+    B = build_encoding(3, 1, seed=7)
+    np.testing.assert_array_equal(
+        B.entries, [[1.0, -1.0, 0.0], [0.0, 1.0, 0.5], [2.0, 0.0, 1.0]]
+    )
+    assert B.entries.tobytes() == build_encoding(3, 1, seed=0).entries.tobytes()
 
 
 def _counting_decode_row(monkeypatch):
@@ -239,27 +303,27 @@ def test_singular_chunk_is_redecided_set_by_set(monkeypatch):
 @pytest.mark.filterwarnings("ignore::UserWarning")
 def test_validation_screens_survivor_sets_in_batches(monkeypatch):
     calls = _counting_decode_row(monkeypatch)
-    build_encoding(20, 5, seed=0)
-    assert len(calls) < 100  # a per-set sweep makes C(20, 15) = 15,504
+    build_encoding(18, 6, seed=0)
+    assert len(calls) < 100  # a per-set sweep makes C(18, 12) = 18,564
 
 
 def test_build_encoding_matches_reference_sweep():
     for attempt in range(codes._MAX_ATTEMPTS):
         try:
-            B = codes._try_build(20, 5, attempt)
+            B = codes._try_build(18, 6, attempt)
         except np.linalg.LinAlgError:
             continue
         if _reference_failure(B) is None:
             break
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        np.testing.assert_array_equal(build_encoding(20, 5, seed=0).entries, B.entries)
+        np.testing.assert_array_equal(build_encoding(18, 6, seed=0).entries, B.entries)
 
 
 def test_validation_sends_one_conditioning_warning():
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        B = build_encoding(20, 5, seed=0)
+        B = build_encoding(18, 6, seed=0)
     assert len(caught) == 1
     message = str(caught[0].message)
     match = re.search(r"residual (\S+), for survivors \[([\d, ]+)\]", message)

@@ -405,17 +405,18 @@ def test_each_survivor_set_is_decoded_once_per_code(monkeypatch):
 
 def test_codes_with_different_seeds_share_no_rows(monkeypatch):
     calls = _count_decodes(monkeypatch)
-    tree = build_tree(3, 2)
-    first, second = build_encoding(3, 1, seed=0), build_encoding(3, 1, seed=5)
+    tree = build_tree(4, 2)
+    first, second = build_encoding(4, 2, seed=0), build_encoding(4, 2, seed=5)
     assert not np.array_equal(first.entries, second.entries)
-    straggling = StragglerPattern({MASTER: frozenset({NodeId(1, 2)})}).positions(tree, 1)
+    lagging = frozenset({NodeId(1, 2), NodeId(1, 3)})
+    straggling = StragglerPattern({MASTER: lagging}).positions(tree, 2)
     for B in (first, second, first, second):
-        engine.worker_weights(tree, B, straggling, 1)
-    # the master combines children 0 and 2, every other parent 0 and 1
+        engine.worker_weights(tree, B, straggling, 2)
+    # the master combines children 0 and 3, every other parent 0 and 1
     assert [(B is first, F) for B, F in calls] == [
-        (True, (0, 2)), (True, (0, 1)), (False, (0, 2)), (False, (0, 1))
+        (True, (0, 3)), (True, (0, 1)), (False, (0, 3)), (False, (0, 1))
     ]
-    rows = [engine._combining_row(B, (0, 2)) for B in (first, second)]
+    rows = [engine._combining_row(B, (0, 3)) for B in (first, second)]
     assert not np.array_equal(rows[0], rows[1])
 
 
