@@ -15,6 +15,7 @@ from .codes import (
     build_encoding,
     decode_row,
     validate_code,
+    worst_condition,
 )
 from .engine import cr_execute, gc_execute, rar_execute, sgd_execute, umw_execute
 from .latency import (

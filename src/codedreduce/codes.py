@@ -30,6 +30,8 @@ vector) when no ``n - s`` rows are dependent.  ``H`` depends on (n, s):
   the last their negated sum, which is MDS almost surely.
 
 Every code is validated over all its survivor sets before it is returned.
+``worst_condition`` reads their worst condition number on request, never in
+the build, over the validation's chunks: one set per orbit when circulant.
 """
 
 from __future__ import annotations
@@ -51,6 +53,7 @@ __all__ = [
     "decode_row",
     "validate_code",
     "find_decode_failure",
+    "worst_condition",
 ]
 
 DECODE_TOL = 1e-8
@@ -58,8 +61,8 @@ DECODE_TOL = 1e-8
 # solve; warn rather than fail.
 _WARN_RESIDUAL = 1e-10
 _MAX_ATTEMPTS = 8
-# Survivor sets per batched solve in find_decode_failure; a chunk's transient
-# arrays stay near 1 MB up to n = 24.
+# Survivor sets per chunk of a sweep (one batched solve or SVD); a chunk's
+# transient arrays stay near 1 MB up to n = 24.
 _SWEEP_CHUNK = 256
 
 
@@ -271,6 +274,17 @@ def _orbit_representatives(n: int, s: int) -> list[tuple[int, ...]]:
     return list(map(tuple, np.nonzero(alive)[1].reshape(len(keep), n - s).tolist()))
 
 
+def _sweep_chunks(n: int, s: int, circulant: bool):
+    """The survivor sets that stand for a code, ``_SWEEP_CHUNK`` at a time in
+    scan order: one per rotation orbit if it is circulant, else all."""
+    if circulant:
+        sets = iter(_orbit_representatives(n, s))
+    else:
+        sets = itertools.combinations(range(n), n - s)
+    while chunk := list(itertools.islice(sets, _SWEEP_CHUNK)):
+        yield chunk
+
+
 def _orbit(F: tuple[int, ...], n: int) -> set[tuple[int, ...]]:
     return {tuple(sorted((f + r) % n for f in F)) for r in range(n)}
 
@@ -316,11 +330,7 @@ def find_decode_failure(B: EncodingMatrix):
     screen = DECODE_TOL / np.sqrt(n)
     worst, worst_set = 0.0, None
     flagged = []  # survivor sets left to decode_row, circulant codes only
-    if circulant:
-        sets = iter(_orbit_representatives(n, B.s))
-    else:
-        sets = itertools.combinations(range(n), k)
-    while chunk := list(itertools.islice(sets, _SWEEP_CHUNK)):
+    for chunk in _sweep_chunks(n, B.s, circulant):
         F = np.array(chunk)
         rows = np.zeros((len(F), n))
         try:
@@ -362,3 +372,10 @@ def validate_code(B: EncodingMatrix) -> bool:
     """True iff every survivor set of size exactly n-s can recover the sum."""
     return find_decode_failure(B) is None
 
+
+def worst_condition(B: EncodingMatrix) -> float:
+    """Largest 2-norm condition number of B_F over the survivor sets F of
+    size n-s.  For a circulant code ``B_{F+r}`` is ``B_F`` with its columns
+    rolled, so one set per orbit gives the whole orbit's singular values."""
+    chunks = _sweep_chunks(B.n, B.s, _is_circulant(B.entries))
+    return max(float(np.linalg.cond(B.entries[np.array(c)]).max()) for c in chunks)

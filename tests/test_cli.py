@@ -1,5 +1,6 @@
 import csv
 import io
+import itertools
 import re
 import tracemalloc
 from dataclasses import replace
@@ -11,7 +12,7 @@ import pytest
 from codedreduce import cli
 from codedreduce.allocation import granularity
 from codedreduce.cli import cmd_latency, cmd_train, cmd_validate, cmd_verify, main
-from codedreduce.codes import CodeConstructionError
+from codedreduce.codes import CodeConstructionError, build_encoding
 from codedreduce.config import load_config, validate_config
 from codedreduce.ml import gd_run, generate_synthetic, load_dataset_csv
 from codedreduce.topology import NodeId, build_tree, enumerate_patterns
@@ -270,7 +271,9 @@ def test_verify_prints_the_worst_condition_number(tmp_path):
         buf.getvalue(),
     )
     assert match, buf.getvalue()
-    assert np.isfinite(float(match.group(1))) and float(match.group(1)) >= 1.0
+    B = build_encoding(3, 1, cfg.seed)
+    survivor_sets = np.array(list(itertools.combinations(range(3), 2)))
+    assert match.group(1) == f"{float(np.linalg.cond(B.entries[survivor_sets]).max()):.4g}"
 
 
 def test_verify_counts_every_pattern_that_misses(tmp_path, monkeypatch):

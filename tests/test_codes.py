@@ -1,5 +1,6 @@
 import itertools
 import re
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -16,6 +17,7 @@ from codedreduce.codes import (
     decode_row,
     find_decode_failure,
     validate_code,
+    worst_condition,
 )
 
 
@@ -160,6 +162,23 @@ def _reference_failure(B):
     return None
 
 
+def _reference_condition(B):
+    """The worst condition number over every survivor set, in one array."""
+    survivor_sets = np.array(list(itertools.combinations(range(B.n), B.n - B.s)))
+    return float(np.linalg.cond(B.entries[survivor_sets]).max())
+
+
+def _assert_sweeps_match(B):
+    """The chunked sweeps agree with the per-set ones: the same first failure
+    and, for a valid code, the same worst condition number."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        failure = find_decode_failure(B)
+    assert failure == _reference_failure(B)
+    if failure is None:
+        np.testing.assert_allclose(worst_condition(B), _reference_condition(B), rtol=1e-12)
+
+
 def _sweep_case(kind, n, s, seed):
     """A code the sweeps must agree on; "built" and "dft" come from construction."""
     rng = np.random.default_rng(seed)
@@ -224,9 +243,47 @@ def test_batched_sweep_matches_per_set_sweep(case):
         B = _sweep_case(*case)
     except np.linalg.LinAlgError:
         assume(False)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        assert find_decode_failure(B) == _reference_failure(B)
+    _assert_sweeps_match(B)
+
+
+@st.composite
+def _orbit_cases(draw):
+    """Circulant codes past the n <= 12 of `_sweep_cases`: n + s is odd."""
+    n = draw(st.integers(13, 16))
+    s = draw(st.sampled_from([s for s in range(1, n) if (n + s) % 2]))
+    return draw(st.sampled_from(["dft", "circulant"])), n, s, draw(st.integers(0, 2**16))
+
+
+# The per-set reference takes up to about 0.5 s a code here, so the examples
+# are few.
+@settings(max_examples=12, deadline=None, derandomize=True)
+@given(case=_orbit_cases())
+@example(case=("dft", 16, 7, 0))
+@example(case=("dft", 15, 8, 0))
+@example(case=("circulant", 16, 5, 3))
+def test_orbit_sweep_matches_per_set_sweep_up_to_n_16(case):
+    B = _sweep_case(*case)
+    assert codes._is_circulant(B.entries)
+    _assert_sweeps_match(B)
+
+
+@pytest.mark.parametrize("n", [1, 4, 7])
+def test_worst_condition_of_the_identity_code_is_one(n):
+    assert worst_condition(build_encoding(n, 0, seed=0)) == 1.0
+
+
+def test_worst_condition_memory_stays_bounded():
+    """One set per orbit, 256 at a time: the all-sets array would hold
+    170,544 x 15 x 22 doubles, about 450 MB."""
+    B = build_encoding(22, 7, seed=0)
+    tracemalloc.start()
+    try:
+        cond = worst_condition(B)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert f"{cond:.4g}" == "2.111e+04"
+    assert peak < 16 * 2**20
 
 
 @settings(max_examples=100, deadline=None, derandomize=True)
