@@ -30,6 +30,9 @@ vector) when no ``n - s`` rows are dependent.  ``H`` depends on (n, s):
   the last their negated sum, which is MDS almost surely.
 
 Every code is validated over all its survivor sets before it is returned.
+A seed-free code (s = 0, n + s odd, or s = 1 with n odd) is built and
+validated once per process; each build wraps its read-only entries in a new
+``EncodingMatrix``, so every caller's decode cache is its own.
 ``worst_condition`` reads their worst condition number on request, never in
 the build, over the validation's chunks: one set per orbit when circulant.
 """
@@ -39,6 +42,7 @@ from __future__ import annotations
 import itertools
 import warnings
 from dataclasses import dataclass, field
+from functools import lru_cache
 from math import comb
 
 import numpy as np
@@ -103,11 +107,10 @@ class EncodingMatrix:
             raise ValueError(f"expected shape {(self.n, self.n)}, got {entries.shape}")
         if not np.all(np.isfinite(entries)):
             raise ValueError("entries must be finite, got nan or inf")
-        for i in range(self.n):
-            outside = np.ones(self.n, dtype=bool)
-            outside[list(_support(i, self.s, self.n))] = False
-            if np.any(entries[i, outside] != 0.0):
-                raise ValueError(f"row {i} has entries outside its cyclic support")
+        # column j lies outside row i's window when (j - i) mod n > s
+        offending = np.flatnonzero(((entries != 0.0) & (_rolls(self.n) > self.s)).any(axis=1))
+        if offending.size:
+            raise ValueError(f"row {offending[0]} has entries outside its cyclic support")
         object.__setattr__(self, "entries", entries)
 
     def __getstate__(self) -> dict:
@@ -184,6 +187,25 @@ def _deterministic_build(n: int, s: int) -> EncodingMatrix:
     return _from_parity(np.array(rows), circulant=True)
 
 
+@lru_cache(maxsize=None)
+def _seed_free_entries(n: int, s: int) -> np.ndarray | None:
+    """The read-only entries of the validated seed-free (n, s) code, built
+    once per process, or None when it fails its zero-on-support check or
+    its validation."""
+    if s == 0:
+        entries = np.eye(n)
+    else:
+        try:
+            B = _deterministic_build(n, s)
+        except np.linalg.LinAlgError:
+            return None
+        if not validate_code(B):
+            return None
+        entries = B.entries
+    entries.setflags(write=False)
+    return entries
+
+
 def build_encoding(n: int, s: int, seed: int) -> EncodingMatrix:
     """A validated encoding matrix for (n, s).
 
@@ -197,18 +219,18 @@ def build_encoding(n: int, s: int, seed: int) -> EncodingMatrix:
     ``seed`` is ignored unless the code is the seeded one, or a seed-free
     code fails its zero-on-support check or its validation and the build
     falls back to the seeded draws (no seed-free code with n <= 22 does).
+
+    A seed-free code is built and validated on its first build in the
+    process only; every build returns a new ``EncodingMatrix`` over the
+    same read-only entries, with an empty decode cache.  Seeded codes are
+    drawn and validated on every build.
     """
     if not 0 <= s < n:
         raise ValueError(f"need 0 <= s < n, got n={n}, s={s}")
-    if s == 0:
-        return EncodingMatrix(n=n, s=0, entries=np.eye(n))
-    if (n + s) % 2 or s == 1:
-        try:
-            B = _deterministic_build(n, s)
-        except np.linalg.LinAlgError:
-            B = None
-        if B is not None and validate_code(B):
-            return B
+    if s == 0 or (n + s) % 2 or s == 1:
+        entries = _seed_free_entries(n, s)
+        if entries is not None:
+            return EncodingMatrix(n=n, s=s, entries=entries)
     for attempt in range(_MAX_ATTEMPTS):
         try:
             B = _try_build(n, s, seed + attempt)

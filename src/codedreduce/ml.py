@@ -9,9 +9,9 @@ worker's weight, and `Assignment.block_weights` turns those into one weight
 per granularity block of k points, which w repeats over the block.  The
 straggler draws do not depend on theta, so both run once per chunk of
 iterations, before its steps.  For linear loss with p < k the round reads
-per-block Gram matrices [X_b y_b]'[X_b y_b], built once per run and
-contracted once per chunk, instead of the data; otherwise it is one pass
-over the data, whatever the tree.  RAR's ring sums all N
+per-block Gram matrices [X_b y_b]'[X_b y_b], built once per dataset and
+block size k and contracted once per chunk, instead of the data; otherwise
+it is one pass over the data, whatever the tree.  RAR's ring sums all N
 partial gradients, which is UMW's round, so it runs UMW's round on its own
 clock.  The per-slice oracles `linear_grad` and `logistic_grad` serve the
 transport, `engine.cr_execute` and `engine.rar_execute`: they take weighted
@@ -54,10 +54,19 @@ FULL_GRADIENT_SCHEMES = ("cr", "gc", "umw", "rar")
 
 @dataclass(frozen=True)
 class Dataset:
-    """d samples of p features plus a trailing label column."""
+    """d samples of p features plus a trailing label column.
+
+    ``points`` is a read-only view of the given array, not a copy, so the
+    block Gram tables that `gd_run` keeps here cannot go stale through it.
+    A caller that writes to the array it passed in changes the points under
+    those tables; pass a copy to keep writing to it.
+    """
 
     points: np.ndarray = field(repr=False)
     origin: str = "synthetic"
+    # Block Gram tables by block size k, filled by gd_run for the life of
+    # this dataset; not part of equality or repr.
+    _gram: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         pts = np.asarray(self.points, dtype=float)
@@ -65,6 +74,8 @@ class Dataset:
             raise ValueError(f"expected a (d, p+1) sample matrix, got {pts.shape}")
         if not np.all(np.isfinite(pts)):
             raise ValueError("samples must be finite")
+        pts = pts.view()
+        pts.setflags(write=False)
         object.__setattr__(self, "points", pts)
 
     @property
@@ -230,6 +241,18 @@ def _squared_ratio(num: np.ndarray, den: np.ndarray) -> float:
     return float(num @ num) / d
 
 
+def _block_gram(dataset: Dataset, k: int) -> np.ndarray:
+    """[X_b y_b]'[X_b y_b] for each block b of k points, one flattened
+    (p+1)^2 row per block, built on the dataset's first call for k."""
+    gram = dataset._gram.get(k)
+    if gram is None:
+        blocks = dataset.points.reshape(-1, k, dataset.p + 1)
+        gram = np.matmul(blocks.transpose(0, 2, 1), blocks).reshape(len(blocks), -1)
+        gram.setflags(write=False)
+        dataset._gram[k] = gram
+    return gram
+
+
 def gd_run(
     dataset: Dataset,
     config: GDConfig,
@@ -244,7 +267,8 @@ def gd_run(
     tree `scheme_tree` gives it, its per-block weights read from the
     coefficient pass; RAR's is UMW's round.  For linear loss with fewer
     features than block points, the round is sum_b w_b (G_b theta - h_b)
-    over per-block Gram matrices G_b = X_b'X_b and h_b = X_b'y_b.  Each
+    over per-block Gram matrices G_b = X_b'X_b and h_b = X_b'y_b, built on
+    the dataset's first run with block size k and kept on it.  Each
     iteration draws one uniform per child of every parent from the seed's
     first `SeedSequence` child, not from the clock's stream; the quorum_s
     lowest of a parent's n straggle.  The weights do not depend on theta,
@@ -263,10 +287,8 @@ def gd_run(
     assignment = cr_allocate(tree, coded_s, dataset.d, B=B)
     k, p = assignment.block_size, dataset.p
     if config.loss == "linear" and p < k:
-        # [X_b y_b]'[X_b y_b] per block: a round reads d0 (p+1)^2 doubles,
-        # not the (d, p) feature matrix twice
-        blocks = dataset.points.reshape(-1, k, p + 1)
-        gram = np.matmul(blocks.transpose(0, 2, 1), blocks).reshape(len(blocks), -1)
+        # a round reads d0 (p+1)^2 doubles, not the (d, p) feature matrix twice
+        gram = _block_gram(dataset, k)
 
         def rounds(Wb: np.ndarray) -> np.ndarray:
             # a chunk's sum_b w_b A_b in one call; stacked (1, d0) rows sum

@@ -164,8 +164,14 @@ def enumerate_patterns(tree: RegularTree, s: int, cap: int, seed: int = 0) -> np
     if cap < 1:
         raise ValueError(f"pattern cap must be >= 1, got cap={cap}")
     n, P = tree.n, tree.num_parents
-    combos = [c for size in range(s + 1) for c in itertools.combinations(range(n), size)]
-    choices, k = np.array([[j in c for j in range(n)] for c in combos]), len(combos)
+    # one row per choice, marking its straggling children; row 0 is the empty one
+    counts = [comb(n, size) for size in range(s + 1)]
+    choices, k, start = np.zeros((sum(counts), n), dtype=bool), sum(counts), 1
+    for size in range(1, s + 1):
+        combos = itertools.chain.from_iterable(itertools.combinations(range(n), size))
+        cols = np.fromiter(combos, np.min_scalar_type(n), counts[size] * size).reshape(-1, size)
+        choices[np.arange(start, start + counts[size])[:, None], cols] = True
+        start += counts[size]
     if k**P <= cap:
         # mixed radix: the last parent's choice varies fastest, as in product
         radix = np.array([k**e for e in range(P - 1, -1, -1)], dtype=np.int64)

@@ -9,6 +9,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import codedreduce.codes as codes
+from codedreduce import engine
 from codedreduce.codes import (
     CodeConstructionError,
     DecodeError,
@@ -19,6 +20,7 @@ from codedreduce.codes import (
     validate_code,
     worst_condition,
 )
+from codedreduce.topology import build_tree
 
 
 def test_reference_decode_rows_match_known_solutions(reference_b):
@@ -125,6 +127,25 @@ def test_support_violation_rejected_by_constructor():
     dense = np.ones((3, 3))
     with pytest.raises(ValueError, match="support"):
         EncodingMatrix(n=3, s=1, entries=dense)
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_support_check_names_the_first_row_the_per_row_loop_names(n):
+    """Every window entry set, wrapped windows included, is accepted; one
+    entry outside a window is refused, naming the first such row as a
+    per-row loop over `_support` would."""
+    for s in range(n):
+        full = np.zeros((n, n))
+        for i in range(n):
+            full[i, list(codes._support(i, s, n))] = 1.0
+        EncodingMatrix(n=n, s=s, entries=full)
+        for i, j in zip(*np.nonzero(full == 0.0)):
+            entries = full.copy()
+            entries[i, j] = entries[n - 1, (n - 1 + s + 1) % n] = 2.0
+            outside = [np.delete(entries[r], list(codes._support(r, s, n))) for r in range(n)]
+            first = next(r for r in range(n) if np.any(outside[r] != 0.0))
+            with pytest.raises(ValueError, match=f"^row {first} has entries outside"):
+                EncodingMatrix(n=n, s=s, entries=entries)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -304,6 +325,7 @@ def test_orbit_representative_counts(n, s, orbits):
 
 
 def test_dft_code_is_seed_free_circulant_and_well_conditioned(monkeypatch):
+    codes._seed_free_entries.cache_clear()  # an earlier test may have built (20, 5)
     swept = []
     real = codes._orbit_representatives
 
@@ -320,6 +342,32 @@ def test_dft_code_is_seed_free_circulant_and_well_conditioned(monkeypatch):
     assert B.entries.tobytes() == build_encoding(20, 5, seed=5).entries.tobytes()
     for i in range(B.n):
         assert B.entries[i].tobytes() == np.roll(B.entries[0], i).tobytes()
+
+
+def test_second_seed_free_build_reuses_the_validated_entries(monkeypatch):
+    """The (20, 5) code is built and validated once per process; a second
+    build, at any seed, is a new object with its own empty decode cache."""
+    codes._seed_free_entries.cache_clear()
+    first = build_encoding(20, 5, seed=0)
+    straggling = np.zeros((1, 1, 20), dtype=bool)
+    straggling[0, 0, [2, 3, 5, 7, 11]] = True
+    engine.worker_weights(build_tree(20, 1), first, straggling, 5)
+    assert first._decode_cache
+    swept = []
+    real = codes._sweep_chunks
+
+    def spy(n, s, circulant):
+        swept.append((n, s))
+        return real(n, s, circulant)
+
+    monkeypatch.setattr(codes, "_sweep_chunks", spy)
+    second = build_encoding(20, 5, seed=3)
+    assert swept == []
+    assert second is not first
+    assert second._decode_cache == {}
+    assert second.entries.tobytes() == first.entries.tobytes()
+    with pytest.raises(ValueError, match="read-only"):
+        second.entries[0, 0] = 2.0
 
 
 def test_odd_n_with_one_straggler_builds_the_all_ones_parity_code():

@@ -515,3 +515,69 @@ def test_rar_runs_umws_round_on_its_own_clock(loss):
         assert np.array_equal(rar.theta, umw.theta)
         assert np.array_equal([rar.rer, rar.ner], [umw.rer, umw.ner], equal_nan=True)
         assert rar.sim_time == clock != umw.sim_time
+
+
+def test_dataset_points_are_a_read_only_view():
+    points = np.arange(12.0).reshape(4, 3)
+    dataset = Dataset(points=points)
+    assert np.shares_memory(dataset.points, points)  # not a copy
+    for view in (dataset.points, dataset.features, dataset.labels):
+        with pytest.raises(ValueError, match="read-only"):
+            view[0] = 1.0
+
+
+class _CountingTable(dict):
+    """A Gram table dict that records every block size stored in it."""
+
+    def __init__(self):
+        super().__init__()
+        self.stored = []
+
+    def __setitem__(self, k, table):
+        self.stored.append(k)
+        super().__setitem__(k, table)
+
+
+def _five_schemes(**kwargs):
+    """CR on the (3,2) tree, s = 1, then the flat schemes at (12, 3)."""
+    return [GDConfig(scheme="cr", n=3, L=2, s=1, **kwargs)] + [
+        GDConfig(scheme=scheme, N=12, S=3, **kwargs) for scheme in ("gc", "umw", "rar", "sgd")
+    ]
+
+
+def test_gram_is_built_once_per_block_size():
+    """CR's blocks and the flat schemes' differ in size: two tables, each
+    built by the first run that needs it, over two passes of all five."""
+    dataset, theta_star = generate_synthetic(60, 2, seed=4)
+    object.__setattr__(dataset, "_gram", _CountingTable())
+    configs = _five_schemes(iterations=3, step_size=1e-2, seed=1)
+    for _ in range(2):
+        for config in configs:
+            gd_run(dataset, config, theta_star)
+    assert len(dataset._gram.stored) == len(set(dataset._gram.stored)) == 2
+    for k, table in dataset._gram.items():
+        assert table.shape == (dataset.d // k, (dataset.p + 1) ** 2)
+        assert not table.flags.writeable
+
+
+@pytest.mark.parametrize("loss", ["linear", "logistic"])
+def test_warm_runs_match_cold_runs_bit_for_bit(loss):
+    """A run on a dataset whose Gram tables earlier runs built gives the
+    trace of a run on a fresh dataset."""
+    dataset, theta_star = generate_synthetic(60, 2, seed=8)
+    if loss == "logistic":
+        pts = dataset.points.copy()
+        pts[:, -1] = pts[:, -1] > 0
+        dataset = Dataset(points=pts)
+    lat = LatencyConfig(a=0.05, mu=20.0, t_c=1.0, d=60.0, seed=2)
+    configs = _five_schemes(iterations=4, step_size=1e-2, loss=loss, seed=2, latency=lat)
+    for config in configs:
+        gd_run(dataset, config, theta_star)
+    for config in configs:
+        warm = gd_run(dataset, config, theta_star)
+        cold = gd_run(Dataset(points=dataset.points.copy()), config, theta_star)
+        for a, b in zip(warm, cold, strict=True):
+            assert a.theta.tobytes() == b.theta.tobytes()
+            assert np.array_equal(
+                [a.rer, a.ner, a.sim_time], [b.rer, b.ner, b.sim_time], equal_nan=True
+            )

@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 from math import comb
 
 import numpy as np
@@ -164,6 +165,30 @@ def test_pattern_array_equals_the_pattern_objects(n, L, s, cap, seed):
     assert patterns.shape == (len(expected), tree.num_parents, n)
     assert not patterns.flags.writeable
     assert np.array_equal(patterns, expected)
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_choice_rows_keep_the_list_comprehension_order(n):
+    """On a one-layer tree every pattern is one parent's choice, so the
+    patterns are the choice table's rows, in its order."""
+    for s in range(n):
+        combos = [c for size in range(s + 1) for c in itertools.combinations(range(n), size)]
+        expected = np.array([[j in c for j in range(n)] for c in combos])
+        patterns = enumerate_patterns(build_tree(n, 1), s, cap=10_000)
+        assert np.array_equal(patterns[:, 0], expected)
+
+
+def test_choice_table_memory_stays_bounded():
+    """A one-layer (22,7) tree has 280,600 choices; as Python bool lists
+    the table peaked at 110 MiB."""
+    tracemalloc.start()
+    try:
+        patterns = enumerate_patterns(build_tree(22, 1), 7, cap=10_000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert patterns.shape == (10_000, 1, 22)
+    assert peak < 32 * 2**20
 
 
 @pytest.mark.parametrize("cap", [0, -1])
