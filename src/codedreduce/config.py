@@ -57,21 +57,20 @@ class ExperimentConfig:
         return LatencyConfig(a=self.a, mu=self.mu, t_c=self.t_c, d=float(self.d), seed=self.seed)
 
     def gd_config(self, scheme: str) -> GDConfig:
+        latency = self.latency_config()  # first: validate lists it beside a refused scheme
+        topo, resilience = scheme_topology(scheme, self)
         return GDConfig(
             scheme=scheme,
             iterations=self.iterations,
+            topo=topo,
+            resilience=resilience,
             step_size=self.step_size,
             c1=self.c1,
             c2=self.c2,
             lam=self.lam,
             loss=self.loss,
-            n=self.n,
-            L=self.L,
-            s=self.s,
-            N=self.N,
-            S=self.S,
             seed=self.seed,
-            latency=self.latency_config(),
+            latency=latency,
         )
 
 

@@ -135,14 +135,19 @@ def scheme_tree(scheme: str, topo, resilience: int) -> tuple[RegularTree, int, i
     that decides what a scheme is.
 
     `topo` is the tree for CR and the worker count N for every flat scheme,
-    and `resilience` is s for CR and S for the flat ones.  Every flat scheme
-    runs on the depth-1 tree (N, 1) and needs 0 <= S < N: GC(N, S) is CR
-    there with s = S, UMW is s = 0, SGD waits for N - S workers of uncoded
-    load, and RAR takes the uncoded load but completes by its own ring.
+    and `resilience` is s for CR and S for the flat ones.  CR needs a
+    `RegularTree` and 0 <= s < n.  Every flat scheme runs on the depth-1
+    tree (N, 1) and needs 0 <= S < N: GC(N, S) is CR there with s = S, UMW
+    is s = 0, SGD waits for N - S workers of uncoded load, and RAR takes the
+    uncoded load but completes by its own ring.
     """
     if scheme not in SCHEMES:
         raise ValueError(f"unknown scheme {scheme!r}, expected one of {SCHEMES}")
     if scheme == "cr":
+        if not isinstance(topo, RegularTree):
+            raise ValueError(f"scheme 'cr' needs a RegularTree, got {topo!r}")
+        if not 0 <= resilience < topo.n:
+            raise ValueError(f"need 0 <= s < n, got n={topo.n}, s={resilience}")
         return topo, resilience, resilience
     N = int(topo)
     if not 0 <= resilience < N:

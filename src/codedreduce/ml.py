@@ -31,10 +31,11 @@ import numpy as np
 from . import engine
 from .allocation import WeightedSlice, cr_allocate
 from .codes import build_encoding
-from .latency import SCHEMES, LatencyConfig, _batch_completions, scheme_topology, scheme_tree
+from .latency import LatencyConfig, _batch_completions, scheme_tree
 # Not called here since gd_run batches its clock, but perfbench's tracer wraps
 # ml.simulate_iteration by name.
 from .latency import simulate_iteration  # noqa: F401
+from .topology import RegularTree
 
 __all__ = [
     "Dataset",
@@ -56,10 +57,9 @@ FULL_GRADIENT_SCHEMES = ("cr", "gc", "umw", "rar")
 class Dataset:
     """d samples of p features plus a trailing label column.
 
-    ``points`` is a read-only view of the given array, not a copy, so the
-    block Gram tables that `gd_run` keeps here cannot go stale through it.
-    A caller that writes to the array it passed in changes the points under
-    those tables; pass a copy to keep writing to it.
+    ``points`` is read-only and no caller can write to it, so the block Gram
+    tables that `gd_run` keeps here cannot go stale: a given float array is
+    kept only when it owns its data and is read-only, and copied otherwise.
     """
 
     points: np.ndarray = field(repr=False)
@@ -74,8 +74,9 @@ class Dataset:
             raise ValueError(f"expected a (d, p+1) sample matrix, got {pts.shape}")
         if not np.all(np.isfinite(pts)):
             raise ValueError("samples must be finite")
-        pts = pts.view()
-        pts.setflags(write=False)
+        if pts.flags.writeable or not pts.flags.owndata:
+            pts = pts.copy()
+            pts.setflags(write=False)
         object.__setattr__(self, "points", pts)
 
     @property
@@ -117,6 +118,7 @@ def generate_synthetic(
     X = rng.standard_normal((d, p))
     z = rng.standard_normal(d) * noise_scale
     points = np.column_stack([X, X @ theta_star + z])
+    points.setflags(write=False)  # so Dataset keeps it rather than a copy
     return Dataset(points=points, origin="synthetic"), theta_star
 
 
@@ -124,7 +126,9 @@ def load_dataset_csv(path) -> Dataset:
     """Ingest samples from CSV: one row per sample, p feature columns then label."""
     with open(path) as fh:
         rows = [[float(tok) for tok in line] for line in csv.reader(fh) if line]
-    return Dataset(points=np.array(rows), origin="ingested")
+    points = np.array(rows)
+    points.setflags(write=False)  # so Dataset keeps it rather than a copy
+    return Dataset(points=points, origin="ingested")
 
 
 def _linear_residual(X: np.ndarray, y: np.ndarray, theta: np.ndarray) -> np.ndarray:
@@ -178,31 +182,24 @@ def make_oracle(loss: str, dataset: Dataset) -> engine.GradientOracle:
 
 @dataclass(frozen=True)
 class GDConfig:
-    """Driver settings: scheme and its straggler parameters, step schedule,
-    iteration budget, regularization, optional timing model."""
+    """Driver settings: the scheme on the `(topo, resilience)` that
+    `scheme_tree` takes (and refuses here), iteration budget, step
+    schedule, regularization, optional timing model."""
 
     scheme: str
     iterations: int
+    topo: RegularTree | int
+    resilience: int = 0
     step_size: float | None = None
     c1: float | None = None  # schedule c1 / (t + c2), used when step_size is None
     c2: float | None = None
     lam: float = 0.0
     loss: str = "linear"
-    n: int | None = None
-    L: int | None = None
-    s: int = 0
-    N: int | None = None
-    S: int = 0
     seed: int = 0
     latency: LatencyConfig | None = None
 
     def __post_init__(self) -> None:
-        if self.scheme not in SCHEMES:
-            raise ValueError(f"unknown scheme {self.scheme!r}, expected one of {SCHEMES}")
-        required = ("n", "L") if self.scheme == "cr" else ("N",)
-        missing = [name for name in required if getattr(self, name) is None]
-        if missing:
-            raise ValueError(f"scheme {self.scheme!r} needs {' and '.join(missing)}")
+        scheme_tree(self.scheme, self.topo, self.resilience)
         if self.iterations < 1:
             raise ValueError("need at least one iteration")
         if self.step_size is None and (self.c1 is None or self.c2 is None):
@@ -281,7 +278,7 @@ def gd_run(
     """
     scheme = config.scheme
     rng = np.random.default_rng(np.random.SeedSequence(config.seed).spawn(1)[0])
-    topo, resilience = scheme_topology(scheme, config)
+    topo, resilience = config.topo, config.resilience
     tree, quorum_s, coded_s = scheme_tree(scheme, topo, resilience)
     B = build_encoding(tree.n, coded_s, config.seed)
     assignment = cr_allocate(tree, coded_s, dataset.d, B=B)

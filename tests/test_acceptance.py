@@ -185,10 +185,12 @@ def test_criterion_08_trajectory_equivalence():
     gram_top = float(np.linalg.eigvalsh(dataset.features.T @ dataset.features).max())
     kwargs = dict(iterations=50, step_size=1.0 / gram_top, seed=42)
     traces = {
-        "cr": gd_run(dataset, GDConfig(scheme="cr", n=3, L=2, s=1, **kwargs), theta_star),
-        "gc": gd_run(dataset, GDConfig(scheme="gc", N=12, S=3, **kwargs), theta_star),
-        "rar": gd_run(dataset, GDConfig(scheme="rar", N=12, **kwargs), theta_star),
-        "umw": gd_run(dataset, GDConfig(scheme="umw", N=12, **kwargs), theta_star),
+        "cr": gd_run(
+            dataset, GDConfig(scheme="cr", topo=build_tree(3, 2), resilience=1, **kwargs), theta_star
+        ),
+        "gc": gd_run(dataset, GDConfig(scheme="gc", topo=12, resilience=3, **kwargs), theta_star),
+        "rar": gd_run(dataset, GDConfig(scheme="rar", topo=12, **kwargs), theta_star),
+        "umw": gd_run(dataset, GDConfig(scheme="umw", topo=12, **kwargs), theta_star),
     }
     reference = traces["umw"]
     worst = 0.0

@@ -168,6 +168,30 @@ def test_granularity_violation_rejected():
         cr_allocate(tree, 1, 16, B=build_encoding(3, 1, 0))
 
 
+@pytest.mark.parametrize(
+    "refused, problem",
+    [
+        pytest.param(lambda: WeightedSlice(3, 3, 1.0), "empty slice [3, 3)", id="empty-slice"),
+        pytest.param(lambda: WeightedSlice(0, 3, 0.0), "weight must be nonzero", id="zero-weight"),
+        pytest.param(lambda: r_gc(4, 4), "need 0 <= S < N, got N=4, S=4", id="r_gc-S-N"),
+        pytest.param(
+            lambda: cr_allocate(build_tree(3, 2), 3, 15, B=build_encoding(3, 1, 0)),
+            "need 0 <= s < n, got n=3, s=3",
+            id="cr_allocate-s-n",
+        ),
+        pytest.param(
+            lambda: cr_allocate(build_tree(3, 2), 1, 15, B=build_encoding(4, 1, 0)),
+            "encoding matrix is for (n=4, s=1), tree needs (n=3, s=1)",
+            id="cr_allocate-wrong-code",
+        ),
+    ],
+)
+def test_allocation_refuses_bad_arguments(refused, problem):
+    with pytest.raises(ValueError) as err:
+        refused()
+    assert problem in str(err.value)
+
+
 def test_csv_dump_is_parseable(tmp_path, reference_b):
     tree = build_tree(3, 2)
     assignment = cr_allocate(tree, 1, 15, B=reference_b)

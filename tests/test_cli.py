@@ -124,6 +124,25 @@ def test_validate_reports_first_violation(tmp_path):
             "cr",
             id="train-c2--1",
         ),
+        # data that is neither kind, or a CSV without a file, none, no trial
+        pytest.param(
+            "train", "data_kind", "hdf5", "data kind must be synthetic or csv", "cr",
+            id="train-data_kind-hdf5",
+        ),
+        pytest.param(
+            "latency", {"data_kind": "csv", "csv_path": ""}, None, "requires data.path", "cr",
+            id="latency-csv-no-path",
+        ),
+        pytest.param("verify", "d", 0, "dataset size must be >= 1", "cr", id="verify-d-0"),
+        pytest.param("latency", "trials", 0, "trials must be >= 1", "cr", id="latency-trials-0"),
+        # a tree or tolerance that a scheduled scheme cannot run on
+        pytest.param("train", "n", 0, "fan-out must be >= 1, got n=0", "cr", id="train-n-0"),
+        pytest.param(
+            "latency", "s", 3, "need 0 <= s < n, got n=3, s=3", "cr", id="latency-cr-s-3"
+        ),
+        pytest.param(
+            "train", "S", 12, "need 0 <= S < N, got N=12, S=12", "gc", id="train-gc-S-12"
+        ),
     ],
 )
 def test_commands_refuse_invalid_config(
@@ -145,6 +164,18 @@ def test_commands_refuse_invalid_config(
     buf = io.StringIO()
     assert handler[command](cfg, out=buf) == 1
     assert buf.getvalue().startswith("INVALID:") and headline in buf.getvalue()
+
+
+def test_transport_demo_needs_a_straggler_to_kill(tmp_path, monkeypatch):
+    cfg = replace(load_config(write_config(tmp_path, schemes="cr")), s=0)
+
+    def no_processes(*_args, **_kwargs):
+        raise AssertionError("a round with nothing to kill reached orchestrate")
+
+    monkeypatch.setattr(cli, "orchestrate", no_processes)
+    buf = io.StringIO()
+    assert cli.cmd_transport_demo(cfg, out=buf) == 1
+    assert buf.getvalue() == "transport demo needs s >= 1 to have something to kill\n"
 
 
 def write_csv_config(tmp_path, rows, header=False, name="data.csv"):

@@ -121,6 +121,10 @@ def test_rejects_bad_parameters():
         decode_row(build_encoding(4, 1, seed=0), [0, 1, 2, 9])
     with pytest.raises(ValueError):
         decode_row(build_encoding(4, 1, seed=0), [0, 1])  # below n - s
+    with pytest.raises(ValueError, match=re.escape("need 0 <= s < n, got n=3, s=3")):
+        EncodingMatrix(n=3, s=3, entries=np.eye(3))
+    with pytest.raises(ValueError, match=re.escape("expected shape (3, 3), got (2, 2)")):
+        EncodingMatrix(n=3, s=1, entries=np.eye(2))
 
 
 def test_support_violation_rejected_by_constructor():
@@ -368,6 +372,46 @@ def test_second_seed_free_build_reuses_the_validated_entries(monkeypatch):
     assert second.entries.tobytes() == first.entries.tobytes()
     with pytest.raises(ValueError, match="read-only"):
         second.entries[0, 0] = 2.0
+
+
+@pytest.fixture
+def fresh_seed_free_codes():
+    codes._seed_free_entries.cache_clear()
+    yield
+    codes._seed_free_entries.cache_clear()  # forget a failure a test forced
+
+
+@pytest.mark.parametrize("failure", ["zero-on-support", "validation"])
+def test_a_failed_seed_free_code_falls_back_to_the_seeded_draws(
+    monkeypatch, fresh_seed_free_codes, failure
+):
+    """When the seed-free (5, 2) code fails its zero-on-support check or its
+    validation, the build returns the seeded code of the given seed."""
+    n, s, seed = 5, 2, 3
+    checked = []
+    if failure == "zero-on-support":
+
+        def build(n, s):
+            H = np.random.default_rng(0).standard_normal((s, n))
+            H[:, 0] = -H[:, 2]  # row 0 solves to entries (0, 1) on columns 1, 2
+            return codes._from_parity(H, circulant=False)
+
+        with pytest.raises(np.linalg.LinAlgError, match="zero entry on support"):
+            build(n, s)
+        monkeypatch.setattr(codes, "_deterministic_build", build)
+    else:
+        real = codes.validate_code
+
+        def reject_the_first(B):
+            checked.append(B)
+            return len(checked) > 1 and real(B)
+
+        monkeypatch.setattr(codes, "validate_code", reject_the_first)
+    B = build_encoding(n, s, seed)
+    assert codes._seed_free_entries(n, s) is None
+    if checked:
+        assert checked[0].entries.tobytes() == codes._deterministic_build(n, s).entries.tobytes()
+    assert B.entries.tobytes() == codes._try_build(n, s, seed).entries.tobytes()
 
 
 def test_odd_n_with_one_straggler_builds_the_all_ones_parity_code():

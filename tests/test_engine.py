@@ -116,6 +116,8 @@ def test_cr_execute_takes_a_row_of_positions(reference_b):
     for shape in [(3, 3), (5, 3), (4, 2)]:  # the tree has 4 parents of 3 children
         with pytest.raises(ValueError):
             engine.cr_execute(tree, assignment, reference_b, np.zeros(shape, bool), oracle, theta)
+    with pytest.raises(ValueError, match="need 0 <= resilience < n, got n=3, resilience=3"):
+        engine.cr_execute(tree, assignment, reference_b, row, oracle, theta, 3)
 
 
 def test_only_decoded_messages_are_computed(reference_b):

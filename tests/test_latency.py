@@ -424,6 +424,34 @@ def test_unknown_scheme_rejected():
         simulate_iteration("ps", 4, cfg)
 
 
+_CFG = LatencyConfig(a=0.05, mu=20.0, t_c=1.0, d=12.0)
+
+
+@pytest.mark.parametrize(
+    "refused, problem",
+    [
+        pytest.param(lambda: harmonic(-1), "needs k >= 0", id="harmonic--1"),
+        pytest.param(
+            lambda: expected_order_stat(_CFG, 3, 3, 1), "need 0 <= s < n, got n=3, s=3",
+            id="order-stat-s-n",
+        ),
+        pytest.param(
+            lambda: mc_expected_latency("umw", 4, _CFG, trials=0), "at least one trial",
+            id="mc-trials-0",
+        ),
+    ],
+)
+def test_latency_refuses_bad_arguments(refused, problem):
+    with pytest.raises(ValueError, match=problem):
+        refused()
+
+
+def test_one_trial_has_a_zero_half_width():
+    mean, half = mc_expected_latency("gc", 4, _CFG, 1, trials=1)
+    assert half == 0.0
+    assert mean == _batch_completions("gc", 4, _CFG, 1, [0])[0]
+
+
 def test_event_csv_round_trip(tmp_path):
     cfg = LatencyConfig(a=0.1, mu=1.0, t_c=0.3, d=30.0, seed=2)
     outcome = simulate_iteration("cr", build_tree(3, 2), cfg, 1, trial=1)

@@ -1,4 +1,5 @@
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -109,6 +110,8 @@ def test_oracle_spec_refuses_an_unknown_kind():
     process would build the oracle."""
     with pytest.raises(ValueError, match="unknown oracle kind 'lineer'"):
         OracleSpec(kind="lineer", d=15, p=3)
+    with pytest.raises(ValueError, match="unknown loss 'hinge'"):
+        make_oracle("hinge", generate_synthetic(4, 2, seed=0)[0])
 
 
 def test_csv_ingestion_round_trip(tmp_path):
@@ -125,7 +128,7 @@ def test_csv_ingestion_round_trip(tmp_path):
 def test_gd_descends_monotonically_with_stable_step():
     dataset, theta_star = generate_synthetic(120, 6, seed=11)
     lam_max = float(np.linalg.eigvalsh(dataset.features.T @ dataset.features).max())
-    cfg = GDConfig(scheme="umw", iterations=40, step_size=1.0 / lam_max, N=12)
+    cfg = GDConfig(scheme="umw", iterations=40, step_size=1.0 / lam_max, topo=12)
     trace = gd_run(dataset, cfg, theta_star)
     ners = [row.ner for row in trace]
     assert all(b <= a + 1e-12 for a, b in zip(ners, ners[1:]))
@@ -138,10 +141,12 @@ def test_full_gradient_schemes_share_the_trajectory():
     lam_max = float(np.linalg.eigvalsh(dataset.features.T @ dataset.features).max())
     kwargs = dict(iterations=50, step_size=1.0 / lam_max, seed=33)
     traces = {
-        "cr": gd_run(dataset, GDConfig(scheme="cr", n=3, L=2, s=1, **kwargs), theta_star),
-        "gc": gd_run(dataset, GDConfig(scheme="gc", N=12, S=3, **kwargs), theta_star),
-        "umw": gd_run(dataset, GDConfig(scheme="umw", N=12, **kwargs), theta_star),
-        "rar": gd_run(dataset, GDConfig(scheme="rar", N=12, **kwargs), theta_star),
+        "cr": gd_run(
+            dataset, GDConfig(scheme="cr", topo=build_tree(3, 2), resilience=1, **kwargs), theta_star
+        ),
+        "gc": gd_run(dataset, GDConfig(scheme="gc", topo=12, resilience=3, **kwargs), theta_star),
+        "umw": gd_run(dataset, GDConfig(scheme="umw", topo=12, **kwargs), theta_star),
+        "rar": gd_run(dataset, GDConfig(scheme="rar", topo=12, **kwargs), theta_star),
     }
     reference = traces["umw"]
     for trace in traces.values():
@@ -154,14 +159,14 @@ def test_partial_aggregation_converges_worse_on_clean_data():
     dataset, theta_star = generate_synthetic(60, 5, seed=2, noise_scale=0.0)
     lam_max = float(np.linalg.eigvalsh(dataset.features.T @ dataset.features).max())
     kwargs = dict(iterations=60, step_size=1.0 / lam_max, seed=3)
-    full = gd_run(dataset, GDConfig(scheme="umw", N=12, **kwargs), theta_star)
-    partial = gd_run(dataset, GDConfig(scheme="sgd", N=12, S=3, **kwargs), theta_star)
+    full = gd_run(dataset, GDConfig(scheme="umw", topo=12, **kwargs), theta_star)
+    partial = gd_run(dataset, GDConfig(scheme="sgd", topo=12, resilience=3, **kwargs), theta_star)
     assert partial[-1].ner > full[-1].ner
 
 
 def test_decaying_schedule_and_regularization():
     dataset, theta_star = generate_synthetic(60, 4, seed=6)
-    cfg = GDConfig(scheme="umw", iterations=10, c1=0.5, c2=100.0, lam=0.1, N=12)
+    cfg = GDConfig(scheme="umw", iterations=10, c1=0.5, c2=100.0, lam=0.1, topo=12)
     trace = gd_run(dataset, cfg, theta_star)
     assert len(trace) == 10
     assert cfg.step(1) == pytest.approx(0.5 / 101.0)
@@ -172,7 +177,8 @@ def test_simulated_clock_accumulates():
     dataset, theta_star = generate_synthetic(60, 4, seed=6)
     lat = LatencyConfig(a=0.05, mu=10.0, t_c=0.5, d=60.0, seed=1)
     cfg = GDConfig(
-        scheme="cr", iterations=5, step_size=1e-3, n=3, L=2, s=1, seed=4, latency=lat
+        scheme="cr", iterations=5, step_size=1e-3, topo=build_tree(3, 2), resilience=1, seed=4,
+        latency=lat,
     )
     trace = gd_run(dataset, cfg, theta_star)
     times = [row.sim_time for row in trace]
@@ -182,7 +188,7 @@ def test_simulated_clock_accumulates():
 
 def test_trace_csv_round_trip(tmp_path):
     dataset, theta_star = generate_synthetic(24, 3, seed=8)
-    cfg = GDConfig(scheme="umw", iterations=4, step_size=1e-3, N=12)
+    cfg = GDConfig(scheme="umw", iterations=4, step_size=1e-3, topo=12)
     trace = gd_run(dataset, cfg, theta_star)
     path = tmp_path / "trace.csv"
     trace_to_csv(trace, path)
@@ -199,27 +205,42 @@ def test_dataset_validation():
         Dataset(points=np.ones(5))
     with pytest.raises(ValueError):
         Dataset(points=np.array([[1.0, np.inf]]))
+    with pytest.raises(ValueError, match="need d, p >= 1, got d=0, p=3"):
+        generate_synthetic(0, 3, seed=0)
 
 
 @pytest.mark.parametrize(
-    "kwargs, missing",
+    "kwargs, problem",
     [
-        (dict(scheme="cr", L=2), "n"),
-        (dict(scheme="cr", n=3), "L"),
-        (dict(scheme="gc", S=3), "N"),
-        (dict(scheme="umw"), "N"),
-        (dict(scheme="ps", N=12), "unknown scheme"),
+        pytest.param(dict(scheme="ps", topo=12), "unknown scheme 'ps'", id="unknown-scheme"),
+        pytest.param(dict(scheme="cr", topo=12, resilience=1), "needs a RegularTree, got 12",
+                     id="cr-topo-12"),
+        pytest.param(dict(scheme="cr", topo=build_tree(3, 2), resilience=3),
+                     "need 0 <= s < n, got n=3, s=3", id="cr-s-3"),
+        pytest.param(dict(scheme="cr", topo=build_tree(3, 2), resilience=-1),
+                     "need 0 <= s < n, got n=3, s=-1", id="cr-s--1"),
+        pytest.param(dict(scheme="gc", topo=12, resilience=12),
+                     "need 0 <= S < N, got N=12, S=12", id="gc-S-12"),
+        pytest.param(dict(scheme="sgd", topo=12, resilience=-1),
+                     "need 0 <= S < N, got N=12, S=-1", id="sgd-S--1"),
     ],
 )
-def test_gd_config_rejects_missing_topology(kwargs, missing):
-    with pytest.raises(ValueError, match=missing):
+def test_gd_config_rejects_a_scheme_it_cannot_run(kwargs, problem):
+    """A scheme, topo and resilience that `scheme_tree` refuses are refused
+    when the config is built, in `scheme_tree`'s words."""
+    with pytest.raises(ValueError) as built:
         GDConfig(iterations=1, step_size=1e-3, **kwargs)
+    with pytest.raises(ValueError) as direct:
+        scheme_tree(kwargs["scheme"], kwargs["topo"], kwargs.get("resilience", 0))
+    assert str(built.value) == str(direct.value)
+    assert problem in str(built.value)
 
 
 @pytest.mark.parametrize(
     "kwargs, problem",
     [
         (dict(loss="hinge"), "loss"),
+        (dict(step_size=None), "set step_size or the"),
         # NaN passes every ordered comparison, so each bound must say finite
         (dict(step_size=float("nan")), "step size"),
         (dict(step_size=None, c1=float("nan"), c2=1.0), "c1"),
@@ -231,7 +252,7 @@ def test_gd_config_rejects_missing_topology(kwargs, missing):
 )
 def test_gd_config_rejects_bad_gd_settings(kwargs, problem):
     with pytest.raises(ValueError, match=problem):
-        GDConfig(**{**dict(scheme="umw", N=12, iterations=1, step_size=1e-3), **kwargs})
+        GDConfig(**{**dict(scheme="umw", topo=12, iterations=1, step_size=1e-3), **kwargs})
 
 
 def _draw_tree_pattern(tree, s, rng):
@@ -251,10 +272,7 @@ def _reference_gd(dataset, config):
     """gd_run as a loop of cr_execute rounds with the per-slice oracle, under
     the same straggler draws, and its clock summed trial by trial: a list
     of (theta, sim_time) per iteration."""
-    if config.scheme == "cr":
-        topo, resilience = build_tree(config.n, config.L), config.s
-    else:
-        topo, resilience = config.N, config.S
+    topo, resilience = config.topo, config.resilience
     tree, quorum_s, coded_s = scheme_tree(config.scheme, topo, resilience)
     B = build_encoding(tree.n, coded_s, config.seed)
     assignment = cr_allocate(tree, coded_s, dataset.d, B=B)
@@ -277,11 +295,11 @@ def _gd_cases(draw):
         n = draw(st.integers(1, 4))
         L = draw(st.integers(1, 3))
         s = draw(st.integers(0, n - 1))
-        topo = dict(n=n, L=L, s=s)
+        topo = dict(topo=build_tree(n, L), resilience=s)
         d = granularity(n, L, s)
     else:
         N = draw(st.integers(1, 8))
-        topo = dict(N=N, S=draw(st.integers(0, N - 1)))
+        topo = dict(topo=N, resilience=draw(st.integers(0, N - 1)))
         d = N * draw(st.integers(1, 3))
     d *= -(-4 // d)  # at least 4 points
     return scheme, topo, d, draw(st.sampled_from(["linear", "logistic"])), draw(st.integers(0, 999))
@@ -313,8 +331,8 @@ def test_gd_run_matches_the_per_slice_round(case):
 
 
 @pytest.mark.parametrize("scheme, topo, d", [
-    ("cr", dict(n=3, L=2, s=1), 150),  # d0 = 15 blocks of k = 10 points
-    ("gc", dict(N=4, S=1), 40),  # d0 = 4 blocks of k = 10 points
+    ("cr", dict(topo=build_tree(3, 2), resilience=1), 150),  # d0 = 15 blocks of k = 10 points
+    ("gc", dict(topo=4, resilience=1), 40),  # d0 = 4 blocks of k = 10 points
 ])
 @pytest.mark.parametrize("p, gram", [(3, True), (12, False)])
 def test_both_linear_rounds_match_the_per_slice_round(monkeypatch, scheme, topo, d, p, gram):
@@ -340,8 +358,8 @@ def test_both_linear_rounds_match_the_per_slice_round(monkeypatch, scheme, topo,
 
 
 @pytest.mark.parametrize("scheme, topo, d", [
-    ("cr", dict(n=3, L=2, s=1), 150),
-    ("sgd", dict(N=6, S=2), 60),
+    ("cr", dict(topo=build_tree(3, 2), resilience=1), 150),
+    ("sgd", dict(topo=6, resilience=2), 60),
 ])
 @pytest.mark.parametrize("loss", ["linear", "logistic"])
 def test_gd_run_past_one_coefficient_pass(scheme, topo, d, loss):
@@ -364,10 +382,10 @@ def test_gd_run_past_one_coefficient_pass(scheme, topo, d, loss):
 
 
 @pytest.mark.parametrize("scheme, topo", [
-    ("cr", dict(n=3, L=2, s=1)),
-    ("gc", dict(N=12, S=3)),
-    ("rar", dict(N=12, S=3)),
-    ("sgd", dict(N=12, S=3)),
+    ("cr", dict(topo=build_tree(3, 2), resilience=1)),
+    ("gc", dict(topo=12, resilience=3)),
+    ("rar", dict(topo=12, resilience=3)),
+    ("sgd", dict(topo=12, resilience=3)),
 ])
 def test_gd_clock_drawn_per_chunk_is_the_whole_block_sum(scheme, topo):
     """The clock drawn one chunk of trials at a time, over three chunks and
@@ -376,11 +394,9 @@ def test_gd_clock_drawn_per_chunk_is_the_whole_block_sum(scheme, topo):
     dataset, _ = generate_synthetic(60, 3, seed=4)
     lat = LatencyConfig(a=0.05, mu=20.0, t_c=1.0, d=60.0, seed=5)
     config = GDConfig(scheme=scheme, iterations=T, step_size=1e-3, seed=5, latency=lat, **topo)
-    if scheme == "cr":
-        block, resilience = build_tree(3, 2), 1
-    else:
-        block, resilience = 12, 3
-    whole = np.cumsum(_batch_completions(scheme, block, lat, resilience, range(1, T + 1)))
+    whole = np.cumsum(
+        _batch_completions(scheme, config.topo, lat, config.resilience, range(1, T + 1))
+    )
     assert [row.sim_time for row in gd_run(dataset, config)] == whole.tolist()
 
 
@@ -390,7 +406,10 @@ def test_gd_clock_memory_does_not_grow_with_the_iterations():
     d = granularity(4, 5, 1)
     dataset, _ = generate_synthetic(d, 3, seed=1)
     lat = LatencyConfig(a=0.05, mu=20.0, t_c=1.0, d=float(d), seed=0)
-    config = GDConfig(scheme="cr", iterations=640, step_size=1e-6, n=4, L=5, s=1, latency=lat)
+    config = GDConfig(
+        scheme="cr", iterations=640, step_size=1e-6, topo=build_tree(4, 5), resilience=1,
+        latency=lat,
+    )
     tracemalloc.start()
     try:
         trace = gd_run(dataset, config)
@@ -402,10 +421,10 @@ def test_gd_clock_memory_does_not_grow_with_the_iterations():
 
 
 @pytest.mark.parametrize("scheme, topo", [
-    ("cr", dict(n=4, L=3, s=2)),
-    ("gc", dict(N=8, S=3)),
-    ("sgd", dict(N=8, S=5)),
-    ("umw", dict(N=8)),
+    ("cr", dict(topo=build_tree(4, 3), resilience=2)),
+    ("gc", dict(topo=8, resilience=3)),
+    ("sgd", dict(topo=8, resilience=5)),
+    ("umw", dict(topo=8)),
 ])
 def test_each_iteration_draws_one_uniform_block(monkeypatch, scheme, topo):
     """Every parent loses exactly its quorum_s children each iteration, and
@@ -418,13 +437,9 @@ def test_each_iteration_draws_one_uniform_block(monkeypatch, scheme, topo):
         lambda tree, B, straggling, s: rows.extend((row.copy(), s) for row in straggling)
         or real_weights(tree, B, straggling, s),
     )
-    if scheme == "cr":
-        topology, resilience = build_tree(topo["n"], topo["L"]), topo["s"]
-    else:
-        topology, resilience = topo["N"], topo.get("S", 0)
-    tree, quorum_s, coded_s = scheme_tree(scheme, topology, resilience)
-    dataset, _ = generate_synthetic(granularity(tree.n, tree.L, coded_s), 2, seed=1)
     config = GDConfig(scheme=scheme, iterations=5, step_size=1e-3, seed=9, **topo)
+    tree, quorum_s, coded_s = scheme_tree(scheme, config.topo, config.resilience)
+    dataset, _ = generate_synthetic(granularity(tree.n, tree.L, coded_s), 2, seed=1)
     generators = []  # gd_run's straggler stream is the first generator it makes
     real_rng = np.random.default_rng
     monkeypatch.setattr(
@@ -442,8 +457,8 @@ def test_each_iteration_draws_one_uniform_block(monkeypatch, scheme, topo):
 
 
 @pytest.mark.parametrize("scheme, topo", [
-    ("sgd", dict(N=20, S=5)),
-    ("cr", dict(n=4, L=2, s=1)),
+    ("sgd", dict(topo=20, resilience=5)),
+    ("cr", dict(topo=build_tree(4, 2), resilience=1)),
 ])
 def test_stragglers_are_not_the_clocks_fastest_workers(monkeypatch, scheme, topo):
     """The straggler draw and the clock share a seed but not their numbers:
@@ -460,8 +475,7 @@ def test_stragglers_are_not_the_clocks_fastest_workers(monkeypatch, scheme, topo
     seed, T, d = 0, 6, 60  # a multiple of both granularities, 20 and 12
     lat = LatencyConfig(a=0.05, mu=20.0, t_c=1.0, d=float(d), seed=seed)
     config = GDConfig(scheme=scheme, iterations=T, step_size=1e-3, seed=seed, latency=lat, **topo)
-    topology = build_tree(topo["n"], topo["L"]) if scheme == "cr" else topo["N"]
-    tree, quorum_s, coded_s = scheme_tree(scheme, topology, topo.get("s", topo.get("S")))
+    tree, quorum_s, coded_s = scheme_tree(scheme, config.topo, config.resilience)
     gd_run(generate_synthetic(d, 2, seed=1)[0], config)
     clock = _draw_block(lat, _loads(tree, coded_s, lat), range(T))
     for straggling, times in zip(rows, clock, strict=True):
@@ -482,8 +496,9 @@ def test_tree_schemes_make_no_per_slice_oracle_call(monkeypatch, loss):
             ml, name, lambda *args, real=real: calls.append(args) or real(*args)
         )
     dataset, _ = generate_synthetic(60, 4, seed=3)
-    topologies = {"cr": dict(n=3, L=2, s=1), "gc": dict(N=12, S=3), "umw": dict(N=12),
-                  "sgd": dict(N=12, S=3), "rar": dict(N=12)}
+    topologies = {"cr": dict(topo=build_tree(3, 2), resilience=1),
+                  "gc": dict(topo=12, resilience=3), "umw": dict(topo=12),
+                  "sgd": dict(topo=12, resilience=3), "rar": dict(topo=12)}
     for scheme, topo in topologies.items():
         calls.clear()
         gd_run(dataset, GDConfig(scheme=scheme, iterations=3, step_size=1e-3, loss=loss, **topo))
@@ -504,8 +519,8 @@ def test_rar_runs_umws_round_on_its_own_clock(loss):
     runs = {
         scheme: gd_run(
             dataset,
-            GDConfig(scheme=scheme, iterations=5, step_size=1e-2, loss=loss, N=12, S=3,
-                     seed=2, latency=lat),
+            GDConfig(scheme=scheme, iterations=5, step_size=1e-2, loss=loss, topo=12,
+                     resilience=3, seed=2, latency=lat),
             theta_star,
         )
         for scheme in ("umw", "rar")
@@ -517,13 +532,29 @@ def test_rar_runs_umws_round_on_its_own_clock(loss):
         assert rar.sim_time == clock != umw.sim_time
 
 
-def test_dataset_points_are_a_read_only_view():
+@pytest.mark.parametrize("given", ["writable", "read-only view"])
+def test_dataset_points_are_read_only_and_its_own(given):
+    """A writable array, or a read-only view of one, is copied: no caller
+    can write to the points."""
     points = np.arange(12.0).reshape(4, 3)
+    if given == "read-only view":
+        points = points.view()
+        points.setflags(write=False)
     dataset = Dataset(points=points)
-    assert np.shares_memory(dataset.points, points)  # not a copy
+    assert not np.shares_memory(dataset.points, points)
     for view in (dataset.points, dataset.features, dataset.labels):
         with pytest.raises(ValueError, match="read-only"):
             view[0] = 1.0
+
+
+def test_generated_points_are_not_copied(monkeypatch):
+    stacked = []
+    real = np.column_stack
+    monkeypatch.setattr(
+        np, "column_stack", lambda arrays: stacked.append(real(arrays)) or stacked[-1]
+    )
+    dataset, _ = generate_synthetic(8, 2, seed=0)
+    assert dataset.points is stacked[0]
 
 
 class _CountingTable(dict):
@@ -540,8 +571,9 @@ class _CountingTable(dict):
 
 def _five_schemes(**kwargs):
     """CR on the (3,2) tree, s = 1, then the flat schemes at (12, 3)."""
-    return [GDConfig(scheme="cr", n=3, L=2, s=1, **kwargs)] + [
-        GDConfig(scheme=scheme, N=12, S=3, **kwargs) for scheme in ("gc", "umw", "rar", "sgd")
+    return [GDConfig(scheme="cr", topo=build_tree(3, 2), resilience=1, **kwargs)] + [
+        GDConfig(scheme=scheme, topo=12, resilience=3, **kwargs)
+        for scheme in ("gc", "umw", "rar", "sgd")
     ]
 
 
@@ -558,6 +590,26 @@ def test_gram_is_built_once_per_block_size():
     for k, table in dataset._gram.items():
         assert table.shape == (dataset.d // k, (dataset.p + 1) ** 2)
         assert not table.flags.writeable
+
+
+def test_a_write_to_the_given_array_changes_no_run():
+    """After a run has built the flat schemes' Gram table, the caller writes
+    to the array it passed in: every later run, for CR's and the flat block
+    sizes under both losses, gives the trace of a fresh dataset of the
+    points as they were."""
+    points = generate_synthetic(60, 2, seed=4)[0].points.copy()
+    fresh = Dataset(points=points.copy())
+    dataset = Dataset(points=points)
+    configs = _five_schemes(iterations=3, step_size=1e-2, seed=1)
+    gd_run(dataset, configs[1])
+    points *= 2.0
+    for loss in ("linear", "logistic"):
+        for config in (replace(config, loss=loss) for config in configs):
+            for a, b in zip(gd_run(dataset, config), gd_run(fresh, config), strict=True):
+                assert a.theta.tobytes() == b.theta.tobytes()
+                assert np.array_equal(
+                    [a.rer, a.ner, a.sim_time], [b.rer, b.ner, b.sim_time], equal_nan=True
+                )
 
 
 @pytest.mark.parametrize("loss", ["linear", "logistic"])

@@ -197,6 +197,12 @@ def test_pattern_cap_below_one_is_refused(cap):
         enumerate_patterns(build_tree(3, 2), 1, cap)
 
 
+@pytest.mark.parametrize("s", [3, -1])
+def test_pattern_tolerance_outside_zero_to_n_is_refused(s):
+    with pytest.raises(ValueError, match=f"0 <= s < n, got s={s}"):
+        enumerate_patterns(build_tree(3, 2), s, 10)
+
+
 def test_check_tolerance_names_the_first_parent_over_it():
     tree = build_tree(3, 2)
     straggling = np.zeros((4, 3), dtype=bool)

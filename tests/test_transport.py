@@ -330,6 +330,39 @@ def test_a_node_that_raises_reports_error(tmp_path, monkeypatch):
     assert report.node_reports["1.1"].missing == ["2.1"]
 
 
+def _run_node_exit_7(node, *args, **kwargs):
+    """run_node with node 2.1 exiting with code 7 before it does anything;
+    spawned nodes import it from this module by name."""
+    if node == NodeId(2, 1):
+        sys.exit(7)
+    run_node(node, *args, **kwargs)
+
+
+def test_a_node_that_exits_without_a_report_reports_error(tmp_path, monkeypatch):
+    monkeypatch.setattr(transport, "run_node", _run_node_exit_7)
+    tree = build_tree(3, 2)
+    spec = OracleSpec(kind="identity", d=15, p=15)
+    cfg = TransportConfig(tree=tree, s=1, oracle=spec, theta=np.zeros(15), deadline=5.0)
+    report = orchestrate(cfg, tmp_path / "run")
+    assert report.ok, report.error
+    np.testing.assert_allclose(report.gradient, np.ones(15), atol=1e-9)
+    failed = report.node_reports["2.1"]
+    assert (failed.status, failed.detail) == ("error", "exited with code 7, no report")
+    assert (tmp_path / "run" / "node_2_1.json").exists()
+
+
+def test_a_second_round_reads_no_report_of_the_first(tmp_path):
+    tree = build_tree(3, 2)
+    spec = OracleSpec(kind="identity", d=15, p=15)
+    cfg = TransportConfig(tree=tree, s=1, oracle=spec, theta=np.zeros(15), deadline=5.0)
+    first = orchestrate(cfg, tmp_path / "run")
+    assert first.ok and first.node_reports["2.1"].status == "ok"
+    second = orchestrate(cfg, tmp_path / "run", FailurePlan(never_start=frozenset({NodeId(2, 1)})))
+    assert second.ok, second.error
+    assert "2.1" not in second.node_reports
+    assert not (tmp_path / "run" / "node_2_1.json").exists()
+
+
 def _run_node_killed_holding_gradients(node, *args, **kwargs):
     """run_node with node 1.1 killing itself once every child's gradient
     waits on its link, before it reads any; spawned nodes import it from
