@@ -90,7 +90,11 @@ def cmd_train(cfg: ExperimentConfig, out=None) -> int:
         dataset, theta_star = generate_synthetic(cfg.d, cfg.p, cfg.data_seed, cfg.noise)
     finals = {}
     for scheme in cfg.schemes:
-        trace = gd_run(dataset, cfg.gd_config(scheme), theta_star)
+        try:
+            trace = gd_run(dataset, cfg.gd_config(scheme), theta_star)
+        except CodeConstructionError as err:
+            print(f"error: {scheme}: {err}", file=out)
+            return 1
         path = cfg.out / f"train_{scheme}.csv"
         trace_to_csv(trace, path)
         finals[scheme] = trace[-1].theta

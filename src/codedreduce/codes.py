@@ -191,7 +191,8 @@ def _deterministic_build(n: int, s: int) -> EncodingMatrix:
 def _seed_free_entries(n: int, s: int) -> np.ndarray | None:
     """The read-only entries of the validated seed-free (n, s) code, built
     once per process, or None when it fails its zero-on-support check or
-    its validation."""
+    its validation; a code too large to validate raises
+    ``CodeConstructionError``."""
     if s == 0:
         entries = np.eye(n)
     else:
@@ -219,6 +220,9 @@ def build_encoding(n: int, s: int, seed: int) -> EncodingMatrix:
     ``seed`` is ignored unless the code is the seeded one, or a seed-free
     code fails its zero-on-support check or its validation and the build
     falls back to the seeded draws (no seed-free code with n <= 22 does).
+    A circulant code whose one-set-per-orbit sweep needs a table larger
+    than numpy can allocate, such as (156, 13), raises
+    ``CodeConstructionError`` before the sweep allocates it.
 
     A seed-free code is built and validated on its first build in the
     process only; every build returns a new ``EncodingMatrix`` over the
@@ -279,11 +283,18 @@ def _orbit_representatives(n: int, s: int) -> list[tuple[int, ...]]:
     n rotations.  That rotation holds straggler 0 (rolling a set without 0
     down by one halves its mask), so only the sets with 0 are candidates.
     The representatives come in the scan order of their straggler sets.
+    A candidate table larger than numpy can allocate raises
+    ``CodeConstructionError`` before any allocation.
     """
     if s == 0:
         return [tuple(range(n))]
     rest = itertools.chain.from_iterable(itertools.combinations(range(1, n), s - 1))
     count = comb(n - 1, s - 1)
+    if count * s > np.iinfo(np.intp).max // np.dtype(int).itemsize:
+        raise CodeConstructionError(
+            f"cannot validate a code for (n={n}, s={s}): its {comb(n, s):,} survivor sets "
+            f"need a table of {count:,} x {s} indices, more than numpy can allocate"
+        )
     stragglers = np.zeros((count, s), dtype=int)
     stragglers[:, 1:] = np.fromiter(rest, dtype=int).reshape(count, s - 1)
     bits = stragglers.astype(object) if n >= 63 else stragglers  # int64 masks hold 62 bits

@@ -10,13 +10,13 @@ per granularity block of k points, which w repeats over the block.  The
 straggler draws do not depend on theta, so both run once per chunk of
 iterations, before its steps.  For linear loss with p < k the round reads
 per-block Gram matrices [X_b y_b]'[X_b y_b], built once per dataset and
-block size k and contracted once per chunk, instead of the data; otherwise
-it is one pass over the data, whatever the tree.  RAR's ring sums all N
-partial gradients, which is UMW's round, so it runs UMW's round on its own
-clock.  The per-slice oracles `linear_grad` and `logistic_grad` serve the
-transport, `engine.cr_execute` and `engine.rar_execute`: they take weighted
-index slices, are additive over disjoint slices and homogeneous in the
-weights.
+block size k and contracted in one matrix product per chunk, instead of
+the data; otherwise it is one pass over the data, whatever the tree.
+RAR's ring sums all N partial gradients, which is UMW's round, so it runs
+UMW's round on its own clock.  The per-slice oracles `linear_grad` and
+`logistic_grad` serve the transport, `engine.cr_execute` and
+`engine.rar_execute`: they take weighted index slices, are additive over
+disjoint slices and homogeneous in the weights.
 """
 
 from __future__ import annotations
@@ -250,6 +250,15 @@ def _block_gram(dataset: Dataset, k: int) -> np.ndarray:
     return gram
 
 
+def _lowest(u: np.ndarray, quorum_s: int) -> np.ndarray:
+    """Marks each row's quorum_s lowest entries along the last axis, for
+    0 <= quorum_s < the row length: those strictly below the row's
+    (quorum_s+1)-th lowest.  On a row of distinct entries that is
+    `np.argpartition`'s set; on a tie at the threshold it is fewer, never
+    more than quorum_s."""
+    return u < np.sort(u, axis=-1)[..., quorum_s : quorum_s + 1]
+
+
 def gd_run(
     dataset: Dataset,
     config: GDConfig,
@@ -271,10 +280,13 @@ def gd_run(
     lowest of a parent's n straggle.  The weights do not depend on theta,
     so the loop runs by chunks of `engine._PASS_CHUNK` iterations: one
     (chunk, num_parents, n) draw, which consumes the words of one draw per
-    iteration, one coefficient pass, one block-weight call and, for the Gram
-    round, one stacked contraction, then the chunk's steps.  When a timing
-    model is configured, per-iteration completion times, RAR's by its ring,
-    accumulate into the trace's simulated clock, drawn once per chunk.
+    iteration, one sort that picks its stragglers, one coefficient pass,
+    one block-weight call and, for the Gram round, one (chunk, d0) @
+    (d0, (p+1)^2) product, then the chunk's steps.  The product sums in
+    BLAS's order, so theta matches a per-round contraction to rounding,
+    not bit for bit.  When a timing model is configured, per-iteration
+    completion times, RAR's by its ring, accumulate into the trace's
+    simulated clock, drawn once per chunk.
     """
     scheme = config.scheme
     rng = np.random.default_rng(np.random.SeedSequence(config.seed).spawn(1)[0])
@@ -288,9 +300,9 @@ def gd_run(
         gram = _block_gram(dataset, k)
 
         def rounds(Wb: np.ndarray) -> np.ndarray:
-            # a chunk's sum_b w_b A_b in one call; stacked (1, d0) rows sum
-            # each round as a per-round tensordot does, bit for bit
-            return np.matmul(Wb[:, None], gram).reshape(-1, p + 1, p + 1)
+            # a chunk's sum_b w_b A_b as one (chunk, d0) @ (d0, (p+1)^2) gemm,
+            # which reads the Gram table once, not once per round
+            return (Wb @ gram).reshape(-1, p + 1, p + 1)
 
         def gradient(M: np.ndarray, theta: np.ndarray) -> np.ndarray:
             return M[:p, :p] @ theta - M[:p, p]
@@ -317,10 +329,11 @@ def gd_run(
             # carry leads the sum, so the clock is bit-identical to one cumsum over all T
             clock = np.cumsum(np.concatenate(([carry], times)))[1:].tolist()
             carry = clock[-1]
-        straggling = np.zeros((len(steps), tree.num_parents, tree.n), dtype=bool)
+        shape = (len(steps), tree.num_parents, tree.n)
         if quorum_s:  # each parent's quorum_s lowest uniforms straggle
-            lowest = np.argpartition(rng.random(straggling.shape), quorum_s - 1, axis=-1)
-            np.put_along_axis(straggling, lowest[..., :quorum_s], True, axis=-1)
+            straggling = _lowest(rng.random(shape), quorum_s)
+        else:
+            straggling = np.zeros(shape, dtype=bool)
         c = engine.worker_weights(tree, B, straggling, quorum_s)
         for t, w, sim_time in zip(steps, rounds(assignment.block_weights(c)), clock):
             g = gradient(w, theta)

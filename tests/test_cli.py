@@ -255,6 +255,27 @@ def test_train_outputs_and_determinism(tmp_path):
     assert (trace_path.read_bytes(), summary_path.read_bytes()) == first
 
 
+def test_train_reports_a_code_too_large_to_validate(tmp_path):
+    """A GC scheme at (156, 13), whose code's validation table numpy cannot
+    allocate: train prints one error line and exits 1, with a traced peak
+    under 16 MiB."""
+    path = write_config(tmp_path, schemes="gc", d=1560)
+    path.write_text(path.read_text().replace("N = 12\nS = 3\n", "N = 156\nS = 13\n"))
+    cfg = load_config(path)
+    assert (cfg.N, cfg.S) == (156, 13)
+    buf = io.StringIO()
+    tracemalloc.start()
+    try:
+        code = cmd_train(cfg, out=buf)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 1
+    errors = [line for line in buf.getvalue().splitlines() if line.startswith("error:")]
+    assert len(errors) == 1 and "(n=156, s=13)" in errors[0]
+    assert peak < 16 * 2**20
+
+
 def test_latency_summary_csv(tmp_path):
     cfg = load_config(write_config(tmp_path, schemes="cr, gc, umw, rar, sgd"))
     buf = io.StringIO()

@@ -328,6 +328,23 @@ def test_orbit_representative_counts(n, s, orbits):
     assert len(codes._orbit_representatives(n, s)) == orbits
 
 
+def test_a_code_too_large_to_validate_is_refused_before_it_allocates():
+    """GC's (156, 13) code is circulant, and its one-set-per-orbit sweep
+    would need a table of C(155, 12) x 13 indices, more bytes than numpy
+    can address: the build names (n, s) and the survivor-set count, with
+    a traced peak under 1 MiB."""
+    tracemalloc.start()
+    try:
+        with pytest.raises(CodeConstructionError) as err:
+            build_encoding(156, 13, seed=0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert "(n=156, s=13)" in str(err.value)
+    assert "3,112,781,199,432,937,200 survivor sets" in str(err.value)
+    assert peak < 2**20
+
+
 def test_dft_code_is_seed_free_circulant_and_well_conditioned(monkeypatch):
     codes._seed_free_entries.cache_clear()  # an earlier test may have built (20, 5)
     swept = []

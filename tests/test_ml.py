@@ -485,6 +485,68 @@ def test_stragglers_are_not_the_clocks_fastest_workers(monkeypatch, scheme, topo
         assert not np.array_equal(straggling, fastest)
 
 
+@st.composite
+def _uniform_rows(draw):
+    """A (chunk, parents, n) block of uniforms, n <= 20, and 1 <= quorum_s < n."""
+    n = draw(st.integers(2, 20))
+    shape = (draw(st.integers(1, 4)), draw(st.integers(1, 6)), n)
+    u = np.random.default_rng(draw(st.integers(0, 2**32 - 1))).random(shape)
+    return u, draw(st.integers(1, n - 1))
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(case=_uniform_rows())
+def test_stragglers_of_distinct_uniforms_are_argpartitions_set(case):
+    u, quorum_s = case
+    assert np.all(np.diff(np.sort(u, axis=-1), axis=-1) > 0)  # distinct in every row
+    expected = np.zeros(u.shape, dtype=bool)
+    lowest = np.argpartition(u, quorum_s - 1, axis=-1)[..., :quorum_s]
+    np.put_along_axis(expected, lowest, True, axis=-1)
+    np.testing.assert_array_equal(ml._lowest(u, quorum_s), expected)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(case=_uniform_rows(), data=st.data())
+def test_a_tie_at_the_threshold_marks_at_most_quorum_s(case, data):
+    """Every row's ranks quorum_s - below through quorum_s + above take the
+    value of its (quorum_s+1)-th lowest: only the quorum_s - below entries
+    under the tie are marked, each lower than every unmarked entry."""
+    u, quorum_s = case
+    n = u.shape[-1]
+    below = data.draw(st.integers(1, quorum_s))
+    above = data.draw(st.integers(0, n - 1 - quorum_s))
+    order = np.argsort(u, axis=-1)
+    threshold = np.take_along_axis(u, order[..., quorum_s : quorum_s + 1], axis=-1)
+    tied = order[..., quorum_s - below : quorum_s + above + 1]
+    np.put_along_axis(u, tied, threshold, axis=-1)
+    marked = ml._lowest(u, quorum_s)
+    assert np.all(marked.sum(axis=-1) == quorum_s - below)
+    highest_marked = np.where(marked, u, -np.inf).max(axis=-1)
+    assert np.all(highest_marked < np.where(marked, np.inf, u).min(axis=-1))
+
+
+@pytest.mark.parametrize("scheme, topo, d", [
+    ("cr", dict(topo=build_tree(3, 2), resilience=1), 150),  # d0 = 15 blocks of k = 10 points
+    ("gc", dict(topo=4, resilience=1), 40),  # d0 = 4 blocks of k = 10 points
+])
+def test_a_runs_first_iterations_do_not_depend_on_the_chunk_size(scheme, topo, d):
+    """A T = 10 run, one chunk of 10 Gram rounds, against the first 10 rows
+    of a run past one chunk of engine._PASS_CHUNK rounds: theta within
+    1e-12 relative, the simulated clock to the bit."""
+    dataset, _ = generate_synthetic(d, 3, seed=6)
+    lam_max = float(np.linalg.eigvalsh(dataset.features.T @ dataset.features).max())
+    lat = LatencyConfig(a=0.05, mu=20.0, t_c=1.0, d=float(d), seed=2)
+    config = GDConfig(scheme=scheme, iterations=10, step_size=1.0 / lam_max, lam=0.01,
+                      seed=2, latency=lat, **topo)
+    short = gd_run(dataset, config)
+    assert list(dataset._gram) == [10]  # the Gram round, p = 3 < k
+    long = gd_run(dataset, replace(config, iterations=engine._PASS_CHUNK + 6))
+    for row, ref in zip(short, long[:10], strict=True):
+        assert row.iteration == ref.iteration
+        assert np.max(np.abs(row.theta - ref.theta)) <= 1e-12 * np.max(np.abs(ref.theta))
+        assert row.sim_time == ref.sim_time
+
+
 @pytest.mark.parametrize("loss", ["linear", "logistic"])
 def test_tree_schemes_make_no_per_slice_oracle_call(monkeypatch, loss):
     """Every scheme's round, RAR's included, is one reweighted full gradient
