@@ -283,28 +283,33 @@ def _orbit_representatives(n: int, s: int) -> list[tuple[int, ...]]:
     n rotations.  That rotation holds straggler 0 (rolling a set without 0
     down by one halves its mask), so only the sets with 0 are candidates.
     The representatives come in the scan order of their straggler sets.
-    A candidate table larger than numpy can allocate raises
-    ``CodeConstructionError`` before any allocation.
+    A candidate table larger than numpy can address raises
+    ``CodeConstructionError`` before any allocation; a ``MemoryError``
+    while the table is built raises it too.
     """
     if s == 0:
         return [tuple(range(n))]
     rest = itertools.chain.from_iterable(itertools.combinations(range(1, n), s - 1))
     count = comb(n - 1, s - 1)
+    too_large = (
+        f"cannot validate a code for (n={n}, s={s}): its {comb(n, s):,} survivor sets "
+        f"need a table of {count:,} x {s} indices, more than"
+    )
     if count * s > np.iinfo(np.intp).max // np.dtype(int).itemsize:
-        raise CodeConstructionError(
-            f"cannot validate a code for (n={n}, s={s}): its {comb(n, s):,} survivor sets "
-            f"need a table of {count:,} x {s} indices, more than numpy can allocate"
-        )
-    stragglers = np.zeros((count, s), dtype=int)
-    stragglers[:, 1:] = np.fromiter(rest, dtype=int).reshape(count, s - 1)
-    bits = stragglers.astype(object) if n >= 63 else stragglers  # int64 masks hold 62 bits
-    masks = least = (1 << bits).sum(axis=1)
-    for r in range(1, n):
-        least = np.minimum(least, ((masks << r) | (masks >> (n - r))) & ((1 << n) - 1))
-    keep = stragglers[masks == least]
-    alive = np.ones((len(keep), n), dtype=bool)
-    alive[np.arange(len(keep))[:, None], keep] = False
-    return list(map(tuple, np.nonzero(alive)[1].reshape(len(keep), n - s).tolist()))
+        raise CodeConstructionError(f"{too_large} numpy can address")
+    try:
+        stragglers = np.zeros((count, s), dtype=int)
+        stragglers[:, 1:] = np.fromiter(rest, dtype=int).reshape(count, s - 1)
+        bits = stragglers.astype(object) if n >= 63 else stragglers  # int64 masks hold 62 bits
+        masks = least = (1 << bits).sum(axis=1)
+        for r in range(1, n):
+            least = np.minimum(least, ((masks << r) | (masks >> (n - r))) & ((1 << n) - 1))
+        keep = stragglers[masks == least]
+        alive = np.ones((len(keep), n), dtype=bool)
+        alive[np.arange(len(keep))[:, None], keep] = False
+        return list(map(tuple, np.nonzero(alive)[1].reshape(len(keep), n - s).tolist()))
+    except MemoryError:
+        raise CodeConstructionError(f"{too_large} this host can allocate") from None
 
 
 def _sweep_chunks(n: int, s: int, circulant: bool):

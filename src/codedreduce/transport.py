@@ -9,28 +9,32 @@ Wire format (all integers little-endian):
     payload_len  u32      (number of doubles)
     payload      payload_len * 8 bytes, IEEE-754 doubles
 
-The tree is fixed, so the orchestrator makes one connected socket pair per
-tree edge before any node starts and hands each node its parent end and its
-child ends; no node process opens a socket of its own, and a send to a
-parent that has closed its end fails at once.  The orchestrator is the
-master's parent and handles that link with a parent's own code: once every
-node has started it sends the model in a single blocking send, and it
-collects the recovered gradient as a parent collects its children's.  Every
-node reads the model from its parent, sends it down every child link,
-computes its own coded gradient, collects the first n-s gradient messages
-(later arrivals are dropped with the links), combines them with the decode
-row of the realized survivor set, adds its local term, and sends the result
-to its parent.
+The tree is fixed, so every tree edge is one connected socket pair made
+before any node starts; each node gets its parent end and its child ends,
+no node process opens a socket of its own, and a send to a parent that has
+closed its end fails at once.  The orchestrator is the master's parent and
+handles that link with a parent's own code: once every node has started it
+sends the model in a single blocking send, and it collects the recovered
+gradient as a parent collects its children's.  Every node reads the model
+from its parent, sends it down every child link, computes its own coded
+gradient, collects the first n-s gradient messages (later arrivals are
+dropped with the links), combines them with the decode row of the realized
+survivor set, adds its local term, and sends the result to its parent.
 
-Each node is a fork of one single-threaded fork server that has already
-imported this module, so a node starts in milliseconds rather than paying
-for a fresh interpreter and numpy; where there is no fork server (Windows)
-nodes are spawned.
+A round's nodes are forks of one round host, itself the one process the
+round asks of a single-threaded fork server that has already imported this
+module and `numpy.random`.  The host gets the node body, the config, the
+code, the shards, the failure plan and the master's link in one pickle,
+makes the other socket pairs and forks each node from there, so a node
+starts in about a millisecond with nothing to unpickle or import.  The host
+applies the failure plan's kills, reaps every node and hands the
+orchestrator their exit codes.  A round needs `os.fork`.
 """
 
 from __future__ import annotations
 
 import atexit
+import heapq
 import json
 import multiprocessing as mp
 import os
@@ -38,12 +42,14 @@ import selectors
 import signal
 import socket
 import struct
-import threading
+import sys
 import time
+import traceback
 from dataclasses import dataclass, field
-from math import isfinite
+from math import inf, isfinite
+from multiprocessing import util as mp_util
 from pathlib import Path
-from typing import Mapping
+from typing import Mapping, NoReturn
 
 import numpy as np
 
@@ -76,10 +82,13 @@ MSG_GRADIENT = 1
 
 _HEADER = struct.Struct("<4sBHII")
 
-# A node whose pid differs from this one runs a module that another process
-# imported: the fork server's preload took.
+# A node whose forking host has another pid than this one runs a module that
+# the host did not import itself: the fork server's preload took.
 _IMPORTED_IN = os.getpid()
-_START_METHOD = "forkserver" if "forkserver" in mp.get_all_start_methods() else "spawn"
+# What the fork server imports once, so that neither a round host nor a
+# node imports anything: numpy loads numpy.random, which a node's oracle
+# build draws its data with, only on first use.
+_PRELOAD = (__name__, "numpy.random")
 
 
 @dataclass(frozen=True)
@@ -178,9 +187,8 @@ class TransportConfig:
 class FailurePlan:
     """never_start: the process is not launched at all; die_before_send: it
     starts, reads the model (its parent queues it on the link however late
-    the child starts), then dies before computing; kill_after: the
-    orchestrator terminates it that many (finite, >= 0) seconds after it
-    starts it."""
+    the child starts), then dies before computing; kill_after: the round
+    host terminates it that many (finite, >= 0) seconds after its fork."""
 
     never_start: frozenset = frozenset()
     die_before_send: frozenset = frozenset()
@@ -204,8 +212,8 @@ class NodeReport:
     received_from: list
     missing: list
     detail: str = ""
-    # the node ran a module it did not import itself (a preloaded fork);
-    # false for a report the orchestrator writes for the node
+    # the node ran a module its forking host did not import itself (the
+    # fork server's preload); false for a report the orchestrator writes
     preloaded: bool = False
 
 
@@ -301,7 +309,7 @@ def run_node(
     need = cfg.tree.n - cfg.s
     report = NodeReport(
         node=str(node), status="error", received_from=[], missing=[],
-        preloaded=os.getpid() != _IMPORTED_IN,
+        preloaded=os.getppid() != _IMPORTED_IN,
     )
     try:
         deadline_at = time.monotonic() + cfg.deadline
@@ -355,30 +363,124 @@ def run_node(
             os._exit(0)
 
 
+def _forked_node(body, args: tuple, kwargs: dict, foreign: tuple) -> NoReturn:
+    """A forked node's whole life, which never returns into the host's code:
+    close the host's ends in `foreign`, run `body`, and leave by `os._exit`
+    with the code `multiprocessing.Process.exitcode` would read: 0, a
+    `SystemExit`'s code, or 1 after printing the traceback."""
+    code = 1
+    try:
+        try:
+            for end in foreign:
+                end.close()
+            body(*args, **kwargs)
+            code = 0
+        except SystemExit as exc:
+            if exc.code is None or isinstance(exc.code, int):
+                code = exc.code or 0
+            else:
+                print(exc.code, file=sys.stderr)
+        except BaseException:
+            traceback.print_exc()
+        mp_util._flush_std_streams()
+    finally:
+        os._exit(code)
+
+
+def _kill_due(kills: list) -> float:
+    """Terminate every node in the heap `kills` of (time, pid) whose time
+    has come; return the next kill time, or inf."""
+    now = time.monotonic()
+    while kills and kills[0][0] <= now:
+        os.kill(heapq.heappop(kills)[1], signal.SIGTERM)
+    return kills[0][0] if kills else inf
+
+
+def _round_host(body, cfg: TransportConfig, B, shards, plan, master_end, run_dir, status):
+    """Body of a round's host process: fork every started node, apply the
+    failure plan's kills, reap the nodes and send their exit codes.
+
+    The host makes each worker's parent link and forks the started nodes in
+    layer-major order, with no thread alive.  A node closes every end but
+    its own; the host closes that node's ends right after its fork, and
+    those of the nodes that never start after the last fork, then sends
+    None on `status`: all started.  A node whose `kill_after` delay,
+    counted from its own fork, has passed gets SIGTERM.  Once every node has
+    exited, or at the join deadline, when each one still alive gets
+    SIGTERM, the host reaps them all and sends `{node: exit code}`,
+    negative for a signal.  Nodes are reaped only then, so no pid it
+    signals can have been reused."""
+    tree = cfg.tree
+    links = {worker: socket.socketpair() for worker in tree.workers()}  # (parent end, child end)
+    ups = {MASTER: master_end, **{node: child for node, (_, child) in links.items()}}
+    ends = {master_end, *(end for pair in links.values() for end in pair)}
+    # every node holds `alive` and none writes to it: `watch` reads EOF once
+    # every node has exited
+    watch, alive = socket.socketpair()
+    pids, kills = {}, []
+    try:
+        for node, up in ups.items():
+            if node in plan.never_start:
+                continue
+            own = (up, *(links[kid][0] for kid in tree.children(node)))
+            args = (node, cfg, shards.get(node, ()), B, up, own[1:], run_dir)
+            kwargs = {"die_before_send": node in plan.die_before_send}
+            foreign = (*(ends - set(own)), status, watch)
+            pid = os.fork()
+            if pid == 0:
+                _forked_node(body, args, kwargs, foreign)
+            pids[node] = pid
+            if node in plan.kill_after:
+                heapq.heappush(kills, (time.monotonic() + plan.kill_after[node], pid))
+            for end in own:
+                end.close()
+            _kill_due(kills)
+    except BaseException:
+        for pid in pids.values():
+            os.kill(pid, signal.SIGKILL)
+        raise
+    finally:
+        for end in (*ends, alive):
+            end.close()
+    status.send(None)
+    join_deadline = time.monotonic() + cfg.deadline + 20.0
+    with watch:
+        while (now := time.monotonic()) < join_deadline:
+            watch.settimeout(min(join_deadline, _kill_due(kills)) - now)
+            try:
+                watch.recv(1)
+                break
+            except TimeoutError:
+                pass
+        else:
+            for pid in pids.values():  # an exited node ignores it until reaped
+                os.kill(pid, signal.SIGTERM)
+    status.send(
+        {str(node): os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]) for node, pid in pids.items()}
+    )
+
+
 def _node_context():
-    """The multiprocessing context nodes start from: a running fork server
-    that has imported this module, or spawn where there is none.
+    """The fork server a round host starts from, running and preloaded with
+    `_PRELOAD`.
 
     Python 3.11's `multiprocessing.forkserver.main` imports the preload list
     without applying the parent's `sys.path` and swallows the ImportError, so
     a caller that put this package on `sys.path` itself, without exporting
-    PYTHONPATH, would get a server that preloaded nothing, and every node
+    PYTHONPATH, would get a server that preloaded nothing, and every host
     would import the package again.  PYTHONPATH therefore names the package
     root while the server starts, and is restored right after.  The server
     exits only once it reads EOF on its alive pipe, which would be after this
     process has exited; it is stopped at interpreter exit instead, and then
     the resource tracker that `ensure_running` brought up, so no process
     outlives the caller."""
-    ctx = mp.get_context(_START_METHOD)
-    if _START_METHOD != "forkserver":
-        return ctx
     from multiprocessing import forkserver, resource_tracker
 
     old = os.environ.get("PYTHONPATH")
     root = str(Path(__file__).resolve().parents[1])
     os.environ["PYTHONPATH"] = root if old is None else os.pathsep.join((root, old))
     try:
-        forkserver.set_forkserver_preload([__name__])
+        forkserver.set_forkserver_preload(list(_PRELOAD))
         forkserver.ensure_running()
     finally:
         if old is None:
@@ -390,28 +492,44 @@ def _node_context():
     for stop in (resource_tracker._resource_tracker._stop, forkserver._forkserver._stop):
         atexit.unregister(stop)  # registered once, however many rounds run
         atexit.register(stop)
-    return ctx
+    return mp.get_context("forkserver")
+
+
+def _recv_by(conn, deadline_at: float):
+    """The host's next message, or None when none came by `deadline_at` or
+    the host is gone."""
+    try:
+        return conn.recv() if conn.poll(max(0.0, deadline_at - time.monotonic())) else None
+    except EOFError:
+        return None
 
 
 def orchestrate(cfg: TransportConfig, run_dir, plan: FailurePlan = FailurePlan()):
-    """Connect every tree edge, start one process per node, apply the
-    failure plan, and collect the master's gradient plus every node's report.
+    """Connect every tree edge, fork one process per node, apply the failure
+    plan, and collect the master's gradient plus every node's report.
 
-    The orchestrator is the master's parent: once every node has started it
-    sends the model down the master's link with `_send_model`, in one
-    blocking send, so the master cannot answer before it has read the whole
-    model; it then collects the master's gradient with `_collect_gradients`
-    by the join deadline and writes `master_gradient.csv` on receipt.  A
-    node's link ends go to its own process only: the orchestrator closes its
-    copies right after that start, and those of a node that never starts
-    before the send, so the reads across that node's links fail at once.  A
-    started node that left no report gets one from its exit code: killed by a
-    signal, else error.  One rule decides discarded: a child that reports ok
-    stays ok only when its parent reports ok or discarded and lists it in
-    `received_from`; otherwise `detail` names the parent and its status.  The
-    code, the allocation, a plan entry that is not a `NodeId` of the tree,
-    and a `run_dir` that names a file or a path below one are checked before
-    `run_dir` is touched or any link or process is made."""
+    The round is one host process from the fork server (`_round_host`),
+    handed the node body `run_node` as it is named when this is called, the
+    config, the code, the shards, the plan and the master's link in one
+    pickle; it forks the nodes, makes their links, applies `kill_after` and
+    returns each node's exit code.  The orchestrator is the master's parent:
+    once the host says every node has started it sends the model down the
+    master's link with `_send_model`, in one blocking send, so the master
+    cannot answer before it has read the whole model; it then collects the
+    master's gradient with `_collect_gradients` by the join deadline and
+    writes `master_gradient.csv` on receipt.  A node's link ends are its own
+    process's only, and those of a node that never starts are closed before
+    the model is sent, so the reads across that node's links fail at once.
+    A started node that left no report gets one from its exit code: killed
+    by a signal, else error.  One rule decides discarded: a child that
+    reports ok stays ok only when its parent reports ok or discarded and
+    lists it in `received_from`; otherwise `detail` names the parent and its
+    status.  A platform without `os.fork`, the code, the allocation, a plan
+    entry that is not a `NodeId` of the tree, and a `run_dir` that names a
+    file or a path below one are refused before `run_dir` is touched or any
+    link or process is made."""
+    if not hasattr(os, "fork"):
+        raise NotImplementedError("a round forks its nodes, and this platform has no os.fork")
     tree = cfg.tree
     for node in (*plan.never_start, *plan.die_before_send, *plan.kill_after):
         if not tree.contains(node):
@@ -431,55 +549,38 @@ def orchestrate(cfg: TransportConfig, run_dir, plan: FailurePlan = FailurePlan()
     out_path.unlink(missing_ok=True)
 
     ctx = _node_context()
-    procs, timers = {}, []
     top, bottom = socket.socketpair()  # the orchestrator's link to the master
-    edges = {MASTER: (top, bottom)}  # node -> its parent link's (parent end, child end)
-    with top:
+    from_host, to_orchestrator = ctx.Pipe(duplex=False)
+    host = ctx.Process(
+        target=_round_host,
+        args=(run_node, cfg, B, assignment.local, plan, bottom, str(run_path), to_orchestrator),
+        name="round-host",
+    )
+    with top, from_host:
         try:
-            for worker in tree.workers():
-                edges[worker] = socket.socketpair()
-            for node, (_, up) in edges.items():
-                if node in plan.never_start:
-                    continue
-                shard = assignment.local[node] if node != MASTER else ()
-                down = tuple(edges[kid][0] for kid in tree.children(node))
-                proc = ctx.Process(
-                    target=run_node,
-                    args=(node, cfg, shard, B, up, down, str(run_path)),
-                    kwargs={"die_before_send": node in plan.die_before_send},
-                    name=f"node-{node}",
-                )
-                proc.start()
-                procs[node] = proc
-                if node in plan.kill_after:  # armed before its children start
-                    timers.append(threading.Timer(plan.kill_after[node], proc.terminate))
-                    timers[-1].start()
-                for end in (up, *down):  # the node holds its own copies
-                    end.close()
-        finally:  # and those of nodes that never start
-            for end in {end for pair in edges.values() for end in pair} - {top}:
-                end.close()
-
+            host.start()
+        finally:  # the host holds its own copies
+            bottom.close()
+            to_orchestrator.close()
+        _recv_by(from_host, time.monotonic() + cfg.deadline + 20.0)  # every node has started
         join_deadline = time.monotonic() + cfg.deadline + 20.0
         top.settimeout(join_deadline - time.monotonic())
         _send_model((top,), MASTER, cfg.theta)
         gradient = _collect_gradients((top,), (MASTER,), 1, join_deadline)[0].get(0)
-    if gradient is not None:
-        out_path.write_text(",".join(repr(float(v)) for v in gradient) + "\n")
-
-    for proc in procs.values():
-        proc.join(timeout=max(0.1, join_deadline - time.monotonic()))
-        if proc.is_alive():
-            proc.terminate()
-            proc.join(timeout=5.0)
-    for timer in timers:
-        timer.cancel()
+        if gradient is not None:
+            out_path.write_text(",".join(repr(float(v)) for v in gradient) + "\n")
+        # the host's join deadline is no later than this one
+        codes = _recv_by(from_host, join_deadline + 5.0) or {}
+    host.join(timeout=5.0)
+    if host.is_alive():
+        host.terminate()
+        host.join()
 
     paths = sorted(run_path.glob("node_*.json"))
     reports = {r.node: r for r in (NodeReport(**json.loads(path.read_text())) for path in paths)}
-    for name, code in ((str(node), proc.exitcode) for node, proc in procs.items()):
+    for name, code in codes.items():
         if name not in reports:  # terminated, or died before writing one
-            if (code or 0) < 0:
+            if code < 0:
                 status, detail = "killed", f"terminated by {signal.Signals(-code).name}"
             else:
                 status, detail = "error", f"exited with code {code}"

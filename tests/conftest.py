@@ -27,6 +27,20 @@ def identity_oracle_for(d: int):
     return oracle
 
 
+@pytest.fixture
+def small_host(monkeypatch):
+    """np.zeros raises numpy's MemoryError for more than 2**32 elements, as
+    a host does for the 5.03 TiB validation table of the (60, 11) code."""
+    real = np.zeros
+
+    def zeros(shape, *args, **kwargs):
+        if np.prod(shape, dtype=object) > 2**32:
+            raise MemoryError(f"Unable to allocate an array with shape {shape}")
+        return real(shape, *args, **kwargs)
+
+    monkeypatch.setattr(np, "zeros", zeros)
+
+
 @pytest.fixture(autouse=True)
 def _no_process_outside_transport(request, monkeypatch):
     """`-m "not transport"` starts no process: any test without the mark

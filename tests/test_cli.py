@@ -276,6 +276,20 @@ def test_train_reports_a_code_too_large_to_validate(tmp_path):
     assert peak < 16 * 2**20
 
 
+def test_train_reports_a_code_table_the_host_cannot_allocate(tmp_path, small_host):
+    """A GC scheme at (60, 11), whose code's validation table the host
+    refuses with MemoryError: train prints one error line and exits 1."""
+    path = write_config(tmp_path, schemes="gc", d=600)
+    path.write_text(path.read_text().replace("N = 12\nS = 3\n", "N = 60\nS = 11\n"))
+    cfg = load_config(path)
+    assert (cfg.N, cfg.S) == (60, 11)
+    buf = io.StringIO()
+    assert cmd_train(cfg, out=buf) == 1
+    errors = [line for line in buf.getvalue().splitlines() if line.startswith("error:")]
+    assert len(errors) == 1 and "(n=60, s=11)" in errors[0]
+    assert "this host can allocate" in errors[0]
+
+
 def test_latency_summary_csv(tmp_path):
     cfg = load_config(write_config(tmp_path, schemes="cr, gc, umw, rar, sgd"))
     buf = io.StringIO()

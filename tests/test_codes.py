@@ -345,6 +345,18 @@ def test_a_code_too_large_to_validate_is_refused_before_it_allocates():
     assert peak < 2**20
 
 
+def test_a_code_table_the_host_cannot_allocate_is_refused(small_host):
+    """The (60, 11) code is circulant, and numpy can address its table of
+    C(59, 10) x 11 indices but the host cannot hold it: numpy's MemoryError
+    becomes a CodeConstructionError naming (n, s) and the survivor-set
+    count."""
+    with pytest.raises(CodeConstructionError) as err:
+        build_encoding(60, 11, seed=0)
+    assert "(n=60, s=11)" in str(err.value)
+    assert "342,700,125,300 survivor sets" in str(err.value)
+    assert "62,828,356,305 x 11 indices" in str(err.value)
+
+
 def test_dft_code_is_seed_free_circulant_and_well_conditioned(monkeypatch):
     codes._seed_free_entries.cache_clear()  # an earlier test may have built (20, 5)
     swept = []

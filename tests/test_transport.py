@@ -1,3 +1,4 @@
+import json
 import multiprocessing.forkserver
 import os
 import select
@@ -155,9 +156,7 @@ def test_timed_kill_is_tolerated(tmp_path):
 def test_every_node_runs_the_module_its_fork_server_preloaded(tmp_path, monkeypatch):
     """With no PYTHONPATH exported, as under perfbench/run.py, a fork server
     that the round starts itself still imports this package once."""
-    forked = transport._START_METHOD == "forkserver"
-    if forked:
-        multiprocessing.forkserver._forkserver._stop()
+    multiprocessing.forkserver._forkserver._stop()
     monkeypatch.delenv("PYTHONPATH", raising=False)
     tree = build_tree(3, 2)
     spec = OracleSpec(kind="identity", d=15, p=15)
@@ -166,9 +165,9 @@ def test_every_node_runs_the_module_its_fork_server_preloaded(tmp_path, monkeypa
     assert report.ok, report.error
     assert "PYTHONPATH" not in os.environ
     assert len(report.node_reports) == 13
-    # every node wrote its own report; under spawn each imports the module itself
+    # every node wrote its own report, in a module its round host did not import
     assert {name: r.preloaded for name, r in report.node_reports.items()} == {
-        name: forked for name in report.node_reports
+        name: True for name in report.node_reports
     }
 
 
@@ -277,7 +276,7 @@ def test_collect_stops_short_of_quorum_when_no_link_is_left_or_the_deadline_pass
 
 
 def _run_node_late(node, *args, **kwargs):
-    """run_node with node 1.1 starting 1.5 s late; spawned nodes import it
+    """run_node with node 1.1 starting 1.5 s late; the round host imports it
     from this module by name."""
     if node == NodeId(1, 1):
         time.sleep(1.5)
@@ -309,8 +308,8 @@ def test_a_late_child_still_gets_the_model(
 
 
 def _run_node_unreadable_shard(node, cfg, shard, *args, **kwargs):
-    """run_node with node 2.1 handed a shard its oracle cannot read; spawned
-    nodes import it from this module by name."""
+    """run_node with node 2.1 handed a shard its oracle cannot read; the
+    round host imports it from this module by name."""
     if node == NodeId(2, 1):
         shard = (None,)
     run_node(node, cfg, shard, *args, **kwargs)
@@ -332,7 +331,7 @@ def test_a_node_that_raises_reports_error(tmp_path, monkeypatch):
 
 def _run_node_exit_7(node, *args, **kwargs):
     """run_node with node 2.1 exiting with code 7 before it does anything;
-    spawned nodes import it from this module by name."""
+    the round host imports it from this module by name."""
     if node == NodeId(2, 1):
         sys.exit(7)
     run_node(node, *args, **kwargs)
@@ -356,7 +355,9 @@ def test_a_second_round_reads_no_report_of_the_first(tmp_path):
     spec = OracleSpec(kind="identity", d=15, p=15)
     cfg = TransportConfig(tree=tree, s=1, oracle=spec, theta=np.zeros(15), deadline=5.0)
     first = orchestrate(cfg, tmp_path / "run")
-    assert first.ok and first.node_reports["2.1"].status == "ok"
+    # with s = 1, 2.1 is discarded whenever it is the slowest of 1.1's children
+    written = json.loads((tmp_path / "run" / "node_2_1.json").read_text())
+    assert first.ok and written["status"] in ("ok", "discarded")
     second = orchestrate(cfg, tmp_path / "run", FailurePlan(never_start=frozenset({NodeId(2, 1)})))
     assert second.ok, second.error
     assert "2.1" not in second.node_reports
@@ -365,7 +366,7 @@ def test_a_second_round_reads_no_report_of_the_first(tmp_path):
 
 def _run_node_killed_holding_gradients(node, *args, **kwargs):
     """run_node with node 1.1 killing itself once every child's gradient
-    waits on its link, before it reads any; spawned nodes import it from
+    waits on its link, before it reads any; the round host imports it from
     this module by name."""
     if node == NodeId(1, 1):
 
@@ -419,7 +420,7 @@ def test_no_multiprocessing_helper_outlives_its_caller(tmp_path):
             stdout=stdout, env=env, check=True, timeout=60,
         )
     pids = [int(tok) for tok in out.read_text().split() if tok != "None"]
-    assert len(pids) == (2 if transport._START_METHOD == "forkserver" else 0)
+    assert len(pids) == 2
     for pid in pids:
         with pytest.raises(ProcessLookupError):
             os.kill(pid, 0)
@@ -455,3 +456,44 @@ def test_a_model_larger_than_the_link_buffer_still_reaches_the_master(tmp_path):
     assert report.ok, report.error
     np.testing.assert_allclose(report.gradient, np.ones(d), atol=1e-9)
     assert report.node_reports["0.1"].status == "ok"
+
+
+def test_a_node_imports_nothing_its_fork_server_did_not_preload(tmp_path):
+    """In a fresh interpreter holding only what the fork server preloads, a
+    node's own work (its oracle of each kind, the decode row, the wire codec
+    and its report) imports no further module."""
+    script = (
+        "import importlib, socket, sys\n"
+        "from multiprocessing import forkserver\n"
+        "forkserver.ensure_running = lambda: None  # the preload list, with no server\n"
+        "from codedreduce import transport\n"
+        "transport._node_context()\n"
+        "for name in forkserver._forkserver._preload_modules:\n"
+        "    importlib.import_module(name)\n"
+        "from pathlib import Path\n"
+        "import numpy as np\n"
+        "from codedreduce.allocation import cr_allocate\n"
+        "from codedreduce.codes import build_encoding\n"
+        "from codedreduce.topology import NodeId, build_tree\n"
+        "B = build_encoding(3, 1, 0)\n"
+        "shard = cr_allocate(build_tree(3, 2), 1, 60, B=B).local[NodeId(2, 1)]\n"
+        "up, parent = socket.socketpair()\n"
+        "before = set(sys.modules)\n"
+        "for kind in ('identity', 'linear', 'logistic'):\n"
+        "    spec = transport.OracleSpec(kind=kind, d=60, p=4, data_seed=2)\n"
+        "    total = spec.build()(np.ones(4), shard)\n"
+        "total = transport._combining_row(B, (0, 2))[0] * total\n"
+        "up.sendall(transport.encode_message(transport.MSG_GRADIENT, NodeId(2, 1), total))\n"
+        "assert transport.read_message(parent).sender_index == 1\n"
+        "report = transport.NodeReport('2.1', 'ok', [], [])\n"
+        "transport._write_report(Path(sys.argv[1]), report)\n"
+        "print(' '.join(sorted(set(sys.modules) - before)))\n"
+    )
+    src = str(Path(transport.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run(
+        [sys.executable, "-c", script, str(tmp_path)],
+        capture_output=True, text=True, env=env, check=True, timeout=60,
+    )
+    assert (tmp_path / "node_2_1.json").exists()
+    assert out.stdout.split() == []

@@ -3,6 +3,7 @@ process is made.  These tests carry no transport mark, so the conftest guard
 fails any of them that starts a process."""
 
 import math
+import os
 import re
 
 import numpy as np
@@ -117,3 +118,10 @@ def test_a_refused_round_leaves_the_run_dir_as_it_found_it(tmp_path, overrides, 
     with pytest.raises(error):
         orchestrate(_config(**overrides), tmp_path / "new")
     assert not (tmp_path / "new").exists()
+
+
+def test_orchestrate_refuses_a_platform_without_fork(tmp_path, monkeypatch):
+    monkeypatch.delattr(os, "fork")
+    with pytest.raises(NotImplementedError, match="no os.fork"):
+        orchestrate(_config(), tmp_path / "run")
+    assert not (tmp_path / "run").exists()
