@@ -21,14 +21,13 @@ gradient, collects the first n-s gradient messages (later arrivals are
 dropped with the links), combines them with the decode row of the realized
 survivor set, adds its local term, and sends the result to its parent.
 
-A round's nodes are forks of one round host, itself the one process the
-round asks of a single-threaded fork server that has already imported this
-module and `numpy.random`.  The host gets the node body, the config, the
-code, the shards, the failure plan and the master's link in one pickle,
-makes the other socket pairs and forks each node from there, so a node
-starts in about a millisecond with nothing to unpickle or import.  The host
-applies the failure plan's kills, reaps every node and hands the
-orchestrator their exit codes.  A round needs `os.fork`.
+A round's nodes are forks of the caller's round host, a fresh interpreter
+that has imported this module and `numpy.random` and serves the caller's
+rounds one at a time.  A round hands it the caller's `sys.path`, the
+master's link end and one pickle of the node body and its arguments; it
+makes the other socket pairs and forks each node, so a node starts in about
+a millisecond with nothing to unpickle or import, applies the plan's kills
+and returns the nodes' exit codes.  A round needs `os.fork`.
 """
 
 from __future__ import annotations
@@ -36,18 +35,20 @@ from __future__ import annotations
 import atexit
 import heapq
 import json
-import multiprocessing as mp
 import os
 import selectors
 import signal
 import socket
 import struct
+import subprocess
 import sys
+import threading
 import time
 import traceback
+from contextlib import suppress
 from dataclasses import dataclass, field
 from math import inf, isfinite
-from multiprocessing import util as mp_util
+from multiprocessing import connection, reduction
 from pathlib import Path
 from typing import Mapping, NoReturn
 
@@ -82,13 +83,16 @@ MSG_GRADIENT = 1
 
 _HEADER = struct.Struct("<4sBHII")
 
-# A node whose forking host has another pid than this one runs a module that
-# the host did not import itself: the fork server's preload took.
-_IMPORTED_IN = os.getpid()
-# What the fork server imports once, so that neither a round host nor a
-# node imports anything: numpy loads numpy.random, which a node's oracle
-# build draws its data with, only on first use.
-_PRELOAD = (__name__, "numpy.random")
+# A round host is `python -c _HOST_CODE fd`, a fresh interpreter (its caller may
+# hold threads) that imports _HOST_IMPORTS first, so no node imports anything:
+# numpy loads numpy.random, which a node's oracle build draws with, on first use.
+_HOST_IMPORTS = (__name__, "numpy.random")
+_HOST_CODE = (
+    f"import sys; sys.path.insert(0, {str(Path(__file__).resolve().parents[1])!r}); "
+    f"import {', '.join(_HOST_IMPORTS)}; {__name__}._serve_rounds(int(sys.argv[1]))"
+)
+# This process's round host, (process, control connection); a round holds the lock.
+_host, _host_lock = None, threading.Lock()
 
 
 @dataclass(frozen=True)
@@ -212,9 +216,6 @@ class NodeReport:
     received_from: list
     missing: list
     detail: str = ""
-    # the node ran a module its forking host did not import itself (the
-    # fork server's preload); false for a report the orchestrator writes
-    preloaded: bool = False
 
 
 @dataclass
@@ -307,10 +308,7 @@ def run_node(
     as error, with its type and text, and re-raised (exit code 1).
     """
     need = cfg.tree.n - cfg.s
-    report = NodeReport(
-        node=str(node), status="error", received_from=[], missing=[],
-        preloaded=os.getppid() != _IMPORTED_IN,
-    )
+    report = NodeReport(node=str(node), status="error", received_from=[], missing=[])
     try:
         deadline_at = time.monotonic() + cfg.deadline
         try:
@@ -382,7 +380,7 @@ def _forked_node(body, args: tuple, kwargs: dict, foreign: tuple) -> NoReturn:
                 print(exc.code, file=sys.stderr)
         except BaseException:
             traceback.print_exc()
-        mp_util._flush_std_streams()
+        sys.stdout.flush()  # stderr is line-buffered
     finally:
         os._exit(code)
 
@@ -396,15 +394,15 @@ def _kill_due(kills: list) -> float:
     return kills[0][0] if kills else inf
 
 
-def _round_host(body, cfg: TransportConfig, B, shards, plan, master_end, run_dir, status):
-    """Body of a round's host process: fork every started node, apply the
+def _round_host(body, cfg: TransportConfig, B, shards, plan, run_dir, master_end, status):
+    """One round in the round host: fork every started node, apply the
     failure plan's kills, reap the nodes and send their exit codes.
 
     The host makes each worker's parent link and forks the started nodes in
     layer-major order, with no thread alive.  A node closes every end but
-    its own; the host closes that node's ends right after its fork, and
-    those of the nodes that never start after the last fork, then sends
-    None on `status`: all started.  A node whose `kill_after` delay,
+    its own, and `status`; the host closes that node's ends right after its
+    fork, and those of the nodes that never start after the last fork, then
+    sends None on `status`: all started.  A node whose `kill_after` delay,
     counted from its own fork, has passed gets SIGTERM.  Once every node has
     exited, or at the join deadline, when each one still alive gets
     SIGTERM, the host reaps them all and sends `{node: exit code}`,
@@ -460,39 +458,34 @@ def _round_host(body, cfg: TransportConfig, B, shards, plan, master_end, run_dir
     )
 
 
-def _node_context():
-    """The fork server a round host starts from, running and preloaded with
-    `_PRELOAD`.
+def _serve_rounds(fd: int) -> None:
+    """Body of a round host: serve rounds on the control connection `fd`
+    until the caller closes it, answering a round whose arguments do not
+    load with the exception."""
+    with connection.Connection(fd) as conn, suppress(EOFError):
+        while True:
+            sys.path[:] = conn.recv()
+            master_end = socket.socket(fileno=reduction.recv_handle(conn))
+            try:
+                args = conn.recv()
+            except Exception as err:
+                master_end.close()
+                conn.send(f"{type(err).__name__}: {err}")
+            else:
+                _round_host(*args, master_end, conn)
 
-    Python 3.11's `multiprocessing.forkserver.main` imports the preload list
-    without applying the parent's `sys.path` and swallows the ImportError, so
-    a caller that put this package on `sys.path` itself, without exporting
-    PYTHONPATH, would get a server that preloaded nothing, and every host
-    would import the package again.  PYTHONPATH therefore names the package
-    root while the server starts, and is restored right after.  The server
-    exits only once it reads EOF on its alive pipe, which would be after this
-    process has exited; it is stopped at interpreter exit instead, and then
-    the resource tracker that `ensure_running` brought up, so no process
-    outlives the caller."""
-    from multiprocessing import forkserver, resource_tracker
 
-    old = os.environ.get("PYTHONPATH")
-    root = str(Path(__file__).resolve().parents[1])
-    os.environ["PYTHONPATH"] = root if old is None else os.pathsep.join((root, old))
-    try:
-        forkserver.set_forkserver_preload(list(_PRELOAD))
-        forkserver.ensure_running()
-    finally:
-        if old is None:
-            del os.environ["PYTHONPATH"]
-        else:
-            os.environ["PYTHONPATH"] = old
-    # atexit runs last-registered first: the server, which holds the
-    # tracker's pipe, exits before the tracker is stopped
-    for stop in (resource_tracker._resource_tracker._stop, forkserver._forkserver._stop):
-        atexit.unregister(stop)  # registered once, however many rounds run
-        atexit.register(stop)
-    return mp.get_context("forkserver")
+@atexit.register  # no host or node outlives its caller
+def _stop_host() -> None:
+    """Kill this process's round host, if it has one, with the nodes of a
+    round it is serving (its process group), and reap it."""
+    global _host
+    if _host is not None:
+        (proc, conn), _host = _host, None
+        conn.close()
+        if proc.returncode is None:  # not reaped, so the group id is still the host's
+            os.killpg(proc.pid, signal.SIGKILL)
+        proc.wait()
 
 
 def _recv_by(conn, deadline_at: float):
@@ -508,26 +501,27 @@ def orchestrate(cfg: TransportConfig, run_dir, plan: FailurePlan = FailurePlan()
     """Connect every tree edge, fork one process per node, apply the failure
     plan, and collect the master's gradient plus every node's report.
 
-    The round is one host process from the fork server (`_round_host`),
-    handed the node body `run_node` as it is named when this is called, the
-    config, the code, the shards, the plan and the master's link in one
-    pickle; it forks the nodes, makes their links, applies `kill_after` and
-    returns each node's exit code.  The orchestrator is the master's parent:
-    once the host says every node has started it sends the model down the
-    master's link with `_send_model`, in one blocking send, so the master
-    cannot answer before it has read the whole model; it then collects the
-    master's gradient with `_collect_gradients` by the join deadline and
-    writes `master_gradient.csv` on receipt.  A node's link ends are its own
-    process's only, and those of a node that never starts are closed before
-    the model is sent, so the reads across that node's links fail at once.
-    A started node that left no report gets one from its exit code: killed
-    by a signal, else error.  One rule decides discarded: a child that
-    reports ok stays ok only when its parent reports ok or discarded and
-    lists it in `received_from`; otherwise `detail` names the parent and its
-    status.  A platform without `os.fork`, the code, the allocation, a plan
-    entry that is not a `NodeId` of the tree, and a `run_dir` that names a
-    file or a path below one are refused before `run_dir` is touched or any
-    link or process is made."""
+    The round goes to this process's round host (`_serve_rounds`), one round
+    at a time, with the node body `run_node` as named when this is called,
+    which must be importable by its module's name, the config, the code, the
+    shards, the plan and the master's link; it forks the nodes, makes their
+    links, applies `kill_after` and returns each node's exit code, or the
+    exception that kept it from loading the round.  The orchestrator is the
+    master's parent: once the host says every node has started it sends the
+    model down the master's link with `_send_model`, in one blocking send,
+    so the master cannot answer before it has read the whole model; it then
+    collects the master's gradient with `_collect_gradients` by the join
+    deadline and writes `master_gradient.csv` on receipt.  A node's link
+    ends are its own process's only, and those of a node that never starts
+    are closed before the model is sent, so the reads across that node's
+    links fail at once.  A started node that left no report gets one from
+    its exit code: killed by a signal, else error.  One rule decides
+    discarded: a child that reports ok stays ok only when its parent reports
+    ok or discarded and lists it in `received_from`; otherwise `detail`
+    names the parent and its status.  A platform without `os.fork`, the
+    code, the allocation, a plan entry that is not a `NodeId` of the tree,
+    and a `run_dir` that names a file or a path below one are refused before
+    `run_dir` is touched or any link or process is made."""
     if not hasattr(os, "fork"):
         raise NotImplementedError("a round forks its nodes, and this platform has no os.fork")
     tree = cfg.tree
@@ -548,37 +542,43 @@ def orchestrate(cfg: TransportConfig, run_dir, plan: FailurePlan = FailurePlan()
     out_path = run_path / "master_gradient.csv"
     out_path.unlink(missing_ok=True)
 
-    ctx = _node_context()
-    top, bottom = socket.socketpair()  # the orchestrator's link to the master
-    from_host, to_orchestrator = ctx.Pipe(duplex=False)
-    host = ctx.Process(
-        target=_round_host,
-        args=(run_node, cfg, B, assignment.local, plan, bottom, str(run_path), to_orchestrator),
-        name="round-host",
-    )
-    with top, from_host:
+    global _host
+    with _host_lock:
+        if _host is None or _host[0].poll() is not None:  # none yet, or it died
+            _stop_host()
+            ours, theirs = connection.Pipe()
+            with theirs:  # the host holds its own copy
+                argv = [sys.executable, "-c", _HOST_CODE, str(theirs.fileno())]
+                proc = subprocess.Popen(argv, pass_fds=[theirs.fileno()], start_new_session=True)
+            _host = proc, ours
+        proc, conn = _host
+        top, bottom = socket.socketpair()  # the orchestrator's link to the master
+        codes = None
         try:
-            host.start()
-        finally:  # the host holds its own copies
-            bottom.close()
-            to_orchestrator.close()
-        _recv_by(from_host, time.monotonic() + cfg.deadline + 20.0)  # every node has started
-        join_deadline = time.monotonic() + cfg.deadline + 20.0
-        top.settimeout(join_deadline - time.monotonic())
-        _send_model((top,), MASTER, cfg.theta)
-        gradient = _collect_gradients((top,), (MASTER,), 1, join_deadline)[0].get(0)
-        if gradient is not None:
-            out_path.write_text(",".join(repr(float(v)) for v in gradient) + "\n")
-        # the host's join deadline is no later than this one
-        codes = _recv_by(from_host, join_deadline + 5.0) or {}
-    host.join(timeout=5.0)
-    if host.is_alive():
-        host.terminate()
-        host.join()
+            with bottom:  # the host holds its own copy
+                conn.send(sys.path)
+                reduction.send_handle(conn, bottom.fileno(), proc.pid)
+                conn.send((run_node, cfg, B, assignment.local, plan, str(run_path)))
+            started = _recv_by(conn, time.monotonic() + cfg.deadline + 20.0)
+            if isinstance(started, str):  # the host could not load the round
+                codes = {}  # and waits for the next one
+                return RunReport(False, None, f"aborted: round host: {started}", {}, [])
+            join_deadline = time.monotonic() + cfg.deadline + 20.0
+            top.settimeout(join_deadline - time.monotonic())
+            _send_model((top,), MASTER, cfg.theta)
+            gradient = _collect_gradients((top,), (MASTER,), 1, join_deadline)[0].get(0)
+            if gradient is not None:
+                out_path.write_text(",".join(repr(float(v)) for v in gradient) + "\n")
+            # the host's join deadline is no later than this one
+            codes = _recv_by(conn, join_deadline + 5.0)
+        finally:
+            top.close()
+            if codes is None:  # the host is gone, late or cut off mid-round
+                _stop_host()
 
     paths = sorted(run_path.glob("node_*.json"))
     reports = {r.node: r for r in (NodeReport(**json.loads(path.read_text())) for path in paths)}
-    for name, code in codes.items():
+    for name, code in (codes or {}).items():
         if name not in reports:  # terminated, or died before writing one
             if code < 0:
                 status, detail = "killed", f"terminated by {signal.Signals(-code).name}"

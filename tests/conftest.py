@@ -1,4 +1,5 @@
 import multiprocessing.process
+import subprocess
 
 import numpy as np
 import pytest
@@ -44,13 +45,15 @@ def small_host(monkeypatch):
 @pytest.fixture(autouse=True)
 def _no_process_outside_transport(request, monkeypatch):
     """`-m "not transport"` starts no process: any test without the mark
-    fails the moment it starts one."""
+    fails the moment it starts one, through `multiprocessing` or through
+    `subprocess`, which starts the transport's round host."""
     if request.node.get_closest_marker("transport") is None:
 
-        def refuse(_self):
+        def refuse(_self, *_args, **_kwargs):
             raise AssertionError("a test without the transport mark started a process")
 
         monkeypatch.setattr(multiprocessing.process.BaseProcess, "start", refuse)
+        monkeypatch.setattr(subprocess.Popen, "__init__", refuse)
 
 
 @pytest.fixture(autouse=True)

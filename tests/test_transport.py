@@ -1,5 +1,4 @@
 import json
-import multiprocessing.forkserver
 import os
 import select
 import signal
@@ -153,11 +152,12 @@ def test_timed_kill_is_tolerated(tmp_path):
         assert report.node_reports[str(kid)].status != "ok"
 
 
-def test_every_node_runs_the_module_its_fork_server_preloaded(tmp_path, monkeypatch):
-    """With no PYTHONPATH exported, as under perfbench/run.py, a fork server
-    that the round starts itself still imports this package once."""
-    multiprocessing.forkserver._forkserver._stop()
+def test_a_host_started_without_pythonpath_still_finds_the_package(tmp_path, monkeypatch):
+    """With no PYTHONPATH exported, as under perfbench/run.py, a round host
+    that the round starts itself still imports this package."""
+    transport._stop_host()
     monkeypatch.delenv("PYTHONPATH", raising=False)
+    monkeypatch.setattr(transport, "run_node", _run_node_noting_its_host)
     tree = build_tree(3, 2)
     spec = OracleSpec(kind="identity", d=15, p=15)
     cfg = TransportConfig(tree=tree, s=1, oracle=spec, theta=np.zeros(15), deadline=5.0)
@@ -165,10 +165,45 @@ def test_every_node_runs_the_module_its_fork_server_preloaded(tmp_path, monkeypa
     assert report.ok, report.error
     assert "PYTHONPATH" not in os.environ
     assert len(report.node_reports) == 13
-    # every node wrote its own report, in a module its round host did not import
-    assert {name: r.preloaded for name, r in report.node_reports.items()} == {
-        name: True for name in report.node_reports
-    }
+    # the nodes are forks of a host, not of this process
+    assert int((tmp_path / "run" / "host_pid").read_text()) != os.getpid()
+
+
+def _run_node_noting_its_host(node, *args, **kwargs):
+    """run_node with the master writing the pid of the host it was forked
+    from into the run directory; the round host imports it from this module
+    by name."""
+    if node == MASTER:
+        Path(args[5], "host_pid").write_text(str(os.getppid()))
+    run_node(node, *args, **kwargs)
+
+
+def _host_rounds(tmp_path, runs):
+    """A (3,1) round in each of `runs`, all ok; the pid of each round's host."""
+    spec = OracleSpec(kind="identity", d=3, p=3)
+    cfg = TransportConfig(tree=build_tree(3, 1), s=1, oracle=spec, theta=np.zeros(3), deadline=5.0)
+    pids = []
+    for run in runs:
+        report = orchestrate(cfg, tmp_path / run)
+        assert report.ok, report.error
+        assert len(report.node_reports) == 4
+        pids.append(int((tmp_path / run / "host_pid").read_text()))
+    return pids
+
+
+def test_two_rounds_in_one_process_fork_their_nodes_from_one_host(tmp_path, monkeypatch):
+    monkeypatch.setattr(transport, "run_node", _run_node_noting_its_host)
+    first, second = _host_rounds(tmp_path, ("one", "two"))
+    assert first == second != os.getpid()
+
+
+def test_a_host_killed_between_rounds_is_replaced(tmp_path, monkeypatch):
+    monkeypatch.setattr(transport, "run_node", _run_node_noting_its_host)
+    [first] = _host_rounds(tmp_path, ("one",))
+    os.kill(first, signal.SIGKILL)
+    os.waitid(os.P_PID, first, os.WEXITED | os.WNOWAIT)  # dead, and left for its caller to reap
+    [second] = _host_rounds(tmp_path, ("two",))
+    assert second != first
 
 
 def test_subtree_loss_times_out_locally_but_run_succeeds(tmp_path):
@@ -395,35 +430,84 @@ def test_children_of_a_parent_killed_holding_their_gradients_are_discarded(
         assert report.node_reports[kid].detail.startswith("parent 1.1 reports killed")
 
 
-def test_no_multiprocessing_helper_outlives_its_caller(tmp_path):
-    """The fork server and the resource tracker it brings up are both gone
-    once a process that ran a round has exited."""
-    script = (
-        "import sys\n"
-        "from multiprocessing import forkserver, resource_tracker\n"
-        "import numpy as np\n"
-        "from codedreduce.topology import build_tree\n"
-        "from codedreduce.transport import OracleSpec, TransportConfig, orchestrate\n"
-        "spec = OracleSpec(kind='identity', d=3, p=3)\n"
-        "cfg = TransportConfig(tree=build_tree(3, 1), s=1, oracle=spec, theta=np.zeros(3))\n"
-        "assert orchestrate(cfg, sys.argv[1]).ok\n"
-        "print(forkserver._forkserver._forkserver_pid, resource_tracker._resource_tracker._pid)\n"
-    )
-    src = str(Path(transport.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": src}
-    # the helpers inherit stdout, so it goes to a file: a pipe would be read
-    # until they exit, and the check would wait for what it should catch
-    out = tmp_path / "pids.txt"
+_SRC = str(Path(transport.__file__).resolve().parents[1])
+# a caller's script: one (3,1) round into the run directory sys.argv[1]
+_ROUND_SCRIPT = """\
+import json, sys
+import numpy as np
+from codedreduce import transport
+from codedreduce.topology import build_tree
+spec = transport.OracleSpec(kind="identity", d=3, p=3)
+cfg = transport.TransportConfig(tree=build_tree(3, 1), s=1, oracle=spec, theta=np.zeros(3))
+"""
+
+
+def _run_script(tmp_path, script: str) -> list:
+    """Run `script` as a library caller's main script, with no main guard,
+    and return the JSON list its last line prints."""
+    path = tmp_path / "caller.py"
+    path.write_text(_ROUND_SCRIPT + script)
+    env = {**os.environ, "PYTHONPATH": _SRC}
+    # a host inherits stdout, so it goes to a file: a pipe would be read
+    # until every holder exits, and the check would wait for what it catches
+    out = tmp_path / "out.txt"
     with out.open("w") as stdout:
         subprocess.run(
-            [sys.executable, "-c", script, str(tmp_path / "run")],
+            [sys.executable, str(path), str(tmp_path / "run")],
             stdout=stdout, env=env, check=True, timeout=60,
         )
-    pids = [int(tok) for tok in out.read_text().split() if tok != "None"]
-    assert len(pids) == 2
-    for pid in pids:
-        with pytest.raises(ProcessLookupError):
-            os.kill(pid, 0)
+    return json.loads(out.read_text().splitlines()[-1])
+
+
+def test_a_library_script_without_a_main_guard_runs_a_round(tmp_path):
+    """The host never re-runs its caller's main script, so a caller with no
+    `if __name__ == "__main__"` guard gets its round, and every node reports."""
+    ok, error, reported = _run_script(
+        tmp_path,
+        "report = transport.orchestrate(cfg, sys.argv[1])\n"
+        "print(json.dumps([report.ok, report.error, sorted(report.node_reports)]))\n",
+    )
+    assert (ok, error) == (True, "")
+    assert reported == ["0.1", "1.1", "1.2", "1.3"]
+    assert len(list((tmp_path / "run").glob("node_*.json"))) == 4
+
+
+def test_a_round_the_host_cannot_load_names_the_exception_and_the_host_serves_on(tmp_path):
+    """A body defined in the caller's __main__ cannot be loaded by name in
+    the host: the round aborts naming the exception, and the same host
+    serves the next round."""
+    first_ok, error, reports, pids, second_ok = _run_script(
+        tmp_path,
+        "def body(*args, **kwargs):\n"
+        "    raise AssertionError('a body in __main__ never runs')\n"
+        "real, transport.run_node = transport.run_node, body\n"
+        "first = transport.orchestrate(cfg, sys.argv[1])\n"
+        "pids = [transport._host[0].pid]\n"
+        "transport.run_node = real\n"
+        "second = transport.orchestrate(cfg, sys.argv[1])\n"
+        "pids.append(transport._host[0].pid)\n"
+        "print(json.dumps([first.ok, first.error, len(first.node_reports), pids, second.ok]))\n",
+    )
+    assert not first_ok
+    assert error.startswith("aborted: round host: AttributeError: ")
+    assert "'body'" in error
+    assert reports == 0
+    assert second_ok
+    assert pids[0] == pids[1]
+
+
+def test_no_round_host_outlives_its_caller(tmp_path):
+    """The host is gone once the process that ran a round has exited, and
+    no multiprocessing fork server or resource tracker was ever started."""
+    pid, helpers = _run_script(
+        tmp_path,
+        "assert transport.orchestrate(cfg, sys.argv[1]).ok\n"
+        "helpers = ('multiprocessing.forkserver', 'multiprocessing.resource_tracker')\n"
+        "print(json.dumps([transport._host[0].pid, [m for m in helpers if m in sys.modules]]))\n",
+    )
+    assert helpers == []
+    with pytest.raises(ProcessLookupError):
+        os.kill(pid, 0)
 
 
 def test_a_master_that_never_starts_ends_the_round_at_once(tmp_path):
@@ -458,18 +542,51 @@ def test_a_model_larger_than_the_link_buffer_still_reaches_the_master(tmp_path):
     assert report.node_reports["0.1"].status == "ok"
 
 
-def test_a_node_imports_nothing_its_fork_server_did_not_preload(tmp_path):
-    """In a fresh interpreter holding only what the fork server preloads, a
-    node's own work (its oracle of each kind, the decode row, the wire codec
-    and its report) imports no further module."""
+_SLEEPY_BODY = """\
+import time
+from pathlib import Path
+from codedreduce import transport
+
+
+def body(node, *args, **kwargs):
+    if node.layer == 1:
+        time.sleep(1.2)
+        Path(args[5], f"woke_{node.index}").touch()
+    transport.run_node(node, *args, **kwargs)
+"""
+
+
+def test_no_node_outlives_a_caller_interrupted_mid_round(tmp_path):
+    """A caller interrupted while the layer-1 nodes still compute stops its
+    host and those nodes with it: no node wakes after the caller has exited."""
+    (tmp_path / "sleepy.py").write_text(_SLEEPY_BODY)  # importable from the script's directory
+    [stopped] = _run_script(
+        tmp_path,
+        "import signal, sleepy\n"
+        "transport.run_node = sleepy.body\n"
+        "def interrupt(*_):\n"
+        "    raise KeyboardInterrupt\n"
+        "signal.signal(signal.SIGALRM, interrupt)\n"
+        "signal.setitimer(signal.ITIMER_REAL, 0.6)\n"
+        "try:\n"
+        "    transport.orchestrate(cfg, sys.argv[1])\n"
+        "except KeyboardInterrupt:\n"
+        "    pass\n"
+        "print(json.dumps([transport._host is None]))\n",
+    )
+    assert stopped
+    time.sleep(1.2)  # past the time an orphaned node would wake
+    assert list((tmp_path / "run").glob("woke_*")) == []
+
+
+def test_a_node_imports_nothing_beyond_its_hosts_start_up_imports(tmp_path):
+    """In a fresh interpreter holding only what a round host imports at its
+    start, a node's own work (its oracle of each kind, the decode row, the
+    wire codec and its report) imports no further module."""
     script = (
-        "import importlib, socket, sys\n"
-        "from multiprocessing import forkserver\n"
-        "forkserver.ensure_running = lambda: None  # the preload list, with no server\n"
+        "import socket, sys\n"
         "from codedreduce import transport\n"
-        "transport._node_context()\n"
-        "for name in forkserver._forkserver._preload_modules:\n"
-        "    importlib.import_module(name)\n"
+        "exec(transport._HOST_CODE.rpartition(';')[0])  # the host's start-up, not its serving\n"
         "from pathlib import Path\n"
         "import numpy as np\n"
         "from codedreduce.allocation import cr_allocate\n"
@@ -489,8 +606,7 @@ def test_a_node_imports_nothing_its_fork_server_did_not_preload(tmp_path):
         "transport._write_report(Path(sys.argv[1]), report)\n"
         "print(' '.join(sorted(set(sys.modules) - before)))\n"
     )
-    src = str(Path(transport.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": src}
+    env = {**os.environ, "PYTHONPATH": _SRC}
     out = subprocess.run(
         [sys.executable, "-c", script, str(tmp_path)],
         capture_output=True, text=True, env=env, check=True, timeout=60,
