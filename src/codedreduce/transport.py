@@ -13,26 +13,33 @@ The tree is fixed, so every tree edge is one connected socket pair made
 before any node starts; each node gets its parent end and its child ends,
 no node process opens a socket of its own, and a send to a parent that has
 closed its end fails at once.  The orchestrator is the master's parent and
-handles that link with a parent's own code: once every node has started it
-sends the model in a single blocking send, and it collects the recovered
-gradient as a parent collects its children's.  Every node reads the model
-from its parent, sends it down every child link, computes its own coded
-gradient, collects the first n-s gradient messages (later arrivals are
-dropped with the links), combines them with the decode row of the realized
-survivor set, adds its local term, and sends the result to its parent.
+handles that link with a parent's own code: right after it hands the round
+to the host, while the host forks, it sends the model in a single blocking
+send, and it collects the recovered gradient as a parent collects its
+children's.  Every node reads the model from its parent, sends it down
+every child link, computes its own coded gradient, collects the first n-s
+gradient messages (later arrivals are dropped with the links), combines
+them with the decode row of the realized survivor set, adds its local term,
+and sends the result to its parent.
 
 A round's nodes are forks of the caller's round host, a fresh interpreter
 that has imported this module and `numpy.random` and serves the caller's
 rounds one at a time.  A round hands it the caller's `sys.path`, the
 master's link end and one pickle of the node body and its arguments; it
-makes the other socket pairs and forks each node, so a node starts in about
-a millisecond with nothing to unpickle or import, applies the plan's kills
-and returns the nodes' exit codes.  A round needs `os.fork`.
+builds the round's oracle (kept for the next round on the same spec), makes
+the other socket pairs and forks each node, so a node starts in about a
+millisecond with nothing to unpickle, import or build.  A node sends its
+report as one message on the host's report socket and writes no file; the
+host applies the plan's kills and returns the nodes' exit codes with their
+reports, and the orchestrator writes every report file.  A round needs
+`os.fork` and `AF_UNIX` `SOCK_SEQPACKET` sockets.
 """
 
 from __future__ import annotations
 
 import atexit
+import errno
+import functools
 import heapq
 import json
 import os
@@ -109,30 +116,40 @@ def encode_message(msg_type: int, sender: NodeId, payload) -> bytes:
     return header + vec.tobytes()
 
 
-def decode_message(data: bytes) -> WireMessage:
-    magic, msg_type, layer, index, count = _HEADER.unpack_from(data)
+def _unpack_header(data) -> list[int]:
+    """(msg_type, sender_layer, sender_index, payload_len) of a header."""
+    magic, *fields = _HEADER.unpack_from(data)
     if magic != MAGIC:
         raise ValueError(f"bad magic {magic!r}")
+    return fields
+
+
+def decode_message(data: bytes) -> WireMessage:
+    msg_type, layer, index, count = _unpack_header(data)
     if len(data) != _HEADER.size + 8 * count:
         raise ValueError(f"expected {count} doubles, got {len(data) - _HEADER.size} bytes")
     payload = np.frombuffer(data, dtype="<f8", count=count, offset=_HEADER.size)
     return WireMessage(msg_type, layer, index, payload.copy())
 
 
-def _recv_exact(sock: socket.socket, count: int) -> bytes:
-    buf = b""
-    while len(buf) < count:
-        chunk = sock.recv(count - len(buf))
-        if not chunk:
+def _recv_into(sock: socket.socket, buf) -> None:
+    """Fill the writable buffer `buf` from `sock`."""
+    view, got = memoryview(buf).cast("B"), 0
+    while got < len(view):
+        count = sock.recv_into(view[got:])
+        if not count:
             raise ConnectionError("peer closed mid-message")
-        buf += chunk
-    return buf
+        got += count
 
 
 def read_message(sock: socket.socket) -> WireMessage:
-    header = _recv_exact(sock, _HEADER.size)
-    count = _HEADER.unpack(header)[-1]
-    return decode_message(header + _recv_exact(sock, count * 8))
+    """Read one message, its payload straight into the array it returns."""
+    header = bytearray(_HEADER.size)
+    _recv_into(sock, header)
+    msg_type, layer, index, count = _unpack_header(header)
+    payload = np.empty(count, dtype="<f8")
+    _recv_into(sock, payload)
+    return WireMessage(msg_type, layer, index, payload)
 
 
 @dataclass(frozen=True)
@@ -152,6 +169,7 @@ class OracleSpec:
         if self.kind != "identity" and self.p < 1:
             raise ValueError(f"oracle kind {self.kind!r} needs p >= 1 features, got p={self.p}")
 
+    @functools.lru_cache(maxsize=1)  # the last spec built: a run's rounds share one spec
     def build(self):
         if self.kind == "identity":
             d = self.d
@@ -228,12 +246,28 @@ class RunReport:
 
 
 def _write_report(run_dir: Path, report: NodeReport) -> None:
-    """Write the report whole or not at all: a node terminated while writing
-    leaves only a `.part` file, and the orchestrator reports it killed."""
+    """Write the report whole or not at all: a reader of `run_dir` never
+    sees a partly written report file, only a `.part` one."""
     path = run_dir / f"node_{report.node.replace('.', '_')}.json"
     part = path.with_name(path.name + ".part")
     part.write_text(json.dumps(report.__dict__))
     os.replace(part, path)
+
+
+def _send_report(sock: socket.socket, report: NodeReport) -> None:
+    """Send the report as one message on the round host's report socket,
+    which delivers it whole or not at all.  A `detail` too long for one
+    message is cut by halves until the report fits, and says so."""
+    detail, keep = report.detail, len(report.detail)
+    while True:
+        try:
+            sock.send(json.dumps(report.__dict__).encode())
+            return
+        except OSError as err:
+            if err.errno != errno.EMSGSIZE or not keep:
+                raise
+        keep //= 2
+        report.detail = f"{detail[:keep]}... [cut from {len(detail)} characters to fit one message]"
 
 
 def _send_model(down: tuple[socket.socket, ...], sender: NodeId, theta) -> None:
@@ -294,10 +328,11 @@ def run_node(
     B: EncodingMatrix,
     up: socket.socket,
     down: tuple[socket.socket, ...],
-    run_dir: str,
+    report_to: socket.socket,
     die_before_send: bool = False,
 ) -> None:
-    """Body of one node process: one JSON report, written in the `finally`.
+    """Body of one node process: one JSON report, sent on `report_to` (a
+    `SOCK_SEQPACKET` socket) with `_send_report` in the `finally`.
 
     `up` is the link to the parent (at the master, to the orchestrator) and
     `down` the links to the children in position order (empty at a leaf).
@@ -356,7 +391,7 @@ def run_node(
     finally:
         for conn in (up, *down):
             conn.close()
-        _write_report(Path(run_dir), report)
+        _send_report(report_to, report)
         if report.status != "error":
             os._exit(0)
 
@@ -394,34 +429,42 @@ def _kill_due(kills: list) -> float:
     return kills[0][0] if kills else inf
 
 
-def _round_host(body, cfg: TransportConfig, B, shards, plan, run_dir, master_end, status):
+def _round_host(body, cfg: TransportConfig, B, shards, plan, master_end, status):
     """One round in the round host: fork every started node, apply the
-    failure plan's kills, reap the nodes and send their exit codes.
+    failure plan's kills, reap the nodes and send their exit codes and
+    reports.
 
-    The host makes each worker's parent link and forks the started nodes in
-    layer-major order, with no thread alive.  A node closes every end but
-    its own, and `status`; the host closes that node's ends right after its
-    fork, and those of the nodes that never start after the last fork, then
-    sends None on `status`: all started.  A node whose `kill_after` delay,
-    counted from its own fork, has passed gets SIGTERM.  Once every node has
-    exited, or at the join deadline, when each one still alive gets
-    SIGTERM, the host reaps them all and sends `{node: exit code}`,
+    The host makes each worker's parent link, closes the ends of the nodes
+    that never start, so a read or a send across their links fails at once,
+    and forks the started nodes in layer-major order, with no thread alive.
+    A node closes every end but its own, and `status`; the host closes that
+    node's ends right after its fork, then sends None on `status`: all
+    started.  Every node holds `alive` and sends its report on it as one
+    message.  A node whose `kill_after` delay, counted from its own fork,
+    has passed gets SIGTERM.  The host reads reports until every node has
+    exited, or until the join deadline, when each one still alive gets
+    SIGTERM; it then reaps them all, reads what they sent before they were
+    reaped, and sends `({node: exit code}, [report message])`, exit codes
     negative for a signal.  Nodes are reaped only then, so no pid it
     signals can have been reused."""
     tree = cfg.tree
     links = {worker: socket.socketpair() for worker in tree.workers()}  # (parent end, child end)
     ups = {MASTER: master_end, **{node: child for node, (_, child) in links.items()}}
-    ends = {master_end, *(end for pair in links.values() for end in pair)}
-    # every node holds `alive` and none writes to it: `watch` reads EOF once
-    # every node has exited
-    watch, alive = socket.socketpair()
+    owned = {
+        node: (up, *(links[kid][0] for kid in tree.children(node))) for node, up in ups.items()
+    }
+    for node in plan.never_start:
+        for end in owned.pop(node):
+            end.close()
+    ends = {end for own in owned.values() for end in own}
+    # `watch` reads each node's report, and EOF once every node has exited
+    watch, alive = socket.socketpair(socket.AF_UNIX, socket.SOCK_SEQPACKET)
+    # no message is longer than the send buffer, and one buffer serves every read
+    buf = memoryview(bytearray(alive.getsockopt(socket.SOL_SOCKET, socket.SO_SNDBUF)))
     pids, kills = {}, []
     try:
-        for node, up in ups.items():
-            if node in plan.never_start:
-                continue
-            own = (up, *(links[kid][0] for kid in tree.children(node)))
-            args = (node, cfg, shards.get(node, ()), B, up, own[1:], run_dir)
+        for node, own in owned.items():
+            args = (node, cfg, shards.get(node, ()), B, own[0], own[1:], alive)
             kwargs = {"die_before_send": node in plan.die_before_send}
             foreign = (*(ends - set(own)), status, watch)
             pid = os.fork()
@@ -442,37 +485,44 @@ def _round_host(body, cfg: TransportConfig, B, shards, plan, run_dir, master_end
             end.close()
     status.send(None)
     join_deadline = time.monotonic() + cfg.deadline + 20.0
+    reports = []
     with watch:
         while (now := time.monotonic()) < join_deadline:
             watch.settimeout(min(join_deadline, _kill_due(kills)) - now)
-            try:
-                watch.recv(1)
-                break
-            except TimeoutError:
-                pass
+            with suppress(TimeoutError):
+                if not (size := watch.recv_into(buf)):
+                    break
+                reports.append(bytes(buf[:size]))
         else:
             for pid in pids.values():  # an exited node ignores it until reaped
                 os.kill(pid, signal.SIGTERM)
-    status.send(
-        {str(node): os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]) for node, pid in pids.items()}
-    )
+        codes = {
+            str(node): os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+            for node, pid in pids.items()
+        }
+        watch.setblocking(False)  # every holder of `alive` is reaped: it reads EOF
+        while size := watch.recv_into(buf):
+            reports.append(bytes(buf[:size]))
+    status.send((codes, reports))
 
 
 def _serve_rounds(fd: int) -> None:
     """Body of a round host: serve rounds on the control connection `fd`
-    until the caller closes it, answering a round whose arguments do not
-    load with the exception."""
+    until the caller closes it.  It builds each round's oracle before it
+    forks, so every node inherits it, and answers a round whose arguments
+    do not load, or whose oracle does not build, with the exception."""
     with connection.Connection(fd) as conn, suppress(EOFError):
         while True:
             sys.path[:] = conn.recv()
             master_end = socket.socket(fileno=reduction.recv_handle(conn))
             try:
-                args = conn.recv()
+                body, cfg, *args = conn.recv()
+                cfg.oracle.build()
             except Exception as err:
                 master_end.close()
                 conn.send(f"{type(err).__name__}: {err}")
             else:
-                _round_host(*args, master_end, conn)
+                _round_host(body, cfg, *args, master_end, conn)
 
 
 @atexit.register  # no host or node outlives its caller
@@ -505,22 +555,25 @@ def orchestrate(cfg: TransportConfig, run_dir, plan: FailurePlan = FailurePlan()
     at a time, with the node body `run_node` as named when this is called,
     which must be importable by its module's name, the config, the code, the
     shards, the plan and the master's link; it forks the nodes, makes their
-    links, applies `kill_after` and returns each node's exit code, or the
-    exception that kept it from loading the round.  The orchestrator is the
-    master's parent: once the host says every node has started it sends the
-    model down the master's link with `_send_model`, in one blocking send,
-    so the master cannot answer before it has read the whole model; it then
-    collects the master's gradient with `_collect_gradients` by the join
-    deadline and writes `master_gradient.csv` on receipt.  A node's link
-    ends are its own process's only, and those of a node that never starts
-    are closed before the model is sent, so the reads across that node's
-    links fail at once.  A started node that left no report gets one from
-    its exit code: killed by a signal, else error.  One rule decides
-    discarded: a child that reports ok stays ok only when its parent reports
-    ok or discarded and lists it in `received_from`; otherwise `detail`
-    names the parent and its status.  A platform without `os.fork`, the
-    code, the allocation, a plan entry that is not a `NodeId` of the tree,
-    and a `run_dir` that names a file or a path below one are refused before
+    links, applies `kill_after` and returns each node's exit code and the
+    report it sent, or the exception that kept it from loading the round.
+    The orchestrator is the master's parent: right after it hands the host
+    the round, while the host forks, it sends the model down the master's
+    link with `_send_model`, in one blocking send, so the master cannot
+    answer before it has read the whole model; it then waits for the host
+    to say every node has started, collects the master's gradient with
+    `_collect_gradients` by the join deadline and writes
+    `master_gradient.csv` on receipt.  A node's link ends are its own
+    process's only, and those of a node that never starts are closed before
+    the first fork, so the reads and sends across that node's links fail
+    at once.  A started node that sent no report gets one from its exit
+    code: killed by a signal, else error.  One rule decides discarded: a
+    child that reports ok stays ok only when its parent reports ok or
+    discarded and lists it in `received_from`; otherwise `detail` names the
+    parent and its status.  Every report is then written to `run_dir` as
+    `node_<layer>_<index>.json`.  A platform without `os.fork`, the code,
+    the allocation, a plan entry that is not a `NodeId` of the tree, and a
+    `run_dir` that names a file or a path below one are refused before
     `run_dir` is touched or any link or process is made."""
     if not hasattr(os, "fork"):
         raise NotImplementedError("a round forks its nodes, and this platform has no os.fork")
@@ -553,39 +606,38 @@ def orchestrate(cfg: TransportConfig, run_dir, plan: FailurePlan = FailurePlan()
             _host = proc, ours
         proc, conn = _host
         top, bottom = socket.socketpair()  # the orchestrator's link to the master
-        codes = None
+        answer = None
         try:
             with bottom:  # the host holds its own copy
                 conn.send(sys.path)
                 reduction.send_handle(conn, bottom.fileno(), proc.pid)
-                conn.send((run_node, cfg, B, assignment.local, plan, str(run_path)))
+                conn.send((run_node, cfg, B, assignment.local, plan))
+            top.settimeout(cfg.deadline + 20.0)
+            _send_model((top,), MASTER, cfg.theta)  # the master is the first fork
             started = _recv_by(conn, time.monotonic() + cfg.deadline + 20.0)
             if isinstance(started, str):  # the host could not load the round
-                codes = {}  # and waits for the next one
+                answer = started  # and waits for the next one
                 return RunReport(False, None, f"aborted: round host: {started}", {}, [])
             join_deadline = time.monotonic() + cfg.deadline + 20.0
-            top.settimeout(join_deadline - time.monotonic())
-            _send_model((top,), MASTER, cfg.theta)
             gradient = _collect_gradients((top,), (MASTER,), 1, join_deadline)[0].get(0)
             if gradient is not None:
                 out_path.write_text(",".join(repr(float(v)) for v in gradient) + "\n")
             # the host's join deadline is no later than this one
-            codes = _recv_by(conn, join_deadline + 5.0)
+            answer = _recv_by(conn, join_deadline + 5.0)
         finally:
             top.close()
-            if codes is None:  # the host is gone, late or cut off mid-round
+            if answer is None:  # the host is gone, late or cut off mid-round
                 _stop_host()
 
-    paths = sorted(run_path.glob("node_*.json"))
-    reports = {r.node: r for r in (NodeReport(**json.loads(path.read_text())) for path in paths)}
-    for name, code in (codes or {}).items():
-        if name not in reports:  # terminated, or died before writing one
+    codes, sent = answer or ({}, [])
+    reports = {r.node: r for r in (NodeReport(**json.loads(message)) for message in sent)}
+    for name, code in codes.items():
+        if name not in reports:  # terminated, or died before sending one
             if code < 0:
                 status, detail = "killed", f"terminated by {signal.Signals(-code).name}"
             else:
                 status, detail = "error", f"exited with code {code}"
             reports[name] = NodeReport(name, status, [], [], f"{detail}, no report")
-            _write_report(run_path, reports[name])
     parent_of = {str(kid): str(node) for node in tree.parents() for kid in tree.children(node)}
     for child in reports.values():
         parent = reports.get(parent_of.get(child.node))
@@ -595,7 +647,8 @@ def orchestrate(cfg: TransportConfig, run_dir, plan: FailurePlan = FailurePlan()
             continue
         child.status = "discarded"
         child.detail = f"parent {parent.node} reports {parent.status} without decoding its gradient"
-        _write_report(run_path, child)
+    for report in reports.values():
+        _write_report(run_path, report)
     timed_out = sorted(
         (r.node for r in reports.values() if r.status == "timeout"),
         key=lambda name: tuple(int(tok) for tok in name.split(".")),

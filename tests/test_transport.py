@@ -1,3 +1,4 @@
+import functools
 import json
 import os
 import select
@@ -5,6 +6,7 @@ import signal
 import socket
 import subprocess
 import sys
+import threading
 import time
 from pathlib import Path
 
@@ -27,6 +29,7 @@ from codedreduce.transport import (
     decode_message,
     encode_message,
     orchestrate,
+    read_message,
     run_node,
 )
 
@@ -58,6 +61,41 @@ def test_wire_rejects_garbage():
     good = encode_message(MSG_GRADIENT, NodeId(1, 1), np.ones(3))
     with pytest.raises(ValueError):
         decode_message(good + b"\x00")
+
+
+@pytest.mark.parametrize("count", [0, 3, 1_048_576], ids=["empty", "3", "8MB"])
+def test_read_message_reads_a_message_back_bit_for_bit(count):
+    # 8 MB is far more than a socket pair buffers, so it arrives in many reads
+    payload = np.random.default_rng(count).standard_normal(count)
+    blob = encode_message(MSG_MODEL, NodeId(1, 2), payload)
+    ours, theirs = socket.socketpair()
+    sender = threading.Thread(target=theirs.sendall, args=(blob,))
+    with ours, theirs:
+        sender.start()
+        msg = read_message(ours)
+        sender.join(timeout=10.0)
+    assert not sender.is_alive()
+    assert (msg.msg_type, msg.sender_layer, msg.sender_index) == (MSG_MODEL, 1, 2)
+    assert msg.payload.dtype == np.dtype("<f8")
+    assert msg.payload.tobytes() == payload.tobytes()
+
+
+@pytest.mark.parametrize(
+    "blob, error, match",
+    [
+        (b"XXXX" + bytes(11), ValueError, "bad magic"),
+        (encode_message(MSG_GRADIENT, NodeId(1, 1), np.ones(3))[:7], ConnectionError, "mid-message"),
+        (encode_message(MSG_GRADIENT, NodeId(1, 1), np.ones(3))[:-1], ConnectionError, "mid-message"),
+    ],
+    ids=["bad_magic", "short_header", "short_payload"],
+)
+def test_read_message_refuses_a_bad_or_cut_message(blob, error, match):
+    ours, theirs = socket.socketpair()
+    with ours, theirs:
+        theirs.sendall(blob)
+        theirs.close()
+        with pytest.raises(error, match=match):
+            read_message(ours)
 
 
 def engine_reference(tree, s, spec, theta, pattern=None):
@@ -157,7 +195,8 @@ def test_a_host_started_without_pythonpath_still_finds_the_package(tmp_path, mon
     that the round starts itself still imports this package."""
     transport._stop_host()
     monkeypatch.delenv("PYTHONPATH", raising=False)
-    monkeypatch.setattr(transport, "run_node", _run_node_noting_its_host)
+    body = functools.partial(_run_node_noting_its_host, note_in=tmp_path / "run")
+    monkeypatch.setattr(transport, "run_node", body)
     tree = build_tree(3, 2)
     spec = OracleSpec(kind="identity", d=15, p=15)
     cfg = TransportConfig(tree=tree, s=1, oracle=spec, theta=np.zeros(15), deadline=5.0)
@@ -169,21 +208,24 @@ def test_a_host_started_without_pythonpath_still_finds_the_package(tmp_path, mon
     assert int((tmp_path / "run" / "host_pid").read_text()) != os.getpid()
 
 
-def _run_node_noting_its_host(node, *args, **kwargs):
+def _run_node_noting_its_host(node, *args, note_in, **kwargs):
     """run_node with the master writing the pid of the host it was forked
-    from into the run directory; the round host imports it from this module
-    by name."""
+    from into the directory `note_in`; the round host imports it from this
+    module by name."""
     if node == MASTER:
-        Path(args[5], "host_pid").write_text(str(os.getppid()))
+        Path(note_in, "host_pid").write_text(str(os.getppid()))
     run_node(node, *args, **kwargs)
 
 
-def _host_rounds(tmp_path, runs):
-    """A (3,1) round in each of `runs`, all ok; the pid of each round's host."""
+def _host_rounds(tmp_path, monkeypatch, runs):
+    """A (3,1) round in each of `runs`, all ok, with a master that notes the
+    pid of its host in the run directory; the pid of each round's host."""
     spec = OracleSpec(kind="identity", d=3, p=3)
     cfg = TransportConfig(tree=build_tree(3, 1), s=1, oracle=spec, theta=np.zeros(3), deadline=5.0)
     pids = []
     for run in runs:
+        body = functools.partial(_run_node_noting_its_host, note_in=tmp_path / run)
+        monkeypatch.setattr(transport, "run_node", body)
         report = orchestrate(cfg, tmp_path / run)
         assert report.ok, report.error
         assert len(report.node_reports) == 4
@@ -192,17 +234,15 @@ def _host_rounds(tmp_path, runs):
 
 
 def test_two_rounds_in_one_process_fork_their_nodes_from_one_host(tmp_path, monkeypatch):
-    monkeypatch.setattr(transport, "run_node", _run_node_noting_its_host)
-    first, second = _host_rounds(tmp_path, ("one", "two"))
+    first, second = _host_rounds(tmp_path, monkeypatch, ("one", "two"))
     assert first == second != os.getpid()
 
 
 def test_a_host_killed_between_rounds_is_replaced(tmp_path, monkeypatch):
-    monkeypatch.setattr(transport, "run_node", _run_node_noting_its_host)
-    [first] = _host_rounds(tmp_path, ("one",))
+    [first] = _host_rounds(tmp_path, monkeypatch, ("one",))
     os.kill(first, signal.SIGKILL)
     os.waitid(os.P_PID, first, os.WEXITED | os.WNOWAIT)  # dead, and left for its caller to reap
-    [second] = _host_rounds(tmp_path, ("two",))
+    [second] = _host_rounds(tmp_path, monkeypatch, ("two",))
     assert second != first
 
 
@@ -364,6 +404,39 @@ def test_a_node_that_raises_reports_error(tmp_path, monkeypatch):
     assert report.node_reports["1.1"].missing == ["2.1"]
 
 
+class _LoudSlice:
+    """A shard slice whose every field raises an exception with a 1 MB text,
+    more than the report socket takes in one message."""
+
+    def __getattr__(self, name):
+        raise LookupError("x" * 2**20)
+
+
+def _run_node_loud_error(node, cfg, shard, *args, **kwargs):
+    """run_node with node 2.1's oracle raising an exception whose text is
+    1 MB long; the round host imports it from this module by name."""
+    if node == NodeId(2, 1):
+        shard = (_LoudSlice(),)
+    run_node(node, cfg, shard, *args, **kwargs)
+
+
+def test_a_report_too_long_for_one_message_is_cut_and_says_so(tmp_path, monkeypatch):
+    monkeypatch.setattr(transport, "run_node", _run_node_loud_error)
+    tree = build_tree(3, 2)
+    spec = OracleSpec(kind="identity", d=15, p=15)
+    cfg = TransportConfig(tree=tree, s=1, oracle=spec, theta=np.zeros(15), deadline=5.0)
+    report = orchestrate(cfg, tmp_path / "run")
+    assert report.ok, report.error
+    failed = report.node_reports["2.1"]
+    assert failed.status == "error"
+    assert failed.detail.startswith("LookupError: xxx")
+    text = len("LookupError: ") + 2**20
+    assert failed.detail.endswith(f"[cut from {text} characters to fit one message]")
+    assert len(failed.detail) < text
+    written = json.loads((tmp_path / "run" / "node_2_1.json").read_text())
+    assert written == failed.__dict__
+
+
 def _run_node_exit_7(node, *args, **kwargs):
     """run_node with node 2.1 exiting with code 7 before it does anything;
     the round host imports it from this module by name."""
@@ -383,6 +456,18 @@ def test_a_node_that_exits_without_a_report_reports_error(tmp_path, monkeypatch)
     failed = report.node_reports["2.1"]
     assert (failed.status, failed.detail) == ("error", "exited with code 7, no report")
     assert (tmp_path / "run" / "node_2_1.json").exists()
+
+
+def test_a_round_whose_oracle_does_not_build_names_the_exception(tmp_path):
+    """The host builds the oracle before it forks: a data seed numpy refuses
+    ends the round with that exception, and no node starts."""
+    spec = OracleSpec(kind="linear", d=60, p=4, data_seed=-1)
+    cfg = TransportConfig(tree=build_tree(3, 2), s=1, oracle=spec, theta=np.zeros(4), deadline=5.0)
+    report = orchestrate(cfg, tmp_path / "run")
+    assert not report.ok
+    assert report.error.startswith("aborted: round host: ValueError: ")
+    assert report.node_reports == {}
+    assert list((tmp_path / "run").glob("node_*")) == []
 
 
 def test_a_second_round_reads_no_report_of_the_first(tmp_path):
@@ -542,16 +627,75 @@ def test_a_model_larger_than_the_link_buffer_still_reaches_the_master(tmp_path):
     assert report.node_reports["0.1"].status == "ok"
 
 
+def _forked_so_far(pid: int) -> int:
+    """How many children the process `pid` has forked and not yet reaped."""
+    return len(Path(f"/proc/{pid}/task/{pid}/children").read_text().split())
+
+
+def _run_node_counting_forks(node, *args, note_in, **kwargs):
+    """run_node with the master writing to `note_in/forked` how many nodes
+    its host had forked once the master had read the model; the round host
+    imports it from this module by name."""
+    if node == MASTER:
+        read = transport.read_message
+
+        def read_and_count(sock):
+            transport.read_message = read  # the model is the first message
+            msg = read(sock)
+            Path(note_in, "forked").write_text(str(_forked_so_far(os.getppid())))
+            return msg
+
+        transport.read_message = read_and_count
+    run_node(node, *args, **kwargs)
+
+
+def test_the_master_reads_the_model_before_the_host_forks_the_last_node(tmp_path, monkeypatch):
+    """The model goes down while the host forks: the master, forked first,
+    has read it before the host has forked all 21 nodes of the (4,2) tree.
+    (A node's own start stamp bounds its fork too loosely under load.)"""
+    body = functools.partial(_run_node_counting_forks, note_in=tmp_path)
+    monkeypatch.setattr(transport, "run_node", body)
+    spec = OracleSpec(kind="identity", d=12, p=12)
+    cfg = TransportConfig(tree=build_tree(4, 2), s=1, oracle=spec, theta=np.zeros(12), deadline=5.0)
+    report = orchestrate(cfg, tmp_path / "run")
+    assert report.ok, report.error
+    assert len(report.node_reports) == 21
+    assert int((tmp_path / "forked").read_text()) < 21
+
+
+def test_a_large_model_for_a_master_that_never_starts_does_not_wait_for_the_forks(
+    tmp_path, monkeypatch
+):
+    """The host closes a never-started node's ends before its first fork, so
+    the orchestrator's blocking send of a model larger than the link's
+    buffer has failed before the host has forked the (4,2) tree's 20 other
+    nodes."""
+    send, forked = transport._send_model, []
+
+    def send_and_count(*args):
+        send(*args)
+        forked.append(_forked_so_far(transport._host[0].pid))
+
+    monkeypatch.setattr(transport, "_send_model", send_and_count)
+    spec = OracleSpec(kind="identity", d=12, p=12)
+    theta = np.zeros(131_072)  # 1 MB: the identity oracle takes a model of any length
+    cfg = TransportConfig(tree=build_tree(4, 2), s=1, oracle=spec, theta=theta, deadline=5.0)
+    report = orchestrate(cfg, tmp_path / "run", FailurePlan(never_start=frozenset({MASTER})))
+    assert report.error == "aborted: master produced no output"
+    assert len(report.node_reports) == 20
+    assert forked[0] < 20
+
+
 _SLEEPY_BODY = """\
 import time
 from pathlib import Path
 from codedreduce import transport
 
 
-def body(node, *args, **kwargs):
+def body(node, *args, woke_in, **kwargs):
     if node.layer == 1:
         time.sleep(1.2)
-        Path(args[5], f"woke_{node.index}").touch()
+        Path(woke_in, f"woke_{node.index}").touch()
     transport.run_node(node, *args, **kwargs)
 """
 
@@ -562,8 +706,8 @@ def test_no_node_outlives_a_caller_interrupted_mid_round(tmp_path):
     (tmp_path / "sleepy.py").write_text(_SLEEPY_BODY)  # importable from the script's directory
     [stopped] = _run_script(
         tmp_path,
-        "import signal, sleepy\n"
-        "transport.run_node = sleepy.body\n"
+        "import functools, signal, sleepy\n"
+        "transport.run_node = functools.partial(sleepy.body, woke_in=sys.argv[1])\n"
         "def interrupt(*_):\n"
         "    raise KeyboardInterrupt\n"
         "signal.signal(signal.SIGALRM, interrupt)\n"
@@ -579,15 +723,15 @@ def test_no_node_outlives_a_caller_interrupted_mid_round(tmp_path):
     assert list((tmp_path / "run").glob("woke_*")) == []
 
 
-def test_a_node_imports_nothing_beyond_its_hosts_start_up_imports(tmp_path):
+def test_a_node_imports_nothing_beyond_its_hosts_start_up_imports():
     """In a fresh interpreter holding only what a round host imports at its
-    start, a node's own work (its oracle of each kind, the decode row, the
-    wire codec and its report) imports no further module."""
+    start, a round's own work (the host's oracle build of each kind, a
+    node's memoized build, the decode row, the wire codec and the node's
+    report sent on a SOCK_SEQPACKET pair) imports no further module."""
     script = (
-        "import socket, sys\n"
+        "import json, socket, sys\n"
         "from codedreduce import transport\n"
         "exec(transport._HOST_CODE.rpartition(';')[0])  # the host's start-up, not its serving\n"
-        "from pathlib import Path\n"
         "import numpy as np\n"
         "from codedreduce.allocation import cr_allocate\n"
         "from codedreduce.codes import build_encoding\n"
@@ -595,21 +739,23 @@ def test_a_node_imports_nothing_beyond_its_hosts_start_up_imports(tmp_path):
         "B = build_encoding(3, 1, 0)\n"
         "shard = cr_allocate(build_tree(3, 2), 1, 60, B=B).local[NodeId(2, 1)]\n"
         "up, parent = socket.socketpair()\n"
+        "watch, alive = socket.socketpair(socket.AF_UNIX, socket.SOCK_SEQPACKET)\n"
         "before = set(sys.modules)\n"
         "for kind in ('identity', 'linear', 'logistic'):\n"
-        "    spec = transport.OracleSpec(kind=kind, d=60, p=4, data_seed=2)\n"
-        "    total = spec.build()(np.ones(4), shard)\n"
+        "    oracle = transport.OracleSpec(kind=kind, d=60, p=4, data_seed=2).build()\n"
+        "    node_spec = transport.OracleSpec(kind=kind, d=60, p=4, data_seed=2)\n"
+        "    assert node_spec.build() is oracle  # the node's build is the host's\n"
+        "    total = oracle(np.ones(4), shard)\n"
         "total = transport._combining_row(B, (0, 2))[0] * total\n"
         "up.sendall(transport.encode_message(transport.MSG_GRADIENT, NodeId(2, 1), total))\n"
         "assert transport.read_message(parent).sender_index == 1\n"
-        "report = transport.NodeReport('2.1', 'ok', [], [])\n"
-        "transport._write_report(Path(sys.argv[1]), report)\n"
+        "transport._send_report(alive, transport.NodeReport('2.1', 'ok', [], []))\n"
+        "assert json.loads(watch.recv(1 << 16))['status'] == 'ok'\n"
         "print(' '.join(sorted(set(sys.modules) - before)))\n"
     )
     env = {**os.environ, "PYTHONPATH": _SRC}
     out = subprocess.run(
-        [sys.executable, "-c", script, str(tmp_path)],
+        [sys.executable, "-c", script],
         capture_output=True, text=True, env=env, check=True, timeout=60,
     )
-    assert (tmp_path / "node_2_1.json").exists()
     assert out.stdout.split() == []
