@@ -9,13 +9,13 @@ Wire format (all integers little-endian):
     payload_len  u32      (number of doubles)
     payload      payload_len * 8 bytes, IEEE-754 doubles
 
-The tree is fixed, so every tree edge is one connected socket pair made
-before any node starts; each node gets its parent end and its child ends,
-no node process opens a socket of its own, and a send to a parent that has
-closed its end fails at once.  The orchestrator is the master's parent and
-handles that link with a parent's own code: right after it hands the round
-to the host, while the host forks, it sends the model in a single blocking
-send, and it collects the recovered gradient as a parent collects its
+Every round makes fresh socket pairs, one per tree edge, and each node
+gets its parent end and its child ends; no node process opens a socket of
+its own, and a send to a parent that has closed its end fails at once.
+The orchestrator is the master's parent and handles that link with a
+parent's own code: right after it hands the round to the host, while the
+host hands out the links, it sends the model in a single blocking send,
+and it collects the recovered gradient as a parent collects its
 children's.  Every node reads the model from its parent, sends it down
 every child link, computes its own coded gradient, collects the first n-s
 gradient messages (later arrivals are dropped with the links), combines
@@ -26,13 +26,22 @@ A round's nodes are forks of the caller's round host, a fresh interpreter
 that has imported this module and `numpy.random` and serves the caller's
 rounds one at a time.  A round hands it the caller's `sys.path`, the
 master's link end and one pickle of the node body and its arguments; it
-builds the round's oracle (kept for the next round on the same spec), makes
-the other socket pairs and forks each node, so a node starts in about a
-millisecond with nothing to unpickle, import or build.  A node sends its
-report as one message on the host's report socket and writes no file; the
-host applies the plan's kills and returns the nodes' exit codes with their
-reports, and the orchestrator writes every report file.  A round needs
-`os.fork` and `AF_UNIX` `SOCK_SEQPACKET` sockets.
+builds the round's oracle (kept for the next round on the same spec) and
+makes the other socket pairs.  A node outlives its round: the host keeps
+the live nodes of the caller's last round and, while a round's node inputs
+(all of it but θ and the failure plan) pickle to the same bytes, hands
+each of them the round's link ends with `socket.send_fds` on the node's
+own `AF_UNIX` `SOCK_SEQPACKET` control socket; only then does it fork the
+nodes that have no live process, each starting in about a millisecond with
+nothing to unpickle, import or build.  On other inputs it retires the old
+nodes first.  A node loops: it takes a hand-off, runs its round, sends its
+report as one message on its control socket, and exits on EOF there, when
+its host retires it or dies (no node holds another's control end).  A node
+that dies before sending, raises or is terminated dies for good, and the
+next round forks its replacement.  The host reaps a node whose control
+socket reads EOF for its exit code, and the orchestrator writes every
+report file.  A round needs `os.fork` and `AF_UNIX` `SOCK_SEQPACKET`
+sockets.
 """
 
 from __future__ import annotations
@@ -43,6 +52,7 @@ import functools
 import heapq
 import json
 import os
+import pickle
 import selectors
 import signal
 import socket
@@ -111,9 +121,9 @@ class WireMessage:
 
 
 def encode_message(msg_type: int, sender: NodeId, payload) -> bytes:
-    vec = np.asarray(payload, dtype="<f8")
+    vec = np.ascontiguousarray(payload, dtype="<f8")
     header = _HEADER.pack(MAGIC, msg_type, sender.layer, sender.index, vec.size)
-    return header + vec.tobytes()
+    return b"".join((header, vec.data))  # the payload's one copy
 
 
 def _unpack_header(data) -> list[int]:
@@ -207,10 +217,12 @@ class TransportConfig:
 
 @dataclass(frozen=True)
 class FailurePlan:
-    """never_start: the process is not launched at all; die_before_send: it
-    starts, reads the model (its parent queues it on the link however late
-    the child starts), then dies before computing; kill_after: the round
-    host terminates it that many (finite, >= 0) seconds after its fork."""
+    """never_start: the node gets no links: no process is launched for it,
+    and one alive from an earlier round sits the round out; die_before_send:
+    it reads the model (its parent queues it on the link however late the
+    child starts), reports, then dies before computing; kill_after: the
+    round host terminates it that many (finite, >= 0) seconds after its
+    hand-off, which for a node forked in the round follows its fork."""
 
     never_start: frozenset = frozenset()
     die_before_send: frozenset = frozenset()
@@ -255,7 +267,7 @@ def _write_report(run_dir: Path, report: NodeReport) -> None:
 
 
 def _send_report(sock: socket.socket, report: NodeReport) -> None:
-    """Send the report as one message on the round host's report socket,
+    """Send the report as one message on the node's control socket,
     which delivers it whole or not at all.  A `detail` too long for one
     message is cut by halves until the report fits, and says so."""
     detail, keep = report.detail, len(report.detail)
@@ -331,16 +343,17 @@ def run_node(
     report_to: socket.socket,
     die_before_send: bool = False,
 ) -> None:
-    """Body of one node process: one JSON report, sent on `report_to` (a
-    `SOCK_SEQPACKET` socket) with `_send_report` in the `finally`.
+    """One round of one node: one JSON report, sent on `report_to` (the
+    node's `SOCK_SEQPACKET` control socket) with `_send_report` in the
+    `finally`.
 
     `up` is the link to the parent (at the master, to the orchestrator) and
     `down` the links to the children in position order (empty at a leaf).
     Each outcome sets the status where it becomes known and returns.  The
     model is read from `up`; the running total, local term (0.0 for an
     empty shard, as at the master) plus decoded children, goes back up it.
-    The process then exits with code 0 at once; an exception is reported
-    as error, with its type and text, and re-raised (exit code 1).
+    It then returns to the node's loop; an exception is reported as error,
+    with its type and text, and re-raised, which ends the node (exit code 1).
     """
     need = cfg.tree.n - cfg.s
     report = NodeReport(node=str(node), status="error", received_from=[], missing=[])
@@ -392,21 +405,35 @@ def run_node(
         for conn in (up, *down):
             conn.close()
         _send_report(report_to, report)
-        if report.status != "error":
-            os._exit(0)
 
 
-def _forked_node(body, args: tuple, kwargs: dict, foreign: tuple) -> NoReturn:
-    """A forked node's whole life, which never returns into the host's code:
-    close the host's ends in `foreign`, run `body`, and leave by `os._exit`
-    with the code `multiprocessing.Process.exitcode` would read: 0, a
-    `SystemExit`'s code, or 1 after printing the traceback."""
-    code = 1
+def _node_loop(body, args: tuple, ctl: socket.socket, foreign: tuple) -> NoReturn:
+    """A forked node's whole life, which never returns into the host's code.
+    It closes the host's ends in `foreign`, every control end but its own
+    `ctl` among them, then serves rounds: each hand-off on `ctl` carries the
+    round's link ends, parent end first, and says whether the node dies
+    before it sends; it runs `body(*args, up, down, ctl, die_before_send=...)`
+    on them.  It leaves by `os._exit` on EOF from its host, after a round
+    that dies before sending, or once `body` raises, with the code
+    `multiprocessing.Process.exitcode` would read: 0, a `SystemExit`'s code,
+    or 1 after printing the traceback."""
+    code, most_ends = 1, 1 + args[1].tree.n  # args is (node, cfg, shard, B)
     try:
         try:
             for end in foreign:
                 end.close()
-            body(*args, **kwargs)
+            while True:
+                flag, fds, _, _ = socket.recv_fds(ctl, 1, most_ends)
+                if not flag:  # EOF: the host retired its nodes or is gone
+                    break
+                ends = [socket.socket(fileno=fd) for fd in fds]
+                try:
+                    body(*args, ends[0], tuple(ends[1:]), ctl, die_before_send=flag == b"d")
+                finally:
+                    for end in ends:
+                        end.close()
+                if flag == b"d":
+                    break
             code = 0
         except SystemExit as exc:
             if exc.code is None or isinstance(exc.code, int):
@@ -420,33 +447,66 @@ def _forked_node(body, args: tuple, kwargs: dict, foreign: tuple) -> NoReturn:
         os._exit(code)
 
 
-def _kill_due(kills: list) -> float:
-    """Terminate every node in the heap `kills` of (time, pid) whose time
-    has come; return the next kill time, or inf."""
+def _kill_due(kills: list, pool: dict) -> float:
+    """Terminate every node in the heap `kills` of (time, node) whose time
+    has come, if it is still in `pool`; return the next kill time, or inf."""
     now = time.monotonic()
     while kills and kills[0][0] <= now:
-        os.kill(heapq.heappop(kills)[1], signal.SIGTERM)
+        node = heapq.heappop(kills)[1]
+        if node in pool:  # a reaped node's pid may be another process's by now
+            os.kill(pool[node][0], signal.SIGTERM)
     return kills[0][0] if kills else inf
 
 
-def _round_host(body, cfg: TransportConfig, B, shards, plan, master_end, status):
-    """One round in the round host: fork every started node, apply the
-    failure plan's kills, reap the nodes and send their exit codes and
-    reports.
+def _reap(pool: dict, node: NodeId) -> int:
+    """Take `node` out of `pool`, close its control end and reap it; its exit
+    code, negative for a signal."""
+    pid, ctl = pool.pop(node)
+    ctl.close()
+    return os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
 
-    The host makes each worker's parent link, closes the ends of the nodes
-    that never start, so a read or a send across their links fails at once,
-    and forks the started nodes in layer-major order, with no thread alive.
-    A node closes every end but its own, and `status`; the host closes that
-    node's ends right after its fork, then sends None on `status`: all
-    started.  Every node holds `alive` and sends its report on it as one
-    message.  A node whose `kill_after` delay, counted from its own fork,
-    has passed gets SIGTERM.  The host reads reports until every node has
-    exited, or until the join deadline, when each one still alive gets
-    SIGTERM; it then reaps them all, reads what they sent before they were
-    reaped, and sends `({node: exit code}, [report message])`, exit codes
-    negative for a signal.  Nodes are reaped only then, so no pid it
-    signals can have been reused."""
+
+def _retire(pool: dict) -> None:
+    """Close every control end of `pool`, which an idle node reads as EOF
+    and exits on, then reap every node."""
+    for _, ctl in pool.values():
+        ctl.close()
+    for node in list(pool):
+        _reap(pool, node)
+
+
+def _has_exited(ctl: socket.socket) -> bool:
+    """Whether the node at the far end of its control end `ctl` has exited."""
+    try:
+        return not ctl.recv(1, socket.MSG_DONTWAIT | socket.MSG_PEEK)
+    except BlockingIOError:
+        return False
+
+
+def _round_host(pool: dict, body, cfg: TransportConfig, B, shards, plan, master_end, status):
+    """One round in the round host on `pool`, {node: (pid, control end)},
+    the live nodes of the caller's last round on the same node inputs.
+
+    The host reaps the pool's nodes that have exited since, makes each
+    worker's parent link and closes the ends of the nodes that never start,
+    so a read or a send across their links fails at once; a pool node that
+    never starts sits the round out.  It hands every other node its ends
+    with `socket.send_fds` on the node's control socket, the pool's nodes
+    first and then, in layer-major order, each one it forks right before
+    the hand-off, with no thread alive, and closes them.  A node whose
+    `kill_after` delay, counted from its hand-off, has passed gets SIGTERM.
+    The round ends once every node taking part has sent its report on its
+    control socket or exited, or at the join deadline, when each one left
+    gets SIGTERM; the host sends `({node: exit code}, [report message])`
+    with the codes of the nodes that exited in it, negative for a signal.
+    It then terminates the `kill_after` nodes still alive and reaps them
+    with the ones that die before sending or raised, which exit by
+    themselves; the next round forks their replacements.  A node is reaped
+    only as it leaves the pool, so no pid the host signals can have been
+    reused."""
+    for node in [node for node, (_, ctl) in pool.items() if _has_exited(ctl)]:
+        _reap(pool, node)
+    join_deadline = time.monotonic() + cfg.deadline + 20.0
     tree = cfg.tree
     links = {worker: socket.socketpair() for worker in tree.workers()}  # (parent end, child end)
     ups = {MASTER: master_end, **{node: child for node, (_, child) in links.items()}}
@@ -457,85 +517,108 @@ def _round_host(body, cfg: TransportConfig, B, shards, plan, master_end, status)
         for end in owned.pop(node):
             end.close()
     ends = {end for own in owned.values() for end in own}
-    # `watch` reads each node's report, and EOF once every node has exited
-    watch, alive = socket.socketpair(socket.AF_UNIX, socket.SOCK_SEQPACKET)
-    # no message is longer than the send buffer, and one buffer serves every read
-    buf = memoryview(bytearray(alive.getsockopt(socket.SOL_SOCKET, socket.SO_SNDBUF)))
-    pids, kills = {}, []
+    kills = []
     try:
-        for node, own in owned.items():
-            args = (node, cfg, shards.get(node, ()), B, own[0], own[1:], alive)
-            kwargs = {"die_before_send": node in plan.die_before_send}
-            foreign = (*(ends - set(own)), status, watch)
-            pid = os.fork()
-            if pid == 0:
-                _forked_node(body, args, kwargs, foreign)
-            pids[node] = pid
+        for node in sorted(owned, key=lambda node: node not in pool):  # stable: layer-major
+            if node not in pool:
+                ctl, theirs = socket.socketpair(socket.AF_UNIX, socket.SOCK_SEQPACKET)
+                foreign = (*ends, *(end for _, end in pool.values()), ctl, status)
+                pid = os.fork()
+                if pid == 0:
+                    _node_loop(body, (node, cfg, shards.get(node, ()), B), theirs, foreign)
+                theirs.close()
+                pool[node] = pid, ctl
+            flag = b"d" if node in plan.die_before_send else b"r"
+            with suppress(OSError):  # a node gone since: its EOF ends its round
+                socket.send_fds(pool[node][1], [flag], [end.fileno() for end in owned[node]])
             if node in plan.kill_after:
-                heapq.heappush(kills, (time.monotonic() + plan.kill_after[node], pid))
-            for end in own:
+                heapq.heappush(kills, (time.monotonic() + plan.kill_after[node], node))
+            for end in owned[node]:
                 end.close()
-            _kill_due(kills)
+            _kill_due(kills, pool)
     except BaseException:
-        for pid in pids.values():
+        for pid, _ in pool.values():
             os.kill(pid, signal.SIGKILL)
         raise
     finally:
-        for end in (*ends, alive):
+        for end in ends:
             end.close()
-    status.send(None)
-    join_deadline = time.monotonic() + cfg.deadline + 20.0
-    reports = []
-    with watch:
-        while (now := time.monotonic()) < join_deadline:
-            watch.settimeout(min(join_deadline, _kill_due(kills)) - now)
-            with suppress(TimeoutError):
-                if not (size := watch.recv_into(buf)):
-                    break
-                reports.append(bytes(buf[:size]))
-        else:
-            for pid in pids.values():  # an exited node ignores it until reaped
-                os.kill(pid, signal.SIGTERM)
-        codes = {
-            str(node): os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
-            for node, pid in pids.items()
-        }
-        watch.setblocking(False)  # every holder of `alive` is reaped: it reads EOF
-        while size := watch.recv_into(buf):
-            reports.append(bytes(buf[:size]))
-    status.send((codes, reports))
+    reports, codes = {}, {}
+    with selectors.DefaultSelector() as sel:
+        for node in owned:
+            sel.register(pool[node][1], selectors.EVENT_READ, node)
+        while sel.get_map() and (now := time.monotonic()) < join_deadline:
+            for key, _ in sel.select(min(join_deadline, _kill_due(kills, pool)) - now):
+                ctl, node = key.fileobj, key.data
+                sel.unregister(ctl)
+                try:  # no report is longer than a send buffer, the node's or this one
+                    message = ctl.recv(ctl.getsockopt(socket.SOL_SOCKET, socket.SO_SNDBUF))
+                except ConnectionResetError:  # it exited before it read its hand-off
+                    message = b""
+                if message:
+                    reports[node] = message
+                else:
+                    codes[str(node)] = _reap(pool, node)
+        late = [key.data for key in sel.get_map().values()]
+    for node in late:
+        os.kill(pool[node][0], signal.SIGTERM)
+    for node in late:
+        codes[str(node)] = _reap(pool, node)
+    status.send((codes, list(reports.values())))
+    for node in owned:  # a node still in the pool has reported
+        doomed = node in plan.die_before_send or node in plan.kill_after
+        if node in pool and (doomed or json.loads(reports[node])["status"] == "error"):
+            if node in plan.kill_after:
+                os.kill(pool[node][0], signal.SIGTERM)
+            _reap(pool, node)
 
 
 def _serve_rounds(fd: int) -> None:
     """Body of a round host: serve rounds on the control connection `fd`
-    until the caller closes it.  It builds each round's oracle before it
-    forks, so every node inherits it, and answers a round whose arguments
-    do not load, or whose oracle does not build, with the exception."""
+    until the caller closes it, then retire the nodes.  The live nodes of
+    a round serve the next while their inputs, all of a round but θ and
+    the plan, pickle to the same bytes; the host retires them first when
+    the inputs change.  It builds each round's oracle before any fork, so
+    every node inherits it, and answers a round whose arguments do not
+    load, or whose oracle does not build, with the exception."""
+    pool, inputs = {}, None
     with connection.Connection(fd) as conn, suppress(EOFError):
-        while True:
-            sys.path[:] = conn.recv()
-            master_end = socket.socket(fileno=reduction.recv_handle(conn))
-            try:
-                body, cfg, *args = conn.recv()
-                cfg.oracle.build()
-            except Exception as err:
-                master_end.close()
-                conn.send(f"{type(err).__name__}: {err}")
-            else:
-                _round_host(body, cfg, *args, master_end, conn)
+        try:
+            while True:
+                sys.path[:] = conn.recv()
+                master_end = socket.socket(fileno=reduction.recv_handle(conn))
+                try:
+                    body, cfg, B, shards, plan = conn.recv()
+                    cfg.oracle.build()
+                    node_inputs = (body, cfg.tree, cfg.s, cfg.oracle, cfg.deadline, B, shards)
+                    round_inputs = pickle.dumps(node_inputs)
+                except Exception as err:
+                    master_end.close()
+                    conn.send(f"{type(err).__name__}: {err}")
+                    continue
+                if round_inputs != inputs:
+                    _retire(pool)
+                    inputs = round_inputs
+                _round_host(pool, body, cfg, B, shards, plan, master_end, conn)
+        finally:
+            _retire(pool)
 
 
 @atexit.register  # no host or node outlives its caller
-def _stop_host() -> None:
-    """Kill this process's round host, if it has one, with the nodes of a
-    round it is serving (its process group), and reap it."""
+def _stop_host(grace: float = 5.0) -> None:
+    """Stop this process's round host, if it has one, and reap it.  Once
+    its control connection closes, an idle host retires its nodes and
+    exits; one still running after `grace` seconds, such as a host that is
+    mid-round, is killed with its nodes (its process group)."""
     global _host
     if _host is not None:
         (proc, conn), _host = _host, None
         conn.close()
+        with suppress(subprocess.TimeoutExpired):
+            proc.wait(grace)
         if proc.returncode is None:  # not reaped, so the group id is still the host's
             os.killpg(proc.pid, signal.SIGKILL)
-        proc.wait()
+            proc.wait()
 
 
 def _recv_by(conn, deadline_at: float):
@@ -548,29 +631,29 @@ def _recv_by(conn, deadline_at: float):
 
 
 def orchestrate(cfg: TransportConfig, run_dir, plan: FailurePlan = FailurePlan()):
-    """Connect every tree edge, fork one process per node, apply the failure
-    plan, and collect the master's gradient plus every node's report.
+    """Connect every tree edge, run each node in its own process, apply the
+    failure plan, and collect the master's gradient plus every node's report.
 
     The round goes to this process's round host (`_serve_rounds`), one round
     at a time, with the node body `run_node` as named when this is called,
     which must be importable by its module's name, the config, the code, the
-    shards, the plan and the master's link; it forks the nodes, makes their
-    links, applies `kill_after` and returns each node's exit code and the
-    report it sent, or the exception that kept it from loading the round.
+    shards, the plan and the master's link; it hands the links to the nodes
+    it kept from the last round and forks the others, applies `kill_after`
+    and returns the report each node sent and the exit code of each that
+    died in the round, or the exception that kept it from loading the round.
     The orchestrator is the master's parent: right after it hands the host
-    the round, while the host forks, it sends the model down the master's
-    link with `_send_model`, in one blocking send, so the master cannot
-    answer before it has read the whole model; it then waits for the host
-    to say every node has started, collects the master's gradient with
-    `_collect_gradients` by the join deadline and writes
-    `master_gradient.csv` on receipt.  A node's link ends are its own
-    process's only, and those of a node that never starts are closed before
-    the first fork, so the reads and sends across that node's links fail
-    at once.  A started node that sent no report gets one from its exit
-    code: killed by a signal, else error.  One rule decides discarded: a
-    child that reports ok stays ok only when its parent reports ok or
-    discarded and lists it in `received_from`; otherwise `detail` names the
-    parent and its status.  Every report is then written to `run_dir` as
+    the round, while the host hands out the links, it sends the model down
+    the master's link with `_send_model`, in one blocking send, so the
+    master cannot answer before it has read the whole model; it then
+    collects the master's gradient with `_collect_gradients` by the join
+    deadline and writes `master_gradient.csv` on receipt.  A node's link
+    ends are its own process's only, and those of a node that never starts
+    are closed before the first hand-off, so the reads and sends across
+    that node's links fail at once.  A node that took part and sent no
+    report gets one from its exit code: killed by a signal, else error.
+    One rule decides discarded: a child that reports ok stays ok only when
+    its parent reports ok or discarded and lists it in `received_from`;
+    otherwise `detail` names the parent and its status.  Every report is then written to `run_dir` as
     `node_<layer>_<index>.json`.  A platform without `os.fork`, the code,
     the allocation, a plan entry that is not a `NodeId` of the tree, and a
     `run_dir` that names a file or a path below one are refused before
@@ -613,21 +696,20 @@ def orchestrate(cfg: TransportConfig, run_dir, plan: FailurePlan = FailurePlan()
                 reduction.send_handle(conn, bottom.fileno(), proc.pid)
                 conn.send((run_node, cfg, B, assignment.local, plan))
             top.settimeout(cfg.deadline + 20.0)
-            _send_model((top,), MASTER, cfg.theta)  # the master is the first fork
-            started = _recv_by(conn, time.monotonic() + cfg.deadline + 20.0)
-            if isinstance(started, str):  # the host could not load the round
-                answer = started  # and waits for the next one
-                return RunReport(False, None, f"aborted: round host: {started}", {}, [])
+            _send_model((top,), MASTER, cfg.theta)  # the master is the first hand-off
             join_deadline = time.monotonic() + cfg.deadline + 20.0
+            # a host that cannot load the round closes the master's link at once
             gradient = _collect_gradients((top,), (MASTER,), 1, join_deadline)[0].get(0)
             if gradient is not None:
                 out_path.write_text(",".join(repr(float(v)) for v in gradient) + "\n")
-            # the host's join deadline is no later than this one
+            # the host sets its join deadline as it takes the round, about when this one was set
             answer = _recv_by(conn, join_deadline + 5.0)
         finally:
             top.close()
             if answer is None:  # the host is gone, late or cut off mid-round
-                _stop_host()
+                _stop_host(grace=0.0)
+    if isinstance(answer, str):  # the host could not load the round, and serves on
+        return RunReport(False, None, f"aborted: round host: {answer}", {}, [])
 
     codes, sent = answer or ({}, [])
     reports = {r.node: r for r in (NodeReport(**json.loads(message)) for message in sent)}

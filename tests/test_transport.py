@@ -1,3 +1,4 @@
+import dataclasses
 import functools
 import json
 import os
@@ -53,6 +54,21 @@ def test_wire_round_trip_random_payloads():
             sender.index,
         )
         np.testing.assert_array_equal(msg.payload, payload)
+
+
+@pytest.mark.parametrize("payload", ["empty", "3", "8MB", "strided", "float32"])
+def test_encode_message_copies_the_payload_once_into_the_same_bytes(payload):
+    values = {
+        "empty": np.zeros(0),
+        "3": np.array([0.5, -1.0, 2.0]),
+        "8MB": np.random.default_rng(3).standard_normal(1_048_576),
+        "strided": np.arange(30.0)[::3],
+        "float32": np.linspace(-1.0, 1.0, 7, dtype=np.float32),
+    }[payload]
+    sender = NodeId(2, 5)
+    header = transport._HEADER.pack(MAGIC, MSG_GRADIENT, sender.layer, sender.index, values.size)
+    two_copies = header + np.asarray(values, dtype="<f8").tobytes()
+    assert encode_message(MSG_GRADIENT, sender, values) == two_copies
 
 
 def test_wire_rejects_garbage():
@@ -653,6 +669,7 @@ def test_the_master_reads_the_model_before_the_host_forks_the_last_node(tmp_path
     """The model goes down while the host forks: the master, forked first,
     has read it before the host has forked all 21 nodes of the (4,2) tree.
     (A node's own start stamp bounds its fork too loosely under load.)"""
+    transport._stop_host()  # a cold host: a warm one may hold these nodes already
     body = functools.partial(_run_node_counting_forks, note_in=tmp_path)
     monkeypatch.setattr(transport, "run_node", body)
     spec = OracleSpec(kind="identity", d=12, p=12)
@@ -670,6 +687,7 @@ def test_a_large_model_for_a_master_that_never_starts_does_not_wait_for_the_fork
     the orchestrator's blocking send of a model larger than the link's
     buffer has failed before the host has forked the (4,2) tree's 20 other
     nodes."""
+    transport._stop_host()  # a cold host: a warm one may hold these nodes already
     send, forked = transport._send_model, []
 
     def send_and_count(*args):
@@ -684,6 +702,99 @@ def test_a_large_model_for_a_master_that_never_starts_does_not_wait_for_the_fork
     assert report.error == "aborted: master produced no output"
     assert len(report.node_reports) == 20
     assert forked[0] < 20
+
+
+def _run_node_noting_its_pid(node, *args, note_in, **kwargs):
+    """run_node with each node writing its pid to `note_in/pid_<node>`
+    first; the round host imports it from this module by name."""
+    Path(note_in, f"pid_{node}").write_text(str(os.getpid()))
+    run_node(node, *args, **kwargs)
+
+
+def _pool_round(tmp_path, monkeypatch, cfg, plan=FailurePlan()):
+    """A round whose nodes note their pids in one directory, so that its
+    node inputs equal those of the test's other rounds on `cfg`; the
+    report and the pid every node noted, by node."""
+    notes = tmp_path / "pids"
+    notes.mkdir(exist_ok=True)
+    body = functools.partial(_run_node_noting_its_pid, note_in=notes)
+    monkeypatch.setattr(transport, "run_node", body)
+    report = orchestrate(cfg, tmp_path / "run", plan)
+    return report, {path.name[4:]: int(path.read_text()) for path in notes.glob("pid_*")}
+
+
+def _alive(pid: int) -> bool:
+    """Whether `pid` names a process that has not exited (a zombie has)."""
+    try:
+        state = Path(f"/proc/{pid}/stat").read_text().rpartition(")")[2].split()[0]
+    except OSError:
+        return False
+    return state not in ("Z", "X")
+
+
+def test_a_round_reuses_every_node_that_lived_through_the_last(tmp_path, monkeypatch):
+    """Under the benchmark's plan, the second round with a new θ hands its
+    links to the first round's live nodes and forks only 1.1, 2.5 and 2.8,
+    which died; each round's gradient is its own θ's."""
+    tree = build_tree(3, 2)
+    spec = OracleSpec(kind="linear", d=60, p=4, data_seed=2)
+    plan = FailurePlan(die_before_send=frozenset({NodeId(1, 1), NodeId(2, 5), NodeId(2, 8)}))
+    pids = []
+    for theta in (np.array([0.5, -1.0, 2.0, 0.25]), np.array([-0.3, 0.7, 0.1, 1.5])):
+        cfg = TransportConfig(tree=tree, s=1, oracle=spec, theta=theta, deadline=5.0)
+        report, noted = _pool_round(tmp_path, monkeypatch, cfg, plan)
+        assert report.ok, report.error
+        expected = engine_reference(tree, 1, spec, theta)
+        assert np.max(np.abs(report.gradient - expected)) / np.max(np.abs(expected)) <= 1e-9
+        assert len(noted) == 13
+        pids.append(noted)
+    first, second = pids
+    kept = {node for node, pid in first.items() if second[node] == pid}
+    assert kept == set(first) - {"1.1", "2.5", "2.8"}
+
+
+def test_a_round_on_other_node_inputs_retires_the_last_rounds_nodes(tmp_path, monkeypatch):
+    spec = OracleSpec(kind="identity", d=15, p=15)
+    cfg = TransportConfig(tree=build_tree(3, 2), s=1, oracle=spec, theta=np.zeros(15), deadline=5.0)
+    report, first = _pool_round(tmp_path, monkeypatch, cfg)
+    assert report.ok, report.error
+    report, second = _pool_round(tmp_path, monkeypatch, dataclasses.replace(cfg, deadline=6.0))
+    assert report.ok, report.error
+    assert not set(first.values()) & set(second.values())
+    # the host reaped the old nodes before it made the new round's links
+    assert [pid for pid in first.values() if Path(f"/proc/{pid}").exists()] == []
+
+
+def test_an_idle_node_killed_between_rounds_is_replaced(tmp_path, monkeypatch):
+    spec = OracleSpec(kind="identity", d=15, p=15)
+    cfg = TransportConfig(tree=build_tree(3, 2), s=1, oracle=spec, theta=np.zeros(15), deadline=5.0)
+    report, first = _pool_round(tmp_path, monkeypatch, cfg)
+    assert report.ok, report.error
+    os.kill(first["2.1"], signal.SIGKILL)
+    gone_by = time.monotonic() + 5.0
+    while _alive(first["2.1"]) and time.monotonic() < gone_by:
+        time.sleep(0.01)
+    report, second = _pool_round(tmp_path, monkeypatch, cfg)
+    assert report.ok, report.error
+    assert len(report.node_reports) == 13
+    kept = {node for node, pid in first.items() if second[node] == pid}
+    assert kept == set(first) - {"2.1"}
+
+
+def test_no_node_outlives_a_host_killed_between_rounds(tmp_path, monkeypatch):
+    """Every node reads EOF on its control socket once the host is gone,
+    since no node holds another node's control end, and exits."""
+    spec = OracleSpec(kind="identity", d=15, p=15)
+    cfg = TransportConfig(tree=build_tree(3, 2), s=1, oracle=spec, theta=np.zeros(15), deadline=5.0)
+    report, pids = _pool_round(tmp_path, monkeypatch, cfg)
+    assert report.ok, report.error
+    assert len(pids) == 13
+    os.kill(transport._host[0].pid, signal.SIGKILL)
+    time.sleep(2.0)
+    try:
+        assert [pid for pid in pids.values() if _alive(pid)] == []
+    finally:
+        transport._stop_host()  # reaps the killed host
 
 
 _SLEEPY_BODY = """\
