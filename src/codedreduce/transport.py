@@ -37,11 +37,14 @@ nothing to unpickle, import or build.  On other inputs it retires the old
 nodes first.  A node loops: it takes a hand-off, runs its round, sends its
 report as one message on its control socket, and exits on EOF there, when
 its host retires it or dies (no node holds another's control end).  A node
-that dies before sending, raises or is terminated dies for good, and the
-next round forks its replacement.  The host reaps a node whose control
-socket reads EOF for its exit code, and the orchestrator writes every
-report file.  A round needs `os.fork` and `AF_UNIX` `SOCK_SEQPACKET`
-sockets.
+that dies before sending, raises or is terminated dies for good.  Once the
+host has answered the round it closes their control ends (one that died
+before sending waits for that close to exit), reaps them and forks their
+replacements until the next round arrives, so a round that finds the host
+idle forks no node and waits for no exit.  The host reaps a node whose
+control socket reads EOF for its exit code, and the orchestrator writes
+every report file.  A round needs `os.fork` and `AF_UNIX`
+`SOCK_SEQPACKET` sockets.
 """
 
 from __future__ import annotations
@@ -220,7 +223,8 @@ class FailurePlan:
     """never_start: the node gets no links: no process is launched for it,
     and one alive from an earlier round sits the round out; die_before_send:
     it reads the model (its parent queues it on the link however late the
-    child starts), reports, then dies before computing; kill_after: the
+    child starts), closes its links without computing and reports killed,
+    and its process exits once the round host has answered; kill_after: the
     round host terminates it that many (finite, >= 0) seconds after its
     hand-off, which for a node forked in the round follows its fork."""
 
@@ -413,10 +417,13 @@ def _node_loop(body, args: tuple, ctl: socket.socket, foreign: tuple) -> NoRetur
     `ctl` among them, then serves rounds: each hand-off on `ctl` carries the
     round's link ends, parent end first, and says whether the node dies
     before it sends; it runs `body(*args, up, down, ctl, die_before_send=...)`
-    on them.  It leaves by `os._exit` on EOF from its host, after a round
-    that dies before sending, or once `body` raises, with the code
-    `multiprocessing.Process.exitcode` would read: 0, a `SystemExit`'s code,
-    or 1 after printing the traceback."""
+    on them.  It leaves by `os._exit` on EOF from its host, or once `body`
+    raises, with the code `multiprocessing.Process.exitcode` would read: 0,
+    a `SystemExit`'s code, or 1 after printing the traceback.  A round that
+    dies before sending is its last: it runs at the lowest priority, so
+    the CPU goes to the nodes the round waits for, and it gets no further
+    hand-off, only the EOF the host sends once it has answered, so its exit
+    falls outside the round."""
     code, most_ends = 1, 1 + args[1].tree.n  # args is (node, cfg, shard, B)
     try:
         try:
@@ -424,16 +431,16 @@ def _node_loop(body, args: tuple, ctl: socket.socket, foreign: tuple) -> NoRetur
                 end.close()
             while True:
                 flag, fds, _, _ = socket.recv_fds(ctl, 1, most_ends)
-                if not flag:  # EOF: the host retired its nodes or is gone
+                if not flag:  # EOF: the host retired the node or is gone
                     break
                 ends = [socket.socket(fileno=fd) for fd in fds]
+                if flag == b"d":  # its last round: its planned death yields to the others
+                    os.nice(19)
                 try:
                     body(*args, ends[0], tuple(ends[1:]), ctl, die_before_send=flag == b"d")
                 finally:
                     for end in ends:
                         end.close()
-                if flag == b"d":
-                    break
             code = 0
         except SystemExit as exc:
             if exc.code is None or isinstance(exc.code, int):
@@ -466,13 +473,27 @@ def _reap(pool: dict, node: NodeId) -> int:
     return os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
 
 
-def _retire(pool: dict) -> None:
-    """Close every control end of `pool`, which an idle node reads as EOF
-    and exits on, then reap every node."""
-    for _, ctl in pool.values():
-        ctl.close()
-    for node in list(pool):
+def _retire(pool: dict, nodes) -> None:
+    """Close the control end of each of `nodes` in `pool`, which an idle
+    node reads as EOF and exits on, then reap them."""
+    nodes = list(nodes)
+    for node in nodes:
+        pool[node][1].close()
+    for node in nodes:
         _reap(pool, node)
+
+
+def _fork(pool: dict, node: NodeId, body, cfg: TransportConfig, B, shards, foreign: tuple):
+    """Fork `node`'s process, which runs `_node_loop` and first closes the
+    host's ends in `foreign`, every pool node's control end and its own
+    control socket's other end, and add it to `pool`."""
+    ctl, theirs = socket.socketpair(socket.AF_UNIX, socket.SOCK_SEQPACKET)
+    foreign = (*foreign, *(end for _, end in pool.values()), ctl)
+    pid = os.fork()
+    if pid == 0:
+        _node_loop(body, (node, cfg, shards.get(node, ()), B), theirs, foreign)
+    theirs.close()
+    pool[node] = pid, ctl
 
 
 def _has_exited(ctl: socket.socket) -> bool:
@@ -491,19 +512,21 @@ def _round_host(pool: dict, body, cfg: TransportConfig, B, shards, plan, master_
     worker's parent link and closes the ends of the nodes that never start,
     so a read or a send across their links fails at once; a pool node that
     never starts sits the round out.  It hands every other node its ends
-    with `socket.send_fds` on the node's control socket, the pool's nodes
-    first and then, in layer-major order, each one it forks right before
-    the hand-off, with no thread alive, and closes them.  A node whose
-    `kill_after` delay, counted from its hand-off, has passed gets SIGTERM.
-    The round ends once every node taking part has sent its report on its
-    control socket or exited, or at the join deadline, when each one left
-    gets SIGTERM; the host sends `({node: exit code}, [report message])`
-    with the codes of the nodes that exited in it, negative for a signal.
-    It then terminates the `kill_after` nodes still alive and reaps them
-    with the ones that die before sending or raised, which exit by
-    themselves; the next round forks their replacements.  A node is reaped
-    only as it leaves the pool, so no pid the host signals can have been
-    reused."""
+    with `socket.send_fds` on the node's control socket, in layer-major
+    order: the pool's nodes, those that die before sending last, and then
+    each one it forks right before the hand-off, with no thread alive, and
+    closes them.  A node whose `kill_after` delay, counted from its
+    hand-off, has passed gets SIGTERM.  The round ends once every node
+    taking part has sent its report on its control socket or exited, or at
+    the join deadline, when each one left gets SIGTERM; the host sends
+    `({node: exit code}, [report message])` with the codes of the nodes
+    that exited in it, negative for a signal.  Only then does it terminate
+    the `kill_after` nodes still alive and close the control ends of those
+    and of the ones that died before sending, which exit on it, or raised,
+    and reap them.  It forks a replacement for every node that took part
+    and left the pool, checking before each fork that no round waits: one
+    that does forks the rest.  A node is reaped only as it leaves the pool,
+    so no pid the host signals can have been reused."""
     for node in [node for node, (_, ctl) in pool.items() if _has_exited(ctl)]:
         _reap(pool, node)
     join_deadline = time.monotonic() + cfg.deadline + 20.0
@@ -518,16 +541,11 @@ def _round_host(pool: dict, body, cfg: TransportConfig, B, shards, plan, master_
             end.close()
     ends = {end for own in owned.values() for end in own}
     kills = []
-    try:
-        for node in sorted(owned, key=lambda node: node not in pool):  # stable: layer-major
+    order = sorted(owned, key=lambda node: (node not in pool, node in plan.die_before_send))
+    try:  # sorted is stable: layer-major within each group
+        for node in order:
             if node not in pool:
-                ctl, theirs = socket.socketpair(socket.AF_UNIX, socket.SOCK_SEQPACKET)
-                foreign = (*ends, *(end for _, end in pool.values()), ctl, status)
-                pid = os.fork()
-                if pid == 0:
-                    _node_loop(body, (node, cfg, shards.get(node, ()), B), theirs, foreign)
-                theirs.close()
-                pool[node] = pid, ctl
+                _fork(pool, node, body, cfg, B, shards, (*ends, status))
             flag = b"d" if node in plan.die_before_send else b"r"
             with suppress(OSError):  # a node gone since: its EOF ends its round
                 socket.send_fds(pool[node][1], [flag], [end.fileno() for end in owned[node]])
@@ -565,12 +583,21 @@ def _round_host(pool: dict, body, cfg: TransportConfig, B, shards, plan, master_
     for node in late:
         codes[str(node)] = _reap(pool, node)
     status.send((codes, list(reports.values())))
-    for node in owned:  # a node still in the pool has reported
-        doomed = node in plan.die_before_send or node in plan.kill_after
-        if node in pool and (doomed or json.loads(reports[node])["status"] == "error"):
-            if node in plan.kill_after:
-                os.kill(pool[node][0], signal.SIGTERM)
-            _reap(pool, node)
+    doomed = {*plan.die_before_send, *plan.kill_after}
+    leaving = [  # a node still in the pool has reported
+        node
+        for node in owned
+        if node in pool and (node in doomed or json.loads(reports[node])["status"] == "error")
+    ]
+    for node in leaving:
+        if node in plan.kill_after:
+            os.kill(pool[node][0], signal.SIGTERM)
+    _retire(pool, leaving)
+    for node in owned:
+        if node not in pool:
+            if status.poll():  # the next round, or the caller's close, is waiting
+                break
+            _fork(pool, node, body, cfg, B, shards, (status,))
 
 
 def _serve_rounds(fd: int) -> None:
@@ -578,9 +605,11 @@ def _serve_rounds(fd: int) -> None:
     until the caller closes it, then retire the nodes.  The live nodes of
     a round serve the next while their inputs, all of a round but θ and
     the plan, pickle to the same bytes; the host retires them first when
-    the inputs change.  It builds each round's oracle before any fork, so
-    every node inherits it, and answers a round whose arguments do not
-    load, or whose oracle does not build, with the exception."""
+    the inputs change.  Between rounds it forks the replacements of the
+    last round's dead nodes, up to the next round's arrival.  It builds
+    each round's oracle before any fork, so every node inherits it, and
+    answers a round whose arguments do not load, or whose oracle does not
+    build, with the exception."""
     pool, inputs = {}, None
     with connection.Connection(fd) as conn, suppress(EOFError):
         try:
@@ -597,11 +626,11 @@ def _serve_rounds(fd: int) -> None:
                     conn.send(f"{type(err).__name__}: {err}")
                     continue
                 if round_inputs != inputs:
-                    _retire(pool)
+                    _retire(pool, pool)
                     inputs = round_inputs
                 _round_host(pool, body, cfg, B, shards, plan, master_end, conn)
         finally:
-            _retire(pool)
+            _retire(pool, pool)
 
 
 @atexit.register  # no host or node outlives its caller

@@ -643,9 +643,14 @@ def test_a_model_larger_than_the_link_buffer_still_reaches_the_master(tmp_path):
     assert report.node_reports["0.1"].status == "ok"
 
 
+def _children(pid: int) -> set[int]:
+    """The children of the process `pid` that it has not reaped."""
+    return {int(tok) for tok in Path(f"/proc/{pid}/task/{pid}/children").read_text().split()}
+
+
 def _forked_so_far(pid: int) -> int:
     """How many children the process `pid` has forked and not yet reaped."""
-    return len(Path(f"/proc/{pid}/task/{pid}/children").read_text().split())
+    return len(_children(pid))
 
 
 def _run_node_counting_forks(node, *args, note_in, **kwargs):
@@ -734,8 +739,8 @@ def _alive(pid: int) -> bool:
 
 def test_a_round_reuses_every_node_that_lived_through_the_last(tmp_path, monkeypatch):
     """Under the benchmark's plan, the second round with a new θ hands its
-    links to the first round's live nodes and forks only 1.1, 2.5 and 2.8,
-    which died; each round's gradient is its own θ's."""
+    links to the first round's live nodes and to new processes only for
+    1.1, 2.5 and 2.8, which died; each round's gradient is its own θ's."""
     tree = build_tree(3, 2)
     spec = OracleSpec(kind="linear", d=60, p=4, data_seed=2)
     plan = FailurePlan(die_before_send=frozenset({NodeId(1, 1), NodeId(2, 5), NodeId(2, 8)}))
@@ -793,6 +798,88 @@ def test_no_node_outlives_a_host_killed_between_rounds(tmp_path, monkeypatch):
     time.sleep(2.0)
     try:
         assert [pid for pid in pids.values() if _alive(pid)] == []
+    finally:
+        transport._stop_host()  # reaps the killed host
+
+
+_BENCHMARK_DEATHS = frozenset({NodeId(1, 1), NodeId(2, 5), NodeId(2, 8)})
+
+
+def _settled_children(pid: int, count: int, gone=frozenset()) -> set[int]:
+    """The children of the process `pid` once it has `count` of them, every
+    one alive and none in `gone`, or as they are after 5 s."""
+    until = time.monotonic() + 5.0
+    while True:
+        kids = _children(pid)
+        settled = len(kids) == count and all(_alive(kid) for kid in kids) and not kids & gone
+        if settled or time.monotonic() >= until:
+            return kids
+        time.sleep(0.01)
+
+
+def test_a_round_after_planned_deaths_forks_no_node(tmp_path, monkeypatch):
+    """Once it has answered a round under the benchmark's plan, the host
+    forks the replacements of 1.1, 2.5 and 2.8 while it waits, so the next
+    round, with a new θ, runs on processes that were there before it."""
+    tree = build_tree(3, 2)
+    spec = OracleSpec(kind="linear", d=60, p=4, data_seed=2)
+    theta = np.array([0.5, -1.0, 2.0, 0.25])
+    cfg = TransportConfig(tree=tree, s=1, oracle=spec, theta=theta, deadline=5.0)
+    plan = FailurePlan(die_before_send=_BENCHMARK_DEATHS)
+    report, first = _pool_round(tmp_path, monkeypatch, cfg, plan)
+    assert report.ok, report.error
+    doomed = {first[str(node)] for node in _BENCHMARK_DEATHS}
+    held = _settled_children(transport._host[0].pid, 13, doomed)
+    assert len(held) == 13
+    theta = np.array([-0.3, 0.7, 0.1, 1.5])
+    report, second = _pool_round(tmp_path, monkeypatch, dataclasses.replace(cfg, theta=theta), plan)
+    assert report.ok, report.error
+    expected = engine_reference(tree, 1, spec, theta)
+    assert np.max(np.abs(report.gradient - expected)) / np.max(np.abs(expected)) <= 1e-9
+    assert set(second.values()) <= held
+
+
+def test_back_to_back_rounds_while_the_host_replaces_nodes(tmp_path, monkeypatch):
+    """Five benchmark-plan rounds with no pause, so a round may arrive while
+    the host still forks the last one's replacements: each round recovers
+    its own θ's gradient, and the host ends with 13 live nodes, none of
+    them a process that died before sending."""
+    tree = build_tree(3, 2)
+    spec = OracleSpec(kind="linear", d=60, p=4, data_seed=2)
+    plan = FailurePlan(die_before_send=_BENCHMARK_DEATHS)
+    doomed = set()
+    for theta in np.random.default_rng(3).standard_normal((5, 4)):
+        cfg = TransportConfig(tree=tree, s=1, oracle=spec, theta=theta, deadline=5.0)
+        report, noted = _pool_round(tmp_path, monkeypatch, cfg, plan)
+        assert report.ok, report.error
+        expected = engine_reference(tree, 1, spec, theta)
+        assert np.max(np.abs(report.gradient - expected)) / np.max(np.abs(expected)) <= 1e-9
+        assert len(report.node_reports) == 13
+        assert {report.node_reports[str(node)].status for node in _BENCHMARK_DEATHS} == {"killed"}
+        doomed |= {noted[str(node)] for node in _BENCHMARK_DEATHS}
+    kids = _settled_children(transport._host[0].pid, 13, doomed)
+    assert len(kids) == 13
+    assert all(_alive(kid) for kid in kids)
+    assert [pid for pid in doomed if _alive(pid)] == []
+
+
+def test_no_node_outlives_a_host_killed_right_after_a_planned_deaths_round(tmp_path, monkeypatch):
+    """The host is SIGKILLed as soon as a benchmark-plan round returns, when
+    the nodes that died before sending may still wait for their EOF and
+    their replacements may be forking: every one of them reads EOF and
+    exits."""
+    spec = OracleSpec(kind="identity", d=15, p=15)
+    cfg = TransportConfig(tree=build_tree(3, 2), s=1, oracle=spec, theta=np.zeros(15), deadline=5.0)
+    plan = FailurePlan(die_before_send=_BENCHMARK_DEATHS)
+    report, pids = _pool_round(tmp_path, monkeypatch, cfg, plan)
+    host = transport._host[0].pid
+    kids = _children(host)
+    os.kill(host, signal.SIGKILL)
+    assert report.ok, report.error
+    assert len(pids) == 13
+    time.sleep(2.0)
+    try:
+        assert [pid for pid in {*pids.values(), *kids} if _alive(pid)] == []
     finally:
         transport._stop_host()  # reaps the killed host
 
