@@ -24,27 +24,27 @@ and sends the result to its parent.
 
 A round's nodes are forks of the caller's round host, a fresh interpreter
 that has imported this module and `numpy.random` and serves the caller's
-rounds one at a time.  A round hands it the caller's `sys.path`, the
-master's link end and one pickle of the node body and its arguments; it
-builds the round's oracle (kept for the next round on the same spec) and
-makes the other socket pairs.  A node outlives its round: the host keeps
-the live nodes of the caller's last round and, while a round's node inputs
-(all of it but θ and the failure plan) pickle to the same bytes, hands
-each of them the round's link ends with `socket.send_fds` on the node's
-own `AF_UNIX` `SOCK_SEQPACKET` control socket; only then does it fork the
-nodes that have no live process, each starting in about a millisecond with
-nothing to unpickle, import or build.  On other inputs it retires the old
-nodes first.  A node loops: it takes a hand-off, runs its round, sends its
-report as one message on its control socket, and exits on EOF there, when
-its host retires it or dies (no node holds another's control end).  A node
-that dies before sending, raises or is terminated dies for good.  Once the
-host has answered the round it closes their control ends (one that died
-before sending waits for that close to exit), reaps them and forks their
-replacements until the next round arrives, so a round that finds the host
-idle forks no node and waits for no exit.  The host reaps a node whose
-control socket reads EOF for its exit code, and the orchestrator writes
-every report file.  A round needs `os.fork` and `AF_UNIX`
-`SOCK_SEQPACKET` sockets.
+rounds one at a time.  A round hands it the master's link end and the
+failure plan, and the caller's `sys.path` and node inputs (all of a round
+but θ and the plan: body, tree, s, oracle spec, deadline, code and shards)
+only when they differ from what the host last loaded; the caller builds a
+config's code and shards once.  The host builds the oracle once per spec
+and keeps the live nodes while the inputs are the same bytes.  A node
+loops on its own `AF_UNIX` `SOCK_SEQPACKET` control socket: it takes link
+ends passed with `socket.send_fds`, runs a round on them, sends its report
+as one message, and exits on EOF there, when its host retires it or dies.
+A node that dies before sending, raises or is terminated dies for good.
+Once it has answered a round, the host retires those nodes, forks their
+replacements and pre-links the next round: it makes every worker edge's
+socket pair and hands each worker its ends, keeping the master's.  A warm
+round then only arms the pre-link: one message to each node the plan
+names (die before sending, or sit out, which the host waits to see done),
+then the master's ends, so every order is in its node's socket before the
+model can reach it.  Any other round (a cold host, new inputs, a node that
+died while idle) withdraws a pre-link in place, hands each node fresh ends,
+the master first, and forks the nodes that have no live process last.  The
+orchestrator writes every report file.  A round needs `os.fork` and
+`AF_UNIX` `SOCK_SEQPACKET` sockets.
 """
 
 from __future__ import annotations
@@ -56,6 +56,7 @@ import heapq
 import json
 import os
 import pickle
+import select
 import selectors
 import signal
 import socket
@@ -111,7 +112,8 @@ _HOST_CODE = (
     f"import sys; sys.path.insert(0, {str(Path(__file__).resolve().parents[1])!r}); "
     f"import {', '.join(_HOST_IMPORTS)}; {__name__}._serve_rounds(int(sys.argv[1]))"
 )
-# This process's round host, (process, control connection); a round holds the lock.
+# This process's round host, (process, control connection, sys.path and node inputs it
+# last loaded); a round holds the lock.
 _host, _host_lock = None, threading.Lock()
 
 
@@ -221,12 +223,14 @@ class TransportConfig:
 @dataclass(frozen=True)
 class FailurePlan:
     """never_start: the node gets no links: no process is launched for it,
-    and one alive from an earlier round sits the round out; die_before_send:
-    it reads the model (its parent queues it on the link however late the
+    and one alive from an earlier round sits the round out, closing any
+    pre-linked ends before the master gets its own; die_before_send: it
+    reads the model (its parent queues it on the link however late the
     child starts), closes its links without computing and reports killed,
     and its process exits once the round host has answered; kill_after: the
     round host terminates it that many (finite, >= 0) seconds after its
-    hand-off, which for a node forked in the round follows its fork."""
+    hand-off, which for a node forked in the round follows its fork and in
+    a pre-linked round is the master's hand-off."""
 
     never_start: frozenset = frozenset()
     die_before_send: frozenset = frozenset()
@@ -261,12 +265,12 @@ class RunReport:
     timed_out_parents: list  # deepest (most causal) parent first
 
 
-def _write_report(run_dir: Path, report: NodeReport) -> None:
-    """Write the report whole or not at all: a reader of `run_dir` never
-    sees a partly written report file, only a `.part` one."""
-    path = run_dir / f"node_{report.node.replace('.', '_')}.json"
+def _write_report(run_dir: Path, node: str, data: bytes) -> None:
+    """Write `node`'s report bytes whole or not at all: a reader of
+    `run_dir` never sees a partly written report file, only a `.part` one."""
+    path = run_dir / f"node_{node.replace('.', '_')}.json"
     part = path.with_name(path.name + ".part")
-    part.write_text(json.dumps(report.__dict__))
+    part.write_bytes(data)
     os.replace(part, path)
 
 
@@ -414,28 +418,49 @@ def run_node(
 def _node_loop(body, args: tuple, ctl: socket.socket, foreign: tuple) -> NoReturn:
     """A forked node's whole life, which never returns into the host's code.
     It closes the host's ends in `foreign`, every control end but its own
-    `ctl` among them, then serves rounds: each hand-off on `ctl` carries the
-    round's link ends, parent end first, and says whether the node dies
-    before it sends; it runs `body(*args, up, down, ctl, die_before_send=...)`
-    on them.  It leaves by `os._exit` on EOF from its host, or once `body`
-    raises, with the code `multiprocessing.Process.exitcode` would read: 0,
-    a `SystemExit`'s code, or 1 after printing the traceback.  A round that
-    dies before sending is its last: it runs at the lowest priority, so
-    the CPU goes to the nodes the round waits for, and it gets no further
-    hand-off, only the EOF the host sends once it has answered, so its exit
-    falls outside the round."""
+    `ctl` among them, then serves rounds.  A hand-off on `ctl` carries link
+    ends, parent end first, and a flag: run the round now (r), die before
+    sending (d), or hold them for the next round (p, the pre-link).  It runs
+    `body(*args, up, down, ctl, die_before_send=...)` on them.  A node
+    holding a pre-link waits for the model on `up` or for an order on
+    `ctl`, and reads every order waiting on `ctl` before it acts on a
+    model: d, or s to sit out, which closes the held ends and answers s
+    (any node answers s).  A new hand-off replaces held ends.  It leaves by
+    `os._exit` on EOF from its host, or once `body` raises, with the code
+    `multiprocessing.Process.exitcode` would read: 0, a `SystemExit`'s code,
+    or 1 after printing the traceback.  A round that dies before sending is
+    its last: it runs at the lowest priority, so the CPU goes to the nodes
+    the round waits for, and it gets no further hand-off, only the EOF the
+    host sends once it has answered, so its exit falls outside the round."""
     code, most_ends = 1, 1 + args[1].tree.n  # args is (node, cfg, shard, B)
     try:
         try:
             for end in foreign:
                 end.close()
+            held = []  # link ends handed to the node and not yet run on
             while True:
-                flag, fds, _, _ = socket.recv_fds(ctl, 1, most_ends)
+                # pre-linked, the round starts with an order or the model, which
+                # comes after the round's orders: select sees both, orders first
+                if held and ctl not in select.select([ctl, held[0]], [], [])[0]:
+                    flag, fds = b"r", []
+                else:
+                    try:
+                        flag, fds, _, _ = socket.recv_fds(ctl, 1, most_ends)
+                    except ConnectionResetError:  # the host closed, leaving a report unread
+                        flag = b""
                 if not flag:  # EOF: the host retired the node or is gone
                     break
-                ends = [socket.socket(fileno=fd) for fd in fds]
+                if fds or flag == b"s":
+                    for end in held:
+                        end.close()
+                    held = [socket.socket(fileno=fd) for fd in fds]
+                if flag == b"s":
+                    ctl.send(b"s")
+                if flag not in (b"r", b"d") or not held:
+                    continue
                 if flag == b"d":  # its last round: its planned death yields to the others
                     os.nice(19)
+                ends, held = held, []
                 try:
                     body(*args, ends[0], tuple(ends[1:]), ctl, die_before_send=flag == b"d")
                 finally:
@@ -475,8 +500,9 @@ def _reap(pool: dict, node: NodeId) -> int:
 
 def _retire(pool: dict, nodes) -> None:
     """Close the control end of each of `nodes` in `pool`, which an idle
-    node reads as EOF and exits on, then reap them."""
-    nodes = list(nodes)
+    node reads as EOF and exits on, then reap them.  Children go first, so
+    a pre-linked node finds its own EOF before its parent's link closes."""
+    nodes = sorted(nodes, reverse=True)
     for node in nodes:
         pool[node][1].close()
     for node in nodes:
@@ -496,63 +522,120 @@ def _fork(pool: dict, node: NodeId, body, cfg: TransportConfig, B, shards, forei
     pool[node] = pid, ctl
 
 
+def _hand_off(pool: dict, node: NodeId, flag: bytes, ends=()) -> None:
+    """Send `node` the `flag` and the link `ends` on its control socket, then
+    close the host's copies; a node gone since reads as dead in the round."""
+    with suppress(OSError):
+        socket.send_fds(pool[node][1], [flag], [end.fileno() for end in ends])
+    for end in ends:
+        end.close()
+
+
+def _recv_report(ctl: socket.socket) -> bytes:
+    """The node's next message on its control end `ctl`, b"" once it has
+    exited; no report is longer than a send buffer, the node's or this one."""
+    try:
+        return ctl.recv(ctl.getsockopt(socket.SOL_SOCKET, socket.SO_SNDBUF))
+    except ConnectionResetError:  # it exited before it read its hand-off
+        return b""
+
+
+def _sit_out(pool: dict, nodes) -> None:
+    """Tell each of `nodes` in `pool` to sit the round out, which closes any
+    link ends it holds, and wait until each confirms; a report it sent
+    first, from a pre-linked link that failed while it waited, is dropped,
+    and a node that has exited is reaped."""
+    nodes = list(nodes)
+    for node in nodes:
+        _hand_off(pool, node, b"s")
+    for node in nodes:
+        while (message := _recv_report(pool[node][1])) not in (b"s", b""):
+            pass
+        if not message:
+            _reap(pool, node)
+
+
 def _has_exited(ctl: socket.socket) -> bool:
     """Whether the node at the far end of its control end `ctl` has exited."""
     try:
         return not ctl.recv(1, socket.MSG_DONTWAIT | socket.MSG_PEEK)
     except BlockingIOError:
         return False
+    except ConnectionResetError:  # it exited before it read a hand-off
+        return True
 
 
-def _round_host(pool: dict, body, cfg: TransportConfig, B, shards, plan, master_end, status):
-    """One round in the round host on `pool`, {node: (pid, control end)},
-    the live nodes of the caller's last round on the same node inputs.
-
-    The host reaps the pool's nodes that have exited since, makes each
-    worker's parent link and closes the ends of the nodes that never start,
-    so a read or a send across their links fails at once; a pool node that
-    never starts sits the round out.  It hands every other node its ends
-    with `socket.send_fds` on the node's control socket, in layer-major
-    order: the pool's nodes, those that die before sending last, and then
-    each one it forks right before the hand-off, with no thread alive, and
-    closes them.  A node whose `kill_after` delay, counted from its
-    hand-off, has passed gets SIGTERM.  The round ends once every node
-    taking part has sent its report on its control socket or exited, or at
-    the join deadline, when each one left gets SIGTERM; the host sends
-    `({node: exit code}, [report message])` with the codes of the nodes
-    that exited in it, negative for a signal.  Only then does it terminate
-    the `kill_after` nodes still alive and close the control ends of those
-    and of the ones that died before sending, which exit on it, or raised,
-    and reap them.  It forks a replacement for every node that took part
-    and left the pool, checking before each fork that no round waits: one
-    that does forks the rest.  A node is reaped only as it leaves the pool,
-    so no pid the host signals can have been reused."""
-    for node in [node for node, (_, ctl) in pool.items() if _has_exited(ctl)]:
-        _reap(pool, node)
-    join_deadline = time.monotonic() + cfg.deadline + 20.0
-    tree = cfg.tree
+def _links(tree: RegularTree, up) -> dict:
+    """A fresh socket pair per worker edge: {node: its ends, parent end
+    first}, with `up` as the master's parent end."""
     links = {worker: socket.socketpair() for worker in tree.workers()}  # (parent end, child end)
-    ups = {MASTER: master_end, **{node: child for node, (_, child) in links.items()}}
-    owned = {
-        node: (up, *(links[kid][0] for kid in tree.children(node))) for node, up in ups.items()
-    }
+    ups = {MASTER: up, **{node: child for node, (_, child) in links.items()}}
+    return {node: (up, *(links[kid][0] for kid in tree.children(node))) for node, up in ups.items()}
+
+
+def _round_host(pool: dict, held, body, cfg: TransportConfig, B, shards, plan, master_end, status):
+    """One round in the round host on `pool`, {node: (pid, control end)},
+    the live nodes of the caller's last round on the same node inputs, and
+    `held`, the master's down ends while the workers hold a pre-link, or
+    None.
+
+    A pre-linked round in which no pool node has exited is armed: each
+    worker the plan names gets one order, d to die before sending or s to
+    sit out, which the host waits to see done; then the `kill_after` clocks
+    start and the master gets its ends.  Any other round withdraws a
+    pre-link (s to every node), reaps the nodes that have exited and makes
+    every edge's socket pair.  The ends of the nodes that never start are
+    closed first, so a read or a send across their links fails at once; a
+    pool node that never starts sits the round out.  The host hands every
+    other node its ends in layer-major order: the pool's nodes, those that
+    die before sending last, and then each one it forks right before the
+    hand-off, with no thread alive.  A node whose `kill_after` delay,
+    counted from its hand-off, has passed gets SIGTERM.  The round ends
+    once every node taking part has sent its report on its control socket
+    or exited, or at the join deadline, when each one left gets SIGTERM;
+    the host sends `({node: exit code}, [report message])` with the codes
+    of the nodes that exited in it, negative for a signal.  Only then does
+    it terminate the `kill_after` nodes still alive and close the control
+    ends of those and of the ones that died before sending, which exit on
+    it, or raised, and reap them.  It then forks every tree node missing
+    from the pool and pre-links the next round, checking before each step
+    that no round waits, and returns the new `held`, or None.  A node is
+    reaped only as it leaves the pool, so no pid the host signals can have
+    been reused."""
+    tree, kills = cfg.tree, []
+    dead = [node for node, (_, ctl) in pool.items() if _has_exited(ctl)]
+    for node in dead:
+        _reap(pool, node)
+    if held is not None and dead:  # withdraw the pre-link
+        for end in held:
+            end.close()
+        _sit_out(pool, list(pool))
+        held = None
+    join_deadline = time.monotonic() + cfg.deadline + 20.0
+    if held is not None:
+        for node in {*plan.die_before_send} - {*plan.never_start, MASTER}:
+            _hand_off(pool, node, b"d")
+        _sit_out(pool, {*plan.never_start} - {MASTER})
+        at, owned = time.monotonic(), {MASTER: (master_end, *held)}
+        kills = [  # the workers' clocks; the master's starts at its hand-off
+            (at + t, node) for node, t in plan.kill_after.items()
+            if node != MASTER and node not in plan.never_start
+        ]
+        heapq.heapify(kills)
+    else:
+        owned = _links(tree, master_end)
     for node in plan.never_start:
-        for end in owned.pop(node):
+        for end in owned.pop(node, ()):
             end.close()
     ends = {end for own in owned.values() for end in own}
-    kills = []
     order = sorted(owned, key=lambda node: (node not in pool, node in plan.die_before_send))
     try:  # sorted is stable: layer-major within each group
         for node in order:
             if node not in pool:
                 _fork(pool, node, body, cfg, B, shards, (*ends, status))
-            flag = b"d" if node in plan.die_before_send else b"r"
-            with suppress(OSError):  # a node gone since: its EOF ends its round
-                socket.send_fds(pool[node][1], [flag], [end.fileno() for end in owned[node]])
             if node in plan.kill_after:
                 heapq.heappush(kills, (time.monotonic() + plan.kill_after[node], node))
-            for end in owned[node]:
-                end.close()
+            _hand_off(pool, node, b"d" if node in plan.die_before_send else b"r", owned[node])
             _kill_due(kills, pool)
     except BaseException:
         for pid, _ in pool.values():
@@ -561,22 +644,18 @@ def _round_host(pool: dict, body, cfg: TransportConfig, B, shards, plan, master_
     finally:
         for end in ends:
             end.close()
+    taking_part = [node for node in tree.layer_major_nodes() if node not in plan.never_start]
     reports, codes = {}, {}
     with selectors.DefaultSelector() as sel:
-        for node in owned:
+        for node in taking_part:
             sel.register(pool[node][1], selectors.EVENT_READ, node)
         while sel.get_map() and (now := time.monotonic()) < join_deadline:
             for key, _ in sel.select(min(join_deadline, _kill_due(kills, pool)) - now):
-                ctl, node = key.fileobj, key.data
-                sel.unregister(ctl)
-                try:  # no report is longer than a send buffer, the node's or this one
-                    message = ctl.recv(ctl.getsockopt(socket.SOL_SOCKET, socket.SO_SNDBUF))
-                except ConnectionResetError:  # it exited before it read its hand-off
-                    message = b""
-                if message:
-                    reports[node] = message
+                sel.unregister(key.fileobj)
+                if message := _recv_report(key.fileobj):
+                    reports[key.data] = message
                 else:
-                    codes[str(node)] = _reap(pool, node)
+                    codes[str(key.data)] = _reap(pool, key.data)
         late = [key.data for key in sel.get_map().values()]
     for node in late:
         os.kill(pool[node][0], signal.SIGTERM)
@@ -586,49 +665,58 @@ def _round_host(pool: dict, body, cfg: TransportConfig, B, shards, plan, master_
     doomed = {*plan.die_before_send, *plan.kill_after}
     leaving = [  # a node still in the pool has reported
         node
-        for node in owned
+        for node in taking_part
         if node in pool and (node in doomed or json.loads(reports[node])["status"] == "error")
     ]
     for node in leaving:
         if node in plan.kill_after:
             os.kill(pool[node][0], signal.SIGTERM)
     _retire(pool, leaving)
-    for node in owned:
-        if node not in pool:
-            if status.poll():  # the next round, or the caller's close, is waiting
-                break
+    for node in tree.layer_major_nodes():  # until the next round or the caller's close waits
+        if node not in pool and not status.poll():
             _fork(pool, node, body, cfg, B, shards, (status,))
+    if status.poll():
+        return None
+    owned = _links(tree, None)
+    for node in tree.workers():
+        _hand_off(pool, node, b"p", owned[node])
+    return owned[MASTER][1:]
 
 
 def _serve_rounds(fd: int) -> None:
     """Body of a round host: serve rounds on the control connection `fd`
-    until the caller closes it, then retire the nodes.  The live nodes of
-    a round serve the next while their inputs, all of a round but θ and
-    the plan, pickle to the same bytes; the host retires them first when
-    the inputs change.  Between rounds it forks the replacements of the
-    last round's dead nodes, up to the next round's arrival.  It builds
-    each round's oracle before any fork, so every node inherits it, and
-    answers a round whose arguments do not load, or whose oracle does not
-    build, with the exception."""
-    pool, inputs = {}, None
+    until the caller closes it, then retire the nodes.  A round carries
+    the plan and, when they changed, the caller's `sys.path` and its node
+    inputs, (pickled body, tree, s, oracle spec and deadline; pickled code
+    and shards; config); the host unpickles inputs only when their bytes
+    differ from those it holds, and then retires the old nodes.  It builds
+    the oracle then, before any fork, so every node inherits it, and
+    answers a round whose inputs do not load, or whose oracle does not
+    build, with the exception, keeping the inputs it held.  Between rounds
+    it replaces the last round's dead nodes and pre-links the next round,
+    up to the next round's arrival."""
+    pool, inputs, held = {}, (None, None), None
     with connection.Connection(fd) as conn, suppress(EOFError):
         try:
             while True:
-                sys.path[:] = conn.recv()
+                path, fresh, plan = conn.recv()
+                if path is not None:
+                    sys.path[:] = path
                 master_end = socket.socket(fileno=reduction.recv_handle(conn))
-                try:
-                    body, cfg, B, shards, plan = conn.recv()
-                    cfg.oracle.build()
-                    node_inputs = (body, cfg.tree, cfg.s, cfg.oracle, cfg.deadline, B, shards)
-                    round_inputs = pickle.dumps(node_inputs)
-                except Exception as err:
-                    master_end.close()
-                    conn.send(f"{type(err).__name__}: {err}")
-                    continue
-                if round_inputs != inputs:
+                if fresh is not None and fresh[:2] != inputs:
+                    try:
+                        body, *_ = pickle.loads(fresh[0])
+                        B, shards = pickle.loads(fresh[1])
+                        fresh[2].oracle.build()
+                    except Exception as err:
+                        master_end.close()
+                        conn.send(f"{type(err).__name__}: {err}")
+                        continue
                     _retire(pool, pool)
-                    inputs = round_inputs
-                _round_host(pool, body, cfg, B, shards, plan, master_end, conn)
+                    for end in held or ():
+                        end.close()
+                    inputs, held, loaded = fresh[:2], None, (body, fresh[2], B, shards)
+                held = _round_host(pool, held, *loaded, plan, master_end, conn)
         finally:
             _retire(pool, pool)
 
@@ -641,7 +729,7 @@ def _stop_host(grace: float = 5.0) -> None:
     mid-round, is killed with its nodes (its process group)."""
     global _host
     if _host is not None:
-        (proc, conn), _host = _host, None
+        (proc, conn, *_), _host = _host, None
         conn.close()
         with suppress(subprocess.TimeoutExpired):
             proc.wait(grace)
@@ -659,34 +747,46 @@ def _recv_by(conn, deadline_at: float):
         return None
 
 
+@functools.lru_cache(maxsize=1)  # a run's rounds share one code and allocation
+def _code_and_shards(tree: RegularTree, s: int, d: int, alloc_seed: int) -> bytes:
+    """The pickled (code, workers' shards) of a config, as the host loads them."""
+    B = build_encoding(tree.n, s, alloc_seed)
+    return pickle.dumps((B, cr_allocate(tree, s, d, B=B).local))
+
+
 def orchestrate(cfg: TransportConfig, run_dir, plan: FailurePlan = FailurePlan()):
     """Connect every tree edge, run each node in its own process, apply the
     failure plan, and collect the master's gradient plus every node's report.
 
     The round goes to this process's round host (`_serve_rounds`), one round
-    at a time, with the node body `run_node` as named when this is called,
-    which must be importable by its module's name, the config, the code, the
-    shards, the plan and the master's link; it hands the links to the nodes
-    it kept from the last round and forks the others, applies `kill_after`
-    and returns the report each node sent and the exit code of each that
-    died in the round, or the exception that kept it from loading the round.
-    The orchestrator is the master's parent: right after it hands the host
-    the round, while the host hands out the links, it sends the model down
+    at a time, with the plan and the master's link, and with the caller's
+    `sys.path` and the node inputs only when they differ from what the host
+    last loaded: the node body `run_node` as named when this is called,
+    which must be importable by its module's name, the config, and the code
+    and shards, built once per config (`_code_and_shards`).  A new host, or
+    one that refused the last round, is sent both.  The host arms the links
+    it pre-linked, or hands fresh ones to the nodes it kept and forks the
+    others, applies `kill_after` and returns the report each node sent and
+    the exit code of each that died in the round, or the exception that
+    kept it from loading the round.  The orchestrator is the master's
+    parent: right after it hands the host the round it sends the model down
     the master's link with `_send_model`, in one blocking send, so the
     master cannot answer before it has read the whole model; it then
     collects the master's gradient with `_collect_gradients` by the join
     deadline and writes `master_gradient.csv` on receipt.  A node's link
     ends are its own process's only, and those of a node that never starts
-    are closed before the first hand-off, so the reads and sends across
-    that node's links fail at once.  A node that took part and sent no
-    report gets one from its exit code: killed by a signal, else error.
+    are closed before the master gets its own, so the reads and sends
+    across that node's links fail at once.  A node that took part and sent
+    no report gets one from its exit code: killed by a signal, else error.
     One rule decides discarded: a child that reports ok stays ok only when
     its parent reports ok or discarded and lists it in `received_from`;
-    otherwise `detail` names the parent and its status.  Every report is then written to `run_dir` as
-    `node_<layer>_<index>.json`.  A platform without `os.fork`, the code,
-    the allocation, a plan entry that is not a `NodeId` of the tree, and a
-    `run_dir` that names a file or a path below one are refused before
-    `run_dir` is touched or any link or process is made."""
+    otherwise `detail` names the parent and its status.  Every report is
+    then written to `run_dir` as `node_<layer>_<index>.json`: the bytes its
+    node sent, unless the rule rewrote it or it came from an exit code.  A
+    platform without `os.fork`, the code, the allocation, a plan entry that
+    is not a `NodeId` of the tree, and a `run_dir` that names a file or a
+    path below one are refused before `run_dir` is touched or any link or
+    process is made."""
     if not hasattr(os, "fork"):
         raise NotImplementedError("a round forks its nodes, and this platform has no os.fork")
     tree = cfg.tree
@@ -699,8 +799,10 @@ def orchestrate(cfg: TransportConfig, run_dir, plan: FailurePlan = FailurePlan()
     existing = next(path for path in (run_path, *run_path.parents) if path.exists())
     if not existing.is_dir():
         raise ValueError(f"run_dir {run_path} cannot be a directory: {existing} is not one")
-    B = build_encoding(tree.n, cfg.s, cfg.alloc_seed)
-    assignment = cr_allocate(tree, cfg.s, cfg.oracle.d, B=B)
+    inputs = (
+        pickle.dumps((run_node, tree, cfg.s, cfg.oracle, cfg.deadline)),
+        _code_and_shards(tree, cfg.s, cfg.oracle.d, cfg.alloc_seed),
+    )
     run_path.mkdir(parents=True, exist_ok=True)
     for stale in run_path.glob("node_*.json*"):
         stale.unlink()
@@ -715,17 +817,18 @@ def orchestrate(cfg: TransportConfig, run_dir, plan: FailurePlan = FailurePlan()
             with theirs:  # the host holds its own copy
                 argv = [sys.executable, "-c", _HOST_CODE, str(theirs.fileno())]
                 proc = subprocess.Popen(argv, pass_fds=[theirs.fileno()], start_new_session=True)
-            _host = proc, ours
-        proc, conn = _host
+            _host = proc, ours, None, None
+        proc, conn, loaded_path, loaded = _host
+        path = list(sys.path)
         top, bottom = socket.socketpair()  # the orchestrator's link to the master
         answer = None
         try:
             with bottom:  # the host holds its own copy
-                conn.send(sys.path)
+                fresh = (*inputs, cfg) if inputs != loaded else None
+                conn.send((path if path != loaded_path else None, fresh, plan))
                 reduction.send_handle(conn, bottom.fileno(), proc.pid)
-                conn.send((run_node, cfg, B, assignment.local, plan))
             top.settimeout(cfg.deadline + 20.0)
-            _send_model((top,), MASTER, cfg.theta)  # the master is the first hand-off
+            _send_model((top,), MASTER, cfg.theta)  # the master reads it once handed its ends
             join_deadline = time.monotonic() + cfg.deadline + 20.0
             # a host that cannot load the round closes the master's link at once
             gradient = _collect_gradients((top,), (MASTER,), 1, join_deadline)[0].get(0)
@@ -733,6 +836,8 @@ def orchestrate(cfg: TransportConfig, run_dir, plan: FailurePlan = FailurePlan()
                 out_path.write_text(",".join(repr(float(v)) for v in gradient) + "\n")
             # the host sets its join deadline as it takes the round, about when this one was set
             answer = _recv_by(conn, join_deadline + 5.0)
+            # a host that refused the round is sent all of the next one
+            _host = (proc, conn, *((path, inputs) if isinstance(answer, tuple) else (None, None)))
         finally:
             top.close()
             if answer is None:  # the host is gone, late or cut off mid-round
@@ -741,7 +846,10 @@ def orchestrate(cfg: TransportConfig, run_dir, plan: FailurePlan = FailurePlan()
         return RunReport(False, None, f"aborted: round host: {answer}", {}, [])
 
     codes, sent = answer or ({}, [])
-    reports = {r.node: r for r in (NodeReport(**json.loads(message)) for message in sent)}
+    reports, files = {}, {}
+    for message in sent:
+        report = NodeReport(**json.loads(message))
+        reports[report.node], files[report.node] = report, message
     for name, code in codes.items():
         if name not in reports:  # terminated, or died before sending one
             if code < 0:
@@ -758,8 +866,9 @@ def orchestrate(cfg: TransportConfig, run_dir, plan: FailurePlan = FailurePlan()
             continue
         child.status = "discarded"
         child.detail = f"parent {parent.node} reports {parent.status} without decoding its gradient"
-    for report in reports.values():
-        _write_report(run_path, report)
+        del files[child.node]
+    for name, report in reports.items():
+        _write_report(run_path, name, files.get(name) or json.dumps(report.__dict__).encode())
     timed_out = sorted(
         (r.node for r in reports.values() if r.status == "timeout"),
         key=lambda name: tuple(int(tok) for tok in name.split(".")),

@@ -957,3 +957,214 @@ def test_a_node_imports_nothing_beyond_its_hosts_start_up_imports():
         capture_output=True, text=True, env=env, check=True, timeout=60,
     )
     assert out.stdout.split() == []
+
+
+def test_each_report_file_holds_the_json_of_its_returned_report(tmp_path, monkeypatch):
+    """A report file is the bytes its node sent, rewritten only by the
+    discarded rule or made from an exit code: each one reads back as
+    `json.dumps` of the returned report, byte for byte."""
+    monkeypatch.setattr(transport, "run_node", _run_node_unreadable_shard)  # 2.1 raises
+    spec = OracleSpec(kind="identity", d=15, p=15)
+    cfg = TransportConfig(tree=build_tree(3, 2), s=1, oracle=spec, theta=np.zeros(15), deadline=5.0)
+    plan = FailurePlan(  # 1.3 times out holding 2.9's gradient
+        never_start=frozenset({NodeId(2, 7)}),
+        die_before_send=frozenset({NodeId(2, 5)}),
+        kill_after={NodeId(2, 8): 0.0},
+    )
+    report = orchestrate(cfg, tmp_path / "run", plan)
+    assert report.ok, report.error
+    statuses = {r.status for r in report.node_reports.values()}
+    assert {"ok", "discarded", "killed", "error", "timeout"} <= statuses
+    assert report.node_reports["2.9"].detail.startswith("parent 1.3 reports timeout")
+    assert len(list((tmp_path / "run").glob("node_*.json"))) == 12
+    for name, node_report in report.node_reports.items():
+        written = (tmp_path / "run" / f"node_{name.replace('.', '_')}.json").read_bytes()
+        assert written == json.dumps(node_report.__dict__).encode(), name
+
+
+_GHOST = """\
+from dataclasses import dataclass
+from pathlib import Path
+
+from codedreduce import transport
+
+HERE = Path(__file__).parent
+if (HERE / "refuse_import").exists():
+    raise ImportError("this module refuses to load")
+
+
+def body(node, *args, **kwargs):
+    (HERE / f"ran_{node}").touch()
+    transport.run_node(node, *args, **kwargs)
+
+
+@dataclass(frozen=True)
+class RefusingSpec(transport.OracleSpec):
+    def build(self):
+        if (HERE / "refuse_build").exists():
+            raise ValueError("this oracle refuses to build")
+        return transport.OracleSpec.build(self)
+"""
+
+
+def test_the_host_is_sent_the_inputs_again_whenever_it_may_not_hold_them(tmp_path, monkeypatch):
+    """A warm round on equal inputs sends no node inputs and no sys.path.
+    A round after the host died, after a round the host refused (a body it
+    cannot load, an oracle that does not build; each retried on the refused
+    round's own inputs once the cause is gone) or after a sys.path entry
+    was added sends them again, and runs on the caller's inputs."""
+    ghost_dir = tmp_path / "ghost"
+    ghost_dir.mkdir()
+    (ghost_dir / "ghost_inputs.py").write_text(_GHOST)
+    monkeypatch.syspath_prepend(str(ghost_dir))
+    import ghost_inputs
+
+    sent = []
+    real_send = transport.connection.Connection.send
+
+    def spy(conn, obj):
+        sent.append(obj)  # a round's one message: (sys.path or None, inputs or None, plan)
+        return real_send(conn, obj)
+
+    monkeypatch.setattr(transport.connection.Connection, "send", spy)
+    tree = build_tree(3, 2)
+    thetas = iter(np.random.default_rng(5).standard_normal((12, 4)))
+
+    def run(spec, fresh):
+        theta = next(thetas)
+        cfg = TransportConfig(tree=tree, s=1, oracle=spec, theta=theta, deadline=5.0)
+        report = orchestrate(cfg, tmp_path / "run")
+        assert report.ok, report.error
+        expected = engine_reference(tree, 1, spec, theta)
+        assert np.max(np.abs(report.gradient - expected)) / np.max(np.abs(expected)) <= 1e-9
+        path, inputs, _ = sent[-1]
+        assert (path is not None, inputs is not None) == fresh
+        return path
+
+    spec = OracleSpec(kind="linear", d=60, p=4, data_seed=2)
+    transport._stop_host()  # a new host is sent both
+    run(spec, fresh=(True, True))
+    run(spec, fresh=(False, False))
+
+    host = transport._host[0]
+    os.kill(host.pid, signal.SIGKILL)
+    host.wait()
+    run(spec, fresh=(True, True))
+
+    monkeypatch.setattr(transport, "run_node", ghost_inputs.body)
+    (ghost_dir / "refuse_import").touch()
+    refused = orchestrate(TransportConfig(tree, 1, spec, next(thetas), 5.0), tmp_path / "run")
+    assert refused.error.startswith("aborted: round host: ImportError: this module refuses")
+    (ghost_dir / "refuse_import").unlink()
+    run(spec, fresh=(True, True))
+    assert (ghost_dir / "ran_0.1").exists()  # the round ran the caller's body
+
+    other = ghost_inputs.RefusingSpec(kind="linear", d=60, p=4, data_seed=3)
+    (ghost_dir / "refuse_build").touch()
+    refused = orchestrate(TransportConfig(tree, 1, other, next(thetas), 5.0), tmp_path / "run")
+    assert refused.error == "aborted: round host: ValueError: this oracle refuses to build"
+    (ghost_dir / "refuse_build").unlink()
+    run(other, fresh=(True, True))  # the gradient is data seed 3's, not 2's
+    run(other, fresh=(False, False))
+
+    monkeypatch.syspath_prepend(str(tmp_path))
+    assert run(other, fresh=(True, False)) == sys.path
+    run(other, fresh=(False, False))
+
+
+def _warm_round_then(tmp_path, monkeypatch, cfg, plan):
+    """A clean warm round and a 0.3 s pause, so the host has pre-linked the
+    next round, then a round under `plan`; its report and elapsed time,
+    and the pids the nodes noted in both rounds."""
+    _pool_round(tmp_path, monkeypatch, cfg)
+    report, before = _pool_round(tmp_path, monkeypatch, cfg)
+    assert report.ok, report.error
+    time.sleep(0.3)
+    start = time.monotonic()
+    report, after = _pool_round(tmp_path, monkeypatch, cfg, plan)
+    return report, time.monotonic() - start, before, after
+
+
+@pytest.mark.parametrize(
+    "plan",
+    [
+        FailurePlan(never_start=frozenset({NodeId(2, 4)})),
+        FailurePlan(never_start=frozenset({NodeId(1, 2)})),
+        FailurePlan(die_before_send=frozenset({NodeId(1, 1)})),
+        FailurePlan(kill_after={NodeId(2, 9): 0.0}),
+    ],
+    ids=["never_start_leaf", "never_start_parent", "die_before_send_parent", "kill_after_leaf"],
+)
+def test_a_plan_entry_on_a_pre_linked_node(tmp_path, monkeypatch, plan):
+    """Plan entries on nodes that hold the next round's links before it
+    arrives end as they do on nodes handed their links in the round, and
+    the same host then serves a clean round."""
+    tree = build_tree(3, 2)
+    spec = OracleSpec(kind="linear", d=60, p=4, data_seed=2)
+    theta = np.array([0.5, -1.0, 2.0, 0.25])
+    cfg = TransportConfig(tree=tree, s=1, oracle=spec, theta=theta, deadline=5.0)
+    report, elapsed, before, after = _warm_round_then(tmp_path, monkeypatch, cfg, plan)
+    assert report.ok, report.error
+    expected = engine_reference(tree, 1, spec, theta)
+    assert np.max(np.abs(report.gradient - expected)) / np.max(np.abs(expected)) <= 1e-9
+    assert elapsed < cfg.deadline / 2
+    reports = report.node_reports
+    for node in plan.never_start:
+        parent = NodeId(node.layer - 1, (node.index - 1) // tree.n + 1)
+        assert str(node) not in reports
+        assert str(node) in reports[str(parent)].missing
+        for kid in tree.children(node):
+            assert reports[str(kid)].status == "connect_failed"
+    for node in plan.die_before_send:
+        assert reports[str(node)].status == "killed"
+        for kid in tree.children(node):
+            assert reports[str(kid)].status == "connect_failed"
+    for node in plan.kill_after:
+        assert reports[str(node)].status == "killed"
+        assert "SIGTERM" in reports[str(node)].detail
+    assert len(reports) == 13 - len(plan.never_start)
+    # no node was forked for the round: every one that ran held its links already
+    assert {after[node] for node in after} <= set(before.values())
+    report, _ = _pool_round(tmp_path, monkeypatch, cfg)
+    assert report.ok, report.error
+    assert len(report.node_reports) == 13
+    assert np.max(np.abs(report.gradient - expected)) / np.max(np.abs(expected)) <= 1e-9
+
+
+def test_an_idle_parent_killed_after_the_pre_link_is_replaced(tmp_path, monkeypatch):
+    """SIGKILL on parent 1.2 while it holds the next round's links, whose
+    children then find their parent link closed: the next round is ok,
+    with 13 reports and a new process for 1.2 alone."""
+    tree = build_tree(3, 2)
+    spec = OracleSpec(kind="linear", d=60, p=4, data_seed=2)
+    theta = np.array([0.5, -1.0, 2.0, 0.25])
+    cfg = TransportConfig(tree=tree, s=1, oracle=spec, theta=theta, deadline=5.0)
+    report, first = _pool_round(tmp_path, monkeypatch, cfg)
+    assert report.ok, report.error
+    time.sleep(0.3)
+    os.kill(first["1.2"], signal.SIGKILL)
+    time.sleep(0.3)
+    expected = engine_reference(tree, 1, spec, theta)
+    for _ in range(2):  # and a report of a link that failed while idle is read in neither
+        report, second = _pool_round(tmp_path, monkeypatch, cfg)
+        assert report.ok, report.error
+        assert len(report.node_reports) == 13
+        assert {r.status for r in report.node_reports.values()} == {"ok", "discarded"}
+        assert np.max(np.abs(report.gradient - expected)) / np.max(np.abs(expected)) <= 1e-9
+        assert {node for node, pid in first.items() if second[node] != pid} == {"1.2"}
+
+
+def test_back_to_back_rounds_land_while_the_host_pre_links(tmp_path, monkeypatch):
+    """Twenty benchmark-plan rounds with no pause, so rounds keep arriving
+    while the host replaces nodes or pre-links: each recovers its own θ's
+    gradient."""
+    tree = build_tree(3, 2)
+    spec = OracleSpec(kind="linear", d=60, p=4, data_seed=2)
+    plan = FailurePlan(die_before_send=_BENCHMARK_DEATHS)
+    for theta in np.random.default_rng(4).standard_normal((20, 4)):
+        cfg = TransportConfig(tree=tree, s=1, oracle=spec, theta=theta, deadline=5.0)
+        report, _ = _pool_round(tmp_path, monkeypatch, cfg, plan)
+        assert report.ok, report.error
+        expected = engine_reference(tree, 1, spec, theta)
+        assert np.max(np.abs(report.gradient - expected)) / np.max(np.abs(expected)) <= 1e-9
+        assert {report.node_reports[str(node)].status for node in _BENCHMARK_DEATHS} == {"killed"}
