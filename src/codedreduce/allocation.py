@@ -70,9 +70,11 @@ def slice_count(slices: Iterable[WeightedSlice]) -> int:
     return sum(s.count for s in slices)
 
 
+@lru_cache(maxsize=256)
 def r_cr(n: int, L: int, s: int) -> Fraction:
     """Per-node load fraction on an (n, L)-regular tree with s stragglers per parent:
-    1 / sum_{l=1..L} (n/(s+1))^l, exact."""
+    1 / sum_{l=1..L} (n/(s+1))^l, exact.  Cached by (n, L, s); invalid
+    arguments raise on every call."""
     if not 0 <= s < n:
         raise ValueError(f"need 0 <= s < n, got n={n}, s={s}")
     if L < 1:

@@ -11,15 +11,22 @@ both their own compute and the quorum.
 The FCFS port admits a closed form: with sorted ready times
 r_(0) <= r_(1) <= ..., the k-th service (0-based) ends at
 ``max_{j<=k}(r_(j) - j*t_c) + (k+1)*t_c``.  It is the only port model.
-Monte Carlo runs it on blocks of trials; the event-driven path runs it on a
-one-trial block and reads each message's send/recv interval off the finish
-times, so its completion equals the batched one bit for bit.
+A parent that needs `need` messages finishes its quorum at the k = need - 1
+entry, and that one value is all a layer passes up.  Monte Carlo runs the
+ports on blocks of trials and computes only that last finish: the lowest
+`need` ready times of each port come from a Batcher odd-even merge network
+of elementwise min/max when the fan-out is small and the ports many, and
+from ``np.sort`` otherwise.  The event-driven path runs the same pass on a
+one-trial block, and reads each message's send/recv interval off the full
+finish prefix of the ports it serves, in stable-argsort order.  Both give
+the same sorted values and ``max`` is exact, so its completion equals the
+batched one bit for bit.
 
 All trials of a seed come from one ``PCG64(cfg.seed)`` stream: trial t is
 row t of a (trials x N) block of uniform doubles, inverted to the shifted
-exponential.  Each double takes exactly one 64-bit word, so any run of
-consecutive trials is reached with one ``advance`` and drawn with one call,
-and both paths see the same draws whatever the batch.
+exponential in place.  Each double takes exactly one 64-bit word, so any
+run of consecutive trials is reached with one ``advance`` and drawn with
+one call, and both paths see the same draws whatever the batch.
 """
 
 from __future__ import annotations
@@ -28,8 +35,9 @@ import csv
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
+from itertools import chain, repeat
 from math import isfinite, log
-from typing import NamedTuple, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -83,6 +91,12 @@ class SimEvent(NamedTuple):
     t_end: float
 
 
+def _events(*columns) -> Iterator[SimEvent]:
+    """SimEvents from four parallel columns, made without NamedTuple's
+    per-call argument handling."""
+    return map(tuple.__new__, repeat(SimEvent), zip(*columns))
+
+
 @dataclass(frozen=True)
 class SimOutcome:
     completion_time: float
@@ -127,7 +141,10 @@ def _draw_block(cfg: LatencyConfig, loads: np.ndarray, trials: Sequence[int]) ->
     bits = np.random.PCG64(cfg.seed)
     bits.advance(first * loads.size)  # Generator.random takes one word per double
     u = np.random.Generator(bits).random((count, loads.size))
-    return cfg.a * loads - (loads / cfg.mu) * np.log1p(-u)
+    np.negative(u, out=u)
+    np.log1p(u, out=u)
+    u *= loads / cfg.mu
+    return np.subtract(cfg.a * loads, u, out=u)
 
 
 def scheme_tree(scheme: str, topo, resilience: int) -> tuple[RegularTree, int, int]:
@@ -180,14 +197,84 @@ def _node_names(tree: RegularTree) -> tuple[str, ...]:
     return tuple(map(str, tree.layer_major_nodes()))
 
 
+@lru_cache(maxsize=None)
+def _sorting_network(n: int, need: int) -> tuple[tuple[int, int], ...]:
+    """Batcher's odd-even merge sort on n wires as comparators (i, j), i < j,
+    each putting the min on wire i and the max on wire j, keeping only those
+    that the lowest `need` outputs depend on.  Built for the next power of
+    two with the comparators that touch a wire >= n left out, which sorts
+    any n because those wires would carry +inf."""
+    pairs = []
+    p = 1
+    while p < n:
+        k = p
+        while k >= 1:
+            for j in range(k % p, n - k, 2 * k):
+                for i in range(j, min(j + k, n - k)):
+                    if i // (2 * p) == (i + k) // (2 * p):
+                        pairs.append((i, i + k))
+            k //= 2
+        p *= 2
+    kept, live = [], set(range(need))
+    for i, j in reversed(pairs):
+        if i in live or j in live:
+            kept.append((i, j))
+            live.update((i, j))
+    return tuple(reversed(kept))
+
+
+# The network makes two ufunc calls per comparator on whole columns, and
+# np.sort pays per row (one row is one port of one trial).  Timed one layer
+# at a time on a 2-vCPU host with numpy 2, the network is faster from about
+# 12 * (comparators + 4) rows up, for every n = 2..16 measured; the cap keeps
+# it to those fan-outs.
+_NETWORK_MAX_N = 16
+
+
+def _last_finish(groups: np.ndarray, need: int, t_c: float) -> np.ndarray:
+    """When each port's `need`-th message finishes: the last entry of
+    `_port_finish_times` over its sorted ready times, ``max_{j<need}(r_(j) -
+    j*t_c) + need*t_c`` along the last axis of `groups` (not modified).
+    ``max`` is exact and need = float(k + 1) at k = need - 1, so it is that
+    entry bit for bit, by network or by np.sort alike."""
+    n = groups.shape[-1]
+    if n <= _NETWORK_MAX_N and groups.size // n >= 12 * (len(_sorting_network(n, n)) + 4):
+        return _network_last_finish(groups, need, t_c)
+    return _sorted_last_finish(groups, need, t_c)
+
+
+def _sorted_last_finish(groups: np.ndarray, need: int, t_c: float) -> np.ndarray:
+    ranked = np.sort(groups, axis=-1)[..., :need]
+    ranked -= np.arange(need, dtype=float) * t_c
+    last = ranked.max(axis=-1)
+    last += need * t_c
+    return last
+
+
+def _network_last_finish(groups: np.ndarray, need: int, t_c: float) -> np.ndarray:
+    wires = list(np.moveaxis(groups, -1, 0).copy())  # position-major columns
+    spare = np.empty_like(wires[0])
+    for i, j in _sorting_network(groups.shape[-1], need):
+        lo, hi = wires[i], wires[j]
+        np.minimum(lo, hi, out=spare)
+        np.maximum(lo, hi, out=hi)
+        wires[i], spare = spare, lo
+    last = wires[0]
+    for j in range(1, need):
+        wires[j] -= j * t_c
+        np.maximum(last, wires[j], out=last)
+    last += need * t_c
+    return last
+
+
 def _port_layers(tree: RegularTree, s: int, t_c: float, T: np.ndarray):
     """Every FCFS port of a batch of trials, one tree layer at a time,
     deepest first.  T has shape (trials, N) in layer-major worker order.
 
     Yields each layer's child ready times, unsorted, shaped (trials, parents,
-    n), and the finish times of the n - s messages each port serves before
-    closing, shaped (trials, parents, n - s).  The finish times are a prefix
-    of the full queue's, so serving only the quorum changes no bit.
+    n), and the time each port's last quorum message finishes, shaped
+    (trials, parents): `_last_finish` with need = n - s.  That is the only
+    finish a parent passes up, so the rest of the queue is never computed.
     """
     n, L = tree.n, tree.L
     need = n - s
@@ -195,11 +282,11 @@ def _port_layers(tree: RegularTree, s: int, t_c: float, T: np.ndarray):
     ready = T[:, tree.num_parents - 1 :]  # leaves; worker v is node v + 1
     for layer in range(L, 0, -1):
         groups = ready.reshape(trials, n ** (layer - 1), n)
-        finish = _port_finish_times(np.sort(groups, axis=-1)[..., :need], t_c)
-        yield groups, finish
+        last = _last_finish(groups, need, t_c)
+        yield groups, last
         if layer > 1:
             own = T[:, tree.layer_offset(layer - 1) - 1 : tree.layer_offset(layer) - 1]
-            ready = np.maximum(own, finish[..., -1])
+            ready = np.maximum(own, last)
 
 
 def _batch_completions(
@@ -211,7 +298,7 @@ def _batch_completions(
     if scheme == "rar":
         return T.max(axis=1) + _ring_time(tree.n, cfg.t_c)
     *_, (_, master) = _port_layers(tree, quorum_s, cfg.t_c, T)
-    return master[:, 0, -1]
+    return master[:, 0]
 
 
 def simulate_iteration(
@@ -238,7 +325,7 @@ def simulate_iteration(
     T = _draw_block(cfg, _loads(tree, coded_s, cfg), [trial])
     times = T[0].tolist()
     names = _node_names(tree)
-    events = [SimEvent(name, "compute", 0.0, t) for name, t in zip(names[1:], times)]
+    events = list(_events(names[1:], repeat("compute"), repeat(0.0), times))
     if scheme == "rar":
         barrier = max(times)
         completion = barrier + _ring_time(tree.n, cfg.t_c)
@@ -246,15 +333,19 @@ def simulate_iteration(
         return SimOutcome(completion, tuple(events))
     n, need = tree.n, tree.n - quorum_s
     layers = zip(range(tree.L, 0, -1), _port_layers(tree, quorum_s, cfg.t_c, T))
-    for layer, (groups, finish) in layers:
+    for layer, (groups, last) in layers:
         kids, parents = tree.layer_offset(layer), tree.layer_offset(layer - 1)
-        served = np.argsort(groups[0], axis=-1, kind="stable")[:, :need].tolist()
-        for g, (order, ends) in enumerate(zip(served, finish[0].tolist())):
-            for c, end in zip(order, ends):
-                start = end - cfg.t_c
-                events.append(SimEvent(names[kids + g * n + c], "send", start, end))
-                events.append(SimEvent(names[parents + g], "recv", start, end))
-    return SimOutcome(float(finish[0, 0, -1]), tuple(events))
+        port = np.arange(groups.shape[1])[:, None]
+        order = np.argsort(groups[0], axis=-1, kind="stable")[:, :need]
+        ends = _port_finish_times(groups[0][port, order], cfg.t_c).ravel()
+        starts, ends = (ends - cfg.t_c).tolist(), ends.tolist()
+        senders = map(names.__getitem__, (order + (kids + n * port)).ravel().tolist())
+        receivers = chain.from_iterable(map(repeat, names[parents:kids], repeat(need)))
+        # each message logs its child's send, then its parent's recv
+        sends = _events(senders, repeat("send"), starts, ends)
+        recvs = _events(receivers, repeat("recv"), starts, ends)
+        events += chain.from_iterable(zip(sends, recvs))
+    return SimOutcome(float(last[0, 0]), tuple(events))
 
 
 def cr_bounds(cfg: LatencyConfig, n: int, L: int, s: int) -> tuple[float, float]:

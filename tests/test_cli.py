@@ -305,6 +305,17 @@ def test_latency_summary_csv(tmp_path):
     assert "ordering by mean:" in buf.getvalue()
 
 
+def test_latency_command_on_the_benchmark_schemes(tmp_path):
+    """The latency command on the benchmark's five schemes at 200 trials
+    exits 0 and writes one summary row per scheme."""
+    config = Path(__file__).resolve().parent.parent / "perfbench/configs/latency_mc.ini"
+    argv = ["--config", str(config), "--out", str(tmp_path), "--trials", "200", "latency"]
+    assert main(argv) == 0
+    with open(tmp_path / "latency_summary.csv") as fh:
+        rows = list(csv.DictReader(fh))
+    assert [row["scheme"] for row in rows] == ["cr", "gc", "umw", "sgd", "rar"]
+
+
 def test_verify_exhaustive_recovery(tmp_path):
     cfg = load_config(write_config(tmp_path))
     buf = io.StringIO()

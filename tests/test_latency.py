@@ -7,11 +7,16 @@ from hypothesis import strategies as st
 
 from codedreduce.allocation import r_cr
 from codedreduce.latency import (
+    _NETWORK_MAX_N,
     LatencyConfig,
     SimEvent,
     _batch_completions,
     _draw_block,
     _loads,
+    _network_last_finish,
+    _port_finish_times,
+    _sorted_last_finish,
+    _sorting_network,
     cr_bounds,
     events_to_csv,
     expected_order_stat,
@@ -224,6 +229,120 @@ def test_one_layer_major_layout_names_every_node(n, L):
     outcome = simulate_iteration("cr", tree, cfg, n - 1)
     computed = [ev.node for ev in outcome.events if ev.event_type == "compute"]
     assert computed == [str(w) for w in tree.workers()]
+
+
+@pytest.mark.parametrize("n", range(1, _NETWORK_MAX_N + 1))
+def test_the_network_selects_the_lowest_outputs_of_every_zero_one_input(n):
+    """By the 0-1 principle a min/max network puts the `need` lowest values
+    on wires 0..need-1, in order, for every input iff it does so for every
+    input of zeros and ones."""
+    inputs = (np.arange(2**n)[:, None] >> np.arange(n)) & 1
+    want = np.sort(inputs, axis=1)
+    for need in range(1, n + 1):
+        wires = list(inputs.T.copy())
+        for i, j in _sorting_network(n, need):
+            assert i < j
+            wires[i], wires[j] = np.minimum(wires[i], wires[j]), np.maximum(wires[i], wires[j])
+        np.testing.assert_array_equal(np.array(wires[:need]).T, want[:, :need], err_msg=f"need={need}")
+
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(data=st.data(), tied=st.booleans(), trials=st.integers(1, 3), ports=st.integers(1, 4))
+@pytest.mark.parametrize("n", range(1, _NETWORK_MAX_N + 1))
+def test_the_network_last_finish_is_the_sorted_one_bit_for_bit(n, data, tied, trials, ports):
+    """Every need from 1 to n and t_c of 0, 0.01 and 3: the network path, the
+    np.sort path and the last entry of the full finish prefix agree bit for
+    bit, ties included, and the ready times are left as they were."""
+    values = st.sampled_from([0.0, 0.25, 1.0, 7.5]) if tied else st.floats(0.0, 100.0)
+    cells = data.draw(st.lists(values, min_size=trials * ports * n, max_size=trials * ports * n))
+    groups = np.array(cells, dtype=float).reshape(trials, ports, n)
+    before = groups.copy()
+    for need in range(1, n + 1):
+        for t_c in (0.0, 0.01, 3.0):
+            prefix = _port_finish_times(np.sort(groups, axis=-1)[..., :need], t_c)[..., -1]
+            by_sort = _sorted_last_finish(groups, need, t_c)
+            by_network = _network_last_finish(groups, need, t_c)
+            assert by_network.tobytes() == by_sort.tobytes() == prefix.tobytes(), (need, t_c)
+    assert groups.tobytes() == before.tobytes()
+
+
+def _reference_completions(scheme, topo, cfg, resilience, trials):
+    """The port pass as a full sort plus `maximum.accumulate` per layer, on
+    draws inverted out of place: the plain formula the fused pass must match
+    bit for bit."""
+    tree, quorum_s, coded_s = scheme_tree(scheme, topo, resilience)
+    loads = np.full(tree.num_workers, float(r_cr(tree.n, tree.L, coded_s)) * cfg.d)
+    bits = np.random.PCG64(cfg.seed)
+    bits.advance(trials[0] * loads.size)
+    u = np.random.Generator(bits).random((len(trials), loads.size))
+    T = cfg.a * loads - (loads / cfg.mu) * np.log1p(-u)
+    if scheme == "rar":
+        return T.max(axis=1) + 2 * (tree.n - 1) * (cfg.t_c / tree.n)
+    n, need = tree.n, tree.n - quorum_s
+    k = np.arange(need, dtype=float)
+    ready = T[:, tree.num_parents - 1 :]
+    for layer in range(tree.L, 0, -1):
+        groups = ready.reshape(len(trials), n ** (layer - 1), n)
+        ranked = np.sort(groups, axis=-1)[..., :need]
+        finish = np.maximum.accumulate(ranked - k * cfg.t_c, axis=-1) + (k + 1) * cfg.t_c
+        if layer > 1:
+            own = T[:, tree.layer_offset(layer - 1) - 1 : tree.layer_offset(layer) - 1]
+            ready = np.maximum(own, finish[..., -1])
+    return finish[:, 0, -1]
+
+
+@st.composite
+def _reference_cases(draw):
+    """A CR tree (n <= 12, L <= 4, at most 2,000 workers, 0 <= s < n) or one of
+    the four flat schemes (N <= 40), with a seed, a first trial and a t_c."""
+    if draw(st.booleans()):
+        n = draw(st.integers(1, 12))
+        L = draw(st.integers(1, 4).filter(lambda L: sum(n**j for j in range(1, L + 1)) <= 2000))
+        scheme, topo, resil = "cr", build_tree(n, L), draw(st.integers(0, n - 1))
+    else:
+        scheme, topo = draw(st.sampled_from(["gc", "umw", "sgd", "rar"])), draw(st.integers(1, 40))
+        resil = draw(st.integers(0, topo - 1)) if scheme in ("gc", "sgd") else 0
+    cfg = LatencyConfig(
+        a=draw(st.sampled_from([0.0, 0.05, 0.3])),
+        mu=draw(st.sampled_from([0.5, 20.0, 1e300])),
+        t_c=draw(st.sampled_from([0.0, 0.01, 1.0, 3.0])),
+        d=60.0,
+        seed=draw(st.integers(0, 2**32 - 1)),
+    )
+    return scheme, topo, resil, cfg, draw(st.integers(0, 500))
+
+
+@settings(max_examples=120, deadline=None, derandomize=True)
+@given(case=_reference_cases())
+def test_batched_completions_are_the_sort_and_accumulate_reference_bit_for_bit(case):
+    """At 1 trial and at 300, so that small blocks take np.sort and large ones
+    the network (test_both_paths_of_the_dispatch_run)."""
+    scheme, topo, resil, cfg, first = case
+    for count in (1, 300):
+        trials = range(first, first + count)
+        got = _batch_completions(scheme, topo, cfg, resil, trials)
+        want = _reference_completions(scheme, topo, cfg, resil, trials)
+        assert got.tobytes() == want.tobytes(), (scheme, count)
+
+
+def test_both_paths_of_the_dispatch_run(monkeypatch):
+    """The benchmark's CR (5,3) tree sorts every layer by network at 300
+    trials and by np.sort at one; its flat N = 156 group always by np.sort."""
+    taken = []
+    for path in ("_network_last_finish", "_sorted_last_finish"):
+        real = getattr(latency, path)
+        monkeypatch.setattr(
+            latency, path, lambda *args, path=path, real=real: taken.append(path) or real(*args)
+        )
+    cfg = LatencyConfig(a=0.05, mu=20.0, t_c=1.0, d=7800.0, seed=3)
+    for scheme, topo, resil, count, layers in [
+        ("cr", build_tree(5, 3), 1, 300, ["_network_last_finish"] * 3),
+        ("cr", build_tree(5, 3), 1, 1, ["_sorted_last_finish"] * 3),
+        ("gc", 156, 13, 300, ["_sorted_last_finish"]),
+    ]:
+        taken.clear()
+        _batch_completions(scheme, topo, cfg, resil, range(count))
+        assert taken == layers, (scheme, count)
 
 
 def test_single_trial_is_its_row_of_the_block():
